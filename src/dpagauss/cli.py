@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from . import __version__, fock, nonclassicality, statistics, verify, wigner
-from .model import ModelParams, evolved_state
+from .model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
 
 USAGE_ERROR = 1
 GATE_ERROR = 2
@@ -169,6 +169,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 tuple(v) if isinstance(v, list) else v for v in value) \
                 if isinstance(value, list) else value
     config = RunConfig(**merged)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{field.name} must be finite, got {value}")
     if config.workers == 0:
         config = dataclasses.replace(config, workers=os.cpu_count() or 1)
     return config
@@ -192,12 +196,20 @@ def _csv_header(config: RunConfig, extra: str = "") -> str:
             f"{' ' + extra if extra else ''}\n")
 
 
+def _check_u(config: RunConfig, u: float) -> None:
+    """Reject a time the evolved-state guards would refuse."""
+    if u < 0:
+        raise UsageError("u must be >= 0")
+    if config.r == 0 and u > 0:
+        raise UsageError("r = 0 supports only u = 0 (static state)")
+    if u + config.r > MAX_EFF_SQUEEZE:
+        raise UsageError(f"u + r must be <= {MAX_EFF_SQUEEZE:g}, "
+                         f"got {u + config.r}")
+
+
 def cmd_eval(config: RunConfig) -> int:
     params = config.params()
-    if config.u < 0:
-        raise UsageError("u must be >= 0")
-    if params.squeeze_mag == 0 and config.u > 0:
-        raise UsageError("r = 0 supports only u = 0 (static state)")
+    _check_u(config, config.u)
     state = evolved_state(params, config.u)
     quad = statistics.quadrature_stats(state, config.lam)
     photon = statistics.photon_stats(state)
@@ -257,6 +269,7 @@ def cmd_sweep(config: RunConfig) -> int:
     params = config.params()
     if params.squeeze_mag == 0:
         raise UsageError("sweeps require squeeze_mag r > 0")
+    _check_u(config, config.u_stop)
     step = (config.u_stop - config.u_start) / (config.u_steps - 1)
     us = [config.u_start + i * step for i in range(config.u_steps)]
     tasks = [(config.nbar, config.r, config.theta, config.alpha, config.phi,
@@ -286,6 +299,11 @@ def cmd_critical(config: RunConfig) -> int:
     params = config.params()
     if params.squeeze_mag <= 0:
         raise UsageError("critical solve requires squeeze_mag r > 0")
+    # the solver works at theta = phi = 0; only theta - 2 phi enters Q_M
+    if abs(math.remainder(config.theta - 2.0 * config.phi,
+                          2.0 * math.pi)) > 1e-12:
+        raise UsageError("critical solve requires theta - 2 phi = 0 "
+                         "(mod 2 pi)")
     try:
         result = nonclassicality.find_critical_alpha(config.nbar, config.r)
     except nonclassicality.NoTransitionError as exc:
@@ -310,8 +328,7 @@ def cmd_wigner_grid(config: RunConfig) -> int:
     if config.grid_halfwidth_sigmas <= 0:
         raise UsageError("grid_halfwidth_sigmas must be > 0")
     params = config.params()
-    if params.squeeze_mag == 0 and config.u > 0:
-        raise UsageError("r = 0 supports only u = 0 (static state)")
+    _check_u(config, config.u)
     state = evolved_state(params, config.u)
     coeffs = wigner.quad_form_coeffs(state, config.lam)
     sig_x = math.sqrt(statistics.quad_variance_state(state, config.lam))

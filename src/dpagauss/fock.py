@@ -5,20 +5,33 @@ truncated generator matrices and moments are read off by contraction, so the
 closed forms elsewhere in the package can be checked against an arithmetic
 that shares nothing with them beyond the operator definitions.
 
-Matrix exponentials of the (anti-Hermitian) generators are computed by
-eigendecomposition, which keeps the resulting operators exactly unitary; the
-operative truncation gates are therefore the occupation mass near the
-truncation edge and the agreement between two truncations N and N + 20.
+Both generators are tridiagonal after a diagonal gauge (the squeeze one per
+parity chain), and their exponentials are applied to blocks of vectors by
+one of two propagators:
+
+* a real symmetric tridiagonal eigensolve, exactly unitary, for every
+  squeeze, for small truncations and for displacements whose spectral
+  radius 2 |alpha| sqrt(N) exceeds N / 3;
+* otherwise a Chebyshev expansion in the Bessel coefficients J_k(radius),
+  a fused real-arithmetic kernel (one in-place sparse product and one axpy
+  per degree) that is unitary to machine precision.
+
+The operative truncation gates are the occupation mass near the truncation
+edge and the agreement between two truncations N and N + 20.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
+from scipy.linalg.blas import daxpy
+# Y += A @ X in place for CSR A; the public product always allocates Y
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+from scipy.special import erfcinv, jv
 
 from .model import ModelParams, _hyperbolic_coeffs, evolved_state
 from .model import hamiltonian_coeffs
@@ -40,14 +53,6 @@ class QuadratureError(RuntimeError):
 def annihilation(dim: int) -> np.ndarray:
     """Truncated annihilation operator, a |n> = sqrt(n) |n-1>."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).conj().T
-
-
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def expm_antihermitian(gen: np.ndarray) -> np.ndarray:
@@ -99,9 +104,13 @@ def _apply_exp_tridiag_chebyshev(sub_diag: np.ndarray,
     Suited to generators whose spectral radius is small compared to the
     dimension (the expansion degree is about the radius itself); accurate to
     machine precision once the Bessel coefficients have decayed.
-    """
-    from scipy.special import jv
 
+    The gauge makes the operator real, so the recurrence runs on the float64
+    view of the complex block: one in-place sparse product per degree
+    updates T_{k+1} = 2 x T_k - T_{k-1}.  The coefficients (-i)^k J_k are
+    real for even k and imaginary for odd k, so the two partial sums
+    accumulate in real buffers and combine once at the end.
+    """
     gauge, off = _gauge_real_tridiag(sub_diag)
     radius = float(np.max(off[:-1] + off[1:])) if len(off) > 1 else \
         float(2.0 * off.max(initial=0.0))
@@ -109,29 +118,34 @@ def _apply_exp_tridiag_chebyshev(sub_diag: np.ndarray,
         return np.array(vecs, dtype=complex, copy=True)
     radius *= 1.000001
     degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
-    coeffs = jv(np.arange(degree + 1), radius) * (-1j) ** np.arange(degree + 1)
-    coeffs[1:] *= 2.0
+    order = np.arange(degree + 1)
+    # (-i)^k = (-1)^(k//2) for even k and -i (-1)^(k//2) for odd k
+    weights = jv(order, radius) * (-1.0) ** (order // 2)
+    weights[1:] *= 2.0
 
-    scaled = (off / radius)[:, None]
+    band = off * (2.0 / radius)
+    two_x = sparse.diags([band, band], [-1, 1], format="csr")
+    dim = two_x.shape[0]
 
-    def matvec(block: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(block[1:], scaled, out=out[:-1])
-        out[-1] = 0.0
-        out[1:] += block[:-1] * scaled
-
-    t_prev = gauge.conj()[:, None] * np.asarray(vecs, dtype=complex)
-    t_cur = np.empty_like(t_prev)
-    t_next = np.empty_like(t_prev)
-    matvec(t_prev, t_cur)
-    acc = coeffs[0] * t_prev + coeffs[1] * t_cur
+    prev = np.ascontiguousarray(gauge.conj()[:, None] * vecs,
+                                dtype=complex).view(float)
+    cur = two_x @ prev
+    cur *= 0.5
+    even = weights[0] * prev
+    odd = weights[1] * cur
+    sums = (even.reshape(-1), odd.reshape(-1))
     for k in range(2, degree + 1):
-        matvec(t_cur, t_next)
-        t_next *= 2.0
-        t_next -= t_prev
-        t_prev, t_cur, t_next = t_cur, t_next, t_prev
-        if abs(coeffs[k]) > 1e-18:
-            acc += coeffs[k] * t_cur
-    return gauge[:, None] * acc
+        np.negative(prev, out=prev)
+        _csr_matvecs(dim, dim, prev.shape[1], two_x.indptr, two_x.indices,
+                     two_x.data, cur.reshape(-1), prev.reshape(-1))
+        prev, cur = cur, prev
+        if abs(weights[k]) > 1e-18:
+            daxpy(cur.reshape(-1), sums[k & 1], a=weights[k])
+    result = odd.view(complex)
+    result *= -1j
+    result += even.view(complex)
+    result *= gauge[:, None]
+    return result
 
 
 def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
@@ -327,19 +341,6 @@ def squeezed_fock_ladder(count: int, xi: complex, dim: int) -> np.ndarray:
     return apply_squeeze(xi, vecs)
 
 
-def squeezed_thermal_ensemble(nbar: float, xi: complex,
-                              dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squeezed thermal state as weighted vectors S(xi)|k>.
-
-    Returns (vectors, weights); the thermal ladder is cut where the discarded
-    weight cannot move any compared moment.
-    """
-    count = _thermal_vector_count(nbar, dim)
-    weights = thermal_weights(nbar, dim)[:count]
-    weights = weights / weights.sum()
-    return squeezed_fock_ladder(count, xi, dim), weights
-
-
 def ensemble_moments(vecs: np.ndarray, weights: np.ndarray) -> FockMoments:
     """Moments of a weighted ensemble of Fock-space vectors.
 
@@ -366,21 +367,6 @@ def ensemble_moments(vecs: np.ndarray, weights: np.ndarray) -> FockMoments:
     mean_n2 = float((prob * levels ** 2).sum())
     return FockMoments(mean_a=mean_a, mean_aa=mean_aa,
                        mean_n=mean_n, mean_n2=mean_n2)
-
-
-def evolved_moments(params: ModelParams, u: float, dim: int) -> FockMoments:
-    """Moments of the evolved state via an ensemble of displaced-squeezed
-    Fock vectors, weighted thermally.
-
-    Equivalent to ``moments_from_rho(build_rho_evolved(...))`` but avoids the
-    dense density matrix, which matters for high-occupation corners.  Raises
-    ``TruncationError`` when the ensemble leaks onto the truncation edge.
-    """
-    state = evolved_state(params, u)
-    xi = state.eff_squeeze * np.exp(1j * state.squeeze_phase)
-    vecs, weights = squeezed_thermal_ensemble(params.nbar, xi, dim)
-    vecs = apply_displacement(state.displacement, vecs)
-    return ensemble_moments(vecs, weights)
 
 
 def occupation_tail_scale(nbar: float, eff_squeeze: float) -> float:
@@ -411,10 +397,15 @@ def suggest_dim(params: ModelParams, u: float, *,
 
     Solves mean + nu * log(margin) for the dimension at which the geometric
     occupation tail can no longer move the second moment by more than
-    ``rtol`` relative.  Sizing uses the closed-form mean and spread; the
-    self-check remains the independent arbiter.
+    ``rtol`` relative.  That margin shrinks as the moments grow, so a large
+    displacement would leave mass on the truncation edge.  The dimension
+    therefore also covers the Gaussian bulk: n <= (x^2 + p^2)/2 with the
+    principal quadratures x, p of the squeeze frame each taken out to its
+    two-sided ``EDGE_MASS_TOL`` point.  Sizing uses the closed-form moments;
+    the self-check remains the independent arbiter.
     """
-    from .statistics import mean_photon, photon_variance
+    from .statistics import (mean_photon, photon_variance, quad_mean,
+                             quad_variance_state)
 
     state = evolved_state(params, u)
     mean = mean_photon(state)
@@ -426,7 +417,14 @@ def suggest_dim(params: ModelParams, u: float, *,
     for _ in range(4):
         slice_weight = max(dim, 10.0) ** 2 / (nu * rtol * m2_scale)
         dim = mean + spread + nu * math.log(max(slice_weight, math.e))
-    return int(math.ceil(dim)) + 64
+    reach = math.sqrt(2.0) * erfcinv(EDGE_MASS_TOL)
+    bulk = 0.0
+    for lam in (0.5 * state.squeeze_phase,
+                0.5 * (state.squeeze_phase + math.pi)):
+        edge = abs(quad_mean(state, lam)) \
+            + reach * math.sqrt(quad_variance_state(state, lam))
+        bulk += 0.5 * edge ** 2
+    return int(math.ceil(max(dim, bulk))) + 64
 
 
 def _moments_agree(m1: FockMoments, m2: FockMoments, rtol: float) -> bool:
@@ -434,30 +432,6 @@ def _moments_agree(m1: FockMoments, m2: FockMoments, rtol: float) -> bool:
              (m1.mean_n, m2.mean_n), (m1.mean_n2, m2.mean_n2)]
     return all(abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
                for x, y in pairs)
-
-
-def self_checked_moments(params: ModelParams, u: float, *,
-                         start_dim: Optional[int] = None,
-                         rtol: float = SELF_CHECK_RTOL,
-                         max_dim: int = 20000) -> tuple[FockMoments, int]:
-    """Moments trusted only once truncations N and N + 20 agree to ``rtol``.
-
-    Doubles the dimension until the self-check passes; raises
-    ``TruncationError`` beyond ``max_dim``.
-    """
-    dim = start_dim if start_dim is not None else suggest_dim(params, u)
-    while True:
-        if dim > max_dim:
-            raise TruncationError(
-                f"self-consistent moments not reached below dim {max_dim}")
-        try:
-            m1 = evolved_moments(params, u, dim)
-            m2 = evolved_moments(params, u, dim + 20)
-            if _moments_agree(m1, m2, rtol):
-                return m2, dim + 20
-        except TruncationError:
-            pass
-        dim *= 2
 
 
 def numeric_wigner(params: ModelParams, u: float, beta: complex, *,

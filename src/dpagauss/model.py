@@ -59,6 +59,11 @@ class ModelParams:
     prep_time: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha_mag", "alpha_phase", "squeeze_mag",
+                     "squeeze_phase", "nbar", "prep_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.alpha_mag < 0:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
         if self.squeeze_mag < 0:

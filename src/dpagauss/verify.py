@@ -127,9 +127,10 @@ def moment_slab_report(r: float, u: float, nbars: Sequence[float],
     """Verify one (r, u) slab of the moment grid.
 
     The N versus N + 20 self-check gates every cell in the slab; the slab
-    doubles its truncation until the check passes.  With ``forced_dim`` no
-    adaptation happens and failures are reported as entries with
-    ``pass: false``.
+    grows its truncation by a quarter until the check passes, skipping the
+    N + 20 ladder when N itself is already insufficient.  With
+    ``forced_dim`` no adaptation happens and failures are reported as
+    entries with ``pass: false``.
     """
     dim = forced_dim if forced_dim is not None else max(
         fock.suggest_dim(_cell_params(nbar, r, alpha), u)
@@ -137,19 +138,18 @@ def moment_slab_report(r: float, u: float, nbars: Sequence[float],
 
     while True:
         first = _slab_moments(r, u, nbars, alphas, dim)
-        second = _slab_moments(r, u, nbars, alphas, dim + 20)
-        if first is not None and second is not None:
-            agreed = all(fock._moments_agree(first[key], second[key],
-                                             self_check_rtol)
-                         for key in first)
-            if agreed:
-                entries = []
-                for nbar in nbars:
-                    for alpha in alphas:
-                        entries.extend(_moment_entries(
-                            nbar, r, alpha, u, second[(nbar, alpha)],
-                            dim + 20, lam))
-                return entries
+        second = None if first is None else _slab_moments(
+            r, u, nbars, alphas, dim + 20)
+        if second is not None and all(
+                fock._moments_agree(first[key], second[key], self_check_rtol)
+                for key in first):
+            entries = []
+            for nbar in nbars:
+                for alpha in alphas:
+                    entries.extend(_moment_entries(
+                        nbar, r, alpha, u, second[(nbar, alpha)],
+                        dim + 20, lam))
+            return entries
         if forced_dim is not None:
             return [{
                 "quantity": "moments_self_check",
@@ -161,7 +161,7 @@ def moment_slab_report(r: float, u: float, nbars: Sequence[float],
                 "pass": False,
                 "error": "truncation insufficient at forced dimension",
             } for nbar in nbars for alpha in alphas]
-        dim *= 2
+        dim += max(1, dim // 4)
         if dim > max_dim:
             raise fock.TruncationError(
                 f"slab (r={r}, u={u}) not self-consistent below dim {max_dim}")

@@ -48,6 +48,25 @@ def test_eval_rejects_invalid_params(capsys):
     assert code == 1  # r = 0 with dynamics
 
 
+@pytest.mark.parametrize("args", [
+    ["--nbar", "nan"],
+    ["--alpha", "inf"],
+    ["--r", "0.1", "--theta=-inf"],
+    ["--r", "0.1", "--u", "nan"],
+    ["--lambda", "nan"],
+])
+def test_eval_rejects_non_finite_inputs(args, capsys):
+    code, out, err = run_cli(["eval", *args], capsys)
+    assert code == 1
+    assert out == "" and "finite" in err
+
+
+def test_eval_rejects_time_beyond_squeeze_guard(capsys):
+    code, out, err = run_cli(["eval", "--r", "0.1", "--u", "400"], capsys)
+    assert code == 1
+    assert out == "" and "u + r" in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(["eval", "--bogus", "1"], capsys)
     assert code == 1
@@ -132,6 +151,20 @@ def test_critical_benchmark_json(capsys):
 def test_critical_requires_squeeze(capsys):
     code, _, err = run_cli(["critical", "--nbar", "0.2"], capsys)
     assert code == 1
+
+
+def test_critical_rejects_misaligned_phases(capsys):
+    code, out, err = run_cli(["critical", "--nbar", "0.2", "--r", "0.1",
+                              "--theta", "1.0"], capsys)
+    assert code == 1
+    assert out == "" and "theta - 2 phi" in err
+    # an aligned pair rotates the state without changing its statistics
+    _, reference, _ = run_cli(["critical", "--nbar", "0.2", "--r", "0.1"],
+                              capsys)
+    code, out, _ = run_cli(["critical", "--nbar", "0.2", "--r", "0.1",
+                            "--theta", "1.0", "--phi", "0.5"], capsys)
+    assert code == 0
+    assert out == reference
 
 
 def read_grid(path):

@@ -7,7 +7,6 @@ import scipy.linalg as sla
 import dpagauss.fock as fock
 import dpagauss.verify as verify
 from dpagauss import ModelParams, evolved_state, wigner_beta
-from dpagauss.statistics import mean_photon, photon_variance
 
 
 def test_thermal_state_properties():
@@ -83,10 +82,11 @@ def test_build_rho_evolved_structure():
 
 
 def test_vector_and_dense_moments_agree():
-    params = ModelParams(alpha_mag=0.5, alpha_phase=0.4, squeeze_mag=0.3,
-                         squeeze_phase=0.7, nbar=0.5)
-    dense = fock.moments_from_rho(fock.build_rho_evolved(params, 0.4, 140))
-    vec = fock.evolved_moments(params, 0.4, 140)
+    # the slab driver fixes theta = phi = 0
+    nbar, r, alpha, u = 0.5, 0.3, 0.5, 0.4
+    params = verify._cell_params(nbar, r, alpha)
+    dense = fock.moments_from_rho(fock.build_rho_evolved(params, u, 140))
+    vec = verify._slab_moments(r, u, (nbar,), (alpha,), 140)[(nbar, alpha)]
     assert dense.mean_a == pytest.approx(vec.mean_a, abs=1e-12)
     assert dense.mean_aa == pytest.approx(vec.mean_aa, abs=1e-12)
     assert dense.mean_n == pytest.approx(vec.mean_n, abs=1e-11)
@@ -94,15 +94,12 @@ def test_vector_and_dense_moments_agree():
 
 
 def test_moments_match_closed_forms():
-    params = ModelParams(alpha_mag=0.5, alpha_phase=0.0, squeeze_mag=0.2,
-                         squeeze_phase=0.0, nbar=0.3)
-    state = evolved_state(params, 0.5)
-    moments, dim_used = fock.self_checked_moments(params, 0.5)
-    assert abs(moments.mean_n - mean_photon(state)) \
-        <= 1e-6 * mean_photon(state)
-    assert abs(moments.var_n - photon_variance(state)) \
-        <= 1e-6 * photon_variance(state)
-    assert dim_used >= 20
+    entries = verify.moment_slab_report(0.2, 0.5, (0.3,), (0.5,))
+    by_name = {entry["quantity"]: entry for entry in entries}
+    for name in ("mean_photon", "photon_variance"):
+        closed = by_name[name]["closed_form"]
+        assert abs(by_name[name]["oracle"] - closed) <= 1e-6 * closed
+    assert by_name["mean_photon"]["N_used"] >= 20
 
 
 def test_coherent_projector_reference():
@@ -192,3 +189,59 @@ def test_verification_rejects_empty_grid():
     with pytest.raises(ValueError):
         verify.run_verification(nbars=(), rs=(0.1,), alphas=(0.5,),
                                 us=(0.0,))
+
+
+def test_chebyshev_kernel_matches_eigensolve():
+    dim = 2000
+    alpha = 1.3 + 0.7j
+    ladder = fock.squeezed_fock_ladder(48, 0.8 * np.exp(0.3j), dim)
+    sub = 1j * alpha * np.sqrt(np.arange(1, dim, dtype=float))
+    fast = fock._apply_exp_tridiag_chebyshev(sub, ladder)
+    exact = fock._apply_exp_tridiag(sub, ladder)
+    assert np.abs(fast - exact).max() <= 1e-12
+    assert np.abs(np.linalg.norm(fast, axis=0) - 1.0).max() <= 1e-12
+
+
+def record_slab_dims(monkeypatch):
+    """Wrap verify._slab_moments; returns the list of (dim, accepted)."""
+    calls = []
+    original = verify._slab_moments
+
+    def recording(r, u, nbars, alphas, dim):
+        result = original(r, u, nbars, alphas, dim)
+        calls.append((dim, result is not None))
+        return result
+
+    monkeypatch.setattr(verify, "_slab_moments", recording)
+    return calls
+
+
+def test_default_heavy_displacement_slab_accepted_first_try(monkeypatch):
+    calls = record_slab_dims(monkeypatch)
+    report = verify.moment_slab_report(0.05, 2.0, verify.DEFAULT_NBARS,
+                                       verify.DEFAULT_ALPHAS)
+    assert verify.all_passed(report)
+    first = calls[0][0]
+    assert calls == [(first, True), (first + 20, True)]
+
+
+def test_suggest_dim_does_not_grow_heavy_squeeze_slab():
+    dims = [fock.suggest_dim(verify._cell_params(nbar, 1.0, alpha), 2.0)
+            for nbar in verify.DEFAULT_NBARS
+            for alpha in verify.DEFAULT_ALPHAS]
+    assert max(dims) <= 11831
+
+
+def test_rejected_truncation_grows_by_at_most_a_quarter(monkeypatch):
+    monkeypatch.setattr(fock, "suggest_dim", lambda params, u: 40)
+    calls = record_slab_dims(monkeypatch)
+    report = verify.moment_slab_report(0.1, 0.4, (0.5,), (0.8,))
+    assert verify.all_passed(report)
+    # an attempt is a truncation N, with its N + 20 partner computed only
+    # when N itself was accepted
+    attempts = [calls[0][0]]
+    for (dim, accepted), (next_dim, _) in zip(calls, calls[1:]):
+        if not (accepted and next_dim == dim + 20):
+            attempts.append(next_dim)
+    assert attempts[0] == 40 and len(attempts) > 2
+    assert all(b <= 1.25 * a for a, b in zip(attempts, attempts[1:]))
