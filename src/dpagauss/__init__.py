@@ -36,18 +36,14 @@ from .nonclassicality import (
     squeezing_criterion,
 )
 from .statistics import (
-    PhotonStats,
-    QuadratureStats,
     mandel_q,
     mandel_q_curve,
     mandel_q_zero,
     mean_photon,
-    photon_stats,
     photon_variance,
     quad_mean,
     quad_variance,
     quad_variance_state,
-    quadrature_stats,
     snr,
     snr_max,
     variance_product,

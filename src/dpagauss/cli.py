@@ -19,8 +19,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__, fock, nonclassicality, statistics, verify, wigner
 from .model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
@@ -57,10 +58,8 @@ class RunConfig:
     grid_steps: int = 121
     grid_halfwidth_sigmas: float = 6.0
     out: Optional[str] = None
-    format: str = ""
     workers: int = 0
     forced_dim: Optional[int] = None
-    quick: bool = False
     # verification grids, settable through the config file only
     nbars: Optional[tuple] = None
     rs: Optional[tuple] = None
@@ -70,12 +69,9 @@ class RunConfig:
     wigner_points: Optional[tuple] = None
 
     def params(self) -> ModelParams:
-        try:
-            return ModelParams(alpha_mag=self.alpha, alpha_phase=self.phi,
-                               squeeze_mag=self.r, squeeze_phase=self.theta,
-                               nbar=self.nbar, prep_time=self.prep_time)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return ModelParams(alpha_mag=self.alpha, alpha_phase=self.phi,
+                           squeeze_mag=self.r, squeeze_phase=self.theta,
+                           nbar=self.nbar, prep_time=self.prep_time)
 
 
 def _fmt(x: float) -> str:
@@ -104,10 +100,9 @@ def _build_parser() -> _Parser:
                        help="quadrature angle")
         p.add_argument("--out", type=str, default=None,
                        help="output path (default stdout)")
-        p.add_argument("--format", type=str, choices=("csv", "json"),
-                       default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: CPU count)")
+                       help="worker processes for verify (default: CPU "
+                            "count); the other subcommands run serially")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; flags override its values")
 
@@ -140,8 +135,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--fock-dim", dest="forced_dim", type=int,
                           default=None,
                           help="force a fixed truncation (negative test)")
-    p_verify.add_argument("--quick", action="store_true", default=None,
-                          help="reduced grid: skips the slowest corners")
     return parser
 
 
@@ -211,8 +204,6 @@ def cmd_eval(config: RunConfig) -> int:
     params = config.params()
     _check_u(config, config.u)
     state = evolved_state(params, config.u)
-    quad = statistics.quadrature_stats(state, config.lam)
-    photon = statistics.photon_stats(state)
     try:
         mandel = statistics.mandel_q(state)
     except ValueError:
@@ -221,13 +212,13 @@ def cmd_eval(config: RunConfig) -> int:
                                                  config.u)
     report = {
         "u": config.u,
-        "quad_mean": quad.mean,
-        "quad_variance": quad.variance,
+        "quad_mean": statistics.quad_mean(state, config.lam),
+        "quad_variance": statistics.quad_variance_state(state, config.lam),
         "variance_product": statistics.variance_product(
             config.nbar, config.r, config.theta, config.lam, config.u),
         "snr": statistics.snr(state, config.lam),
-        "mean_photon": photon.mean_n,
-        "photon_variance": photon.var_n,
+        "mean_photon": statistics.mean_photon(state),
+        "photon_variance": statistics.photon_variance(state),
         "mandel_q": mandel if mandel is not None else "undefined (vacuum)",
         "classicality_factor": factor,
         "p_representation_exists": nonclassicality.p_representation_exists(
@@ -239,26 +230,15 @@ def cmd_eval(config: RunConfig) -> int:
     }
     crossover = nonclassicality.crossover_time(config.nbar, config.r)
     report["crossover_u"] = crossover
-    _write(config, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    non_finite = sorted(name for name, value in report.items()
+                        if isinstance(value, float)
+                        and not math.isfinite(value))
+    if non_finite:
+        raise UsageError(f"{', '.join(non_finite)} not finite in double "
+                         "precision for these inputs")
+    _write(config, json.dumps(report, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
     return 0
-
-
-def _sweep_row(args) -> tuple:
-    nbar, r, theta, alpha, phi, prep_time, lam, u = args
-    params = ModelParams(alpha_mag=alpha, alpha_phase=phi, squeeze_mag=r,
-                         squeeze_phase=theta, nbar=nbar, prep_time=prep_time)
-    state = evolved_state(params, u)
-    try:
-        mandel = statistics.mandel_q(state)
-    except ValueError:
-        mandel = math.nan
-    return (u, mandel,
-            statistics.quad_variance_state(state, lam),
-            statistics.mean_photon(state),
-            statistics.photon_variance(state),
-            nonclassicality.squeezing_criterion(nbar, r, theta, lam, u),
-            nonclassicality.p_representation_exists(nbar, r, u),
-            nonclassicality.field_nonclassical(nbar, r, u))
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -271,15 +251,6 @@ def cmd_sweep(config: RunConfig) -> int:
         raise UsageError("sweeps require squeeze_mag r > 0")
     _check_u(config, config.u_stop)
     step = (config.u_stop - config.u_start) / (config.u_steps - 1)
-    us = [config.u_start + i * step for i in range(config.u_steps)]
-    tasks = [(config.nbar, config.r, config.theta, config.alpha, config.phi,
-              config.prep_time, config.lam, u) for u in us]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=64))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
-
     lines = [_csv_header(config,
                          extra=(f"u_start={_fmt(config.u_start)} "
                                 f"u_stop={_fmt(config.u_stop)} "
@@ -287,9 +258,21 @@ def cmd_sweep(config: RunConfig) -> int:
     lines.append("u,mandel_q,quad_variance,mean_photon,photon_variance,"
                  "squeezing_criterion,p_representation_exists,"
                  "field_nonclassical\n")
-    for row in rows:
-        floats = ",".join(_fmt(x) for x in row[:5])
-        flags = ",".join("1" if b else "0" for b in row[5:])
+    nbar, r, theta, lam = config.nbar, config.r, config.theta, config.lam
+    for i in range(config.u_steps):
+        u = config.u_start + i * step
+        state = evolved_state(params, u)
+        try:
+            mandel = statistics.mandel_q(state)
+        except ValueError:
+            mandel = math.nan
+        floats = ",".join(_fmt(x) for x in (
+            u, mandel, statistics.quad_variance_state(state, lam),
+            statistics.mean_photon(state), statistics.photon_variance(state)))
+        flags = ",".join("1" if b else "0" for b in (
+            nonclassicality.squeezing_criterion(nbar, r, theta, lam, u),
+            nonclassicality.p_representation_exists(nbar, r, u),
+            nonclassicality.field_nonclassical(nbar, r, u)))
         lines.append(f"{floats},{flags}\n")
     _write(config, "".join(lines))
     return 0
@@ -318,7 +301,8 @@ def cmd_critical(config: RunConfig) -> int:
         "zeros": list(nonclassicality.classify_behavior(
             config.nbar, config.r, result.alpha_c).zeros),
     }
-    _write(config, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write(config, json.dumps(record, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
     return 0
 
 
@@ -342,12 +326,17 @@ def cmd_wigner_grid(config: RunConfig) -> int:
                                         f"halfwidth_sigmas="
                                         f"{_fmt(config.grid_halfwidth_sigmas)}"))]
     lines.append("x,p,w\n")
-    for i in range(n):
-        x = coeffs.mean_x - half_x + 2.0 * half_x * i / (n - 1)
-        for j in range(n):
-            p = coeffs.mean_p - half_p + 2.0 * half_p * j / (n - 1)
-            w = wigner.wigner_quadrature(state, config.lam, x, p)
-            lines.append(f"{_fmt(x)},{_fmt(p)},{_fmt(w)}\n")
+    steps = np.arange(n)
+    xs = coeffs.mean_x - half_x + 2.0 * half_x * steps / (n - 1)
+    ps = coeffs.mean_p - half_p + 2.0 * half_p * steps / (n - 1)
+    p_texts = [_fmt(p) for p in ps.tolist()]
+    # one call per x row: a whole-grid call would hold every value of the
+    # grid as a Python float at once
+    for x in xs.tolist():
+        x_text = _fmt(x)
+        ws = wigner.wigner_quadrature(state, config.lam, x, ps)
+        lines.extend(f"{x_text},{p_text},{_fmt(w)}\n"
+                     for p_text, w in zip(p_texts, ws.tolist()))
     _write(config, "".join(lines))
     return 0
 
@@ -360,8 +349,6 @@ def _as_complex(value) -> complex:
 
 def cmd_verify(config: RunConfig) -> int:
     kwargs = {}
-    if config.quick:
-        kwargs.update(us=(0.0, 0.5))
     for name in ("nbars", "rs", "alphas", "us"):
         value = getattr(config, name)
         if value is not None:
@@ -373,14 +360,12 @@ def cmd_verify(config: RunConfig) -> int:
         kwargs["wigner_points"] = tuple(
             (*point[:4], _as_complex(point[4]))
             for point in config.wigner_points)
-    try:
-        report = verify.run_verification(forced_dim=config.forced_dim,
-                                         workers=config.workers, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = verify.run_verification(forced_dim=config.forced_dim,
+                                     workers=config.workers, **kwargs)
     ok = verify.all_passed(report)
     payload = {"pass": ok, "entries": report}
-    _write(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(config, json.dumps(payload, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
     return 0 if ok else GATE_ERROR
 
 
@@ -397,8 +382,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "verify": cmd_verify,
         }[config.command]
         return handler(config)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return USAGE_ERROR
+    except ArithmeticError as exc:
+        # the guards admit inputs at which a closed form overflows or
+        # divides by an underflowed value
+        sys.stderr.write(f"usage error: inputs beyond the double-precision "
+                         f"range of the closed forms ({exc})\n")
         return USAGE_ERROR
     except (fock.TruncationError, fock.QuadratureError) as exc:
         sys.stderr.write(f"numerical gate failure: {exc}\n")

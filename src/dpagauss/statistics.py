@@ -9,24 +9,10 @@ never on the displacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EvolvedState, ModelParams, evolved_state
-
-
-@dataclass(frozen=True)
-class QuadratureStats:
-    mean: float
-    variance: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class PhotonStats:
-    mean_n: float
-    var_n: float
 
 
 def quad_mean(state: EvolvedState, lam: float) -> float:
@@ -169,15 +155,3 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
            + (nbar + 0.5) * (2.0 * np.cosh(2.0 * rho) * abs2
                              - np.sinh(2.0 * rho) * pair_term) - 0.25)
     return (var - n) / n
-
-
-def quadrature_stats(state: EvolvedState, lam: float) -> QuadratureStats:
-    """Bundle mean and variance of x_lam."""
-    return QuadratureStats(mean=quad_mean(state, lam),
-                           variance=quad_variance_state(state, lam),
-                           lam=lam)
-
-
-def photon_stats(state: EvolvedState) -> PhotonStats:
-    """Bundle photon-number mean and variance."""
-    return PhotonStats(mean_n=mean_photon(state), var_n=photon_variance(state))

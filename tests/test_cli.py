@@ -1,16 +1,30 @@
+import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpagauss.cli import main
+from dpagauss.model import MAX_EFF_SQUEEZE
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not allow."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_eval_reports_classicality_factor(capsys):
@@ -65,6 +79,72 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
     code, out, err = run_cli(["eval", "--r", "0.1", "--u", "400"], capsys)
     assert code == 1
     assert out == "" and "u + r" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--r", "1", "--u", "200"],
+    ["critical", "--r", "400"],
+    ["eval", "--nbar", "1e200", "--r", "0.1"],
+    ["sweep", "--r", "1", "--u-stop", "200"],
+    # finite inputs whose photon variance is +inf in double precision
+    ["eval", "--nbar", "1.3e154", "--r", "0.1"],
+], ids=["eval-u200", "critical-r400", "eval-nbar1e200", "sweep-u200",
+        "eval-infinite-variance"])
+def test_unrepresentable_results_are_usage_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == "" and err.startswith("usage error:")
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(nbar=st.floats(min_value=0.0, allow_infinity=False),
+       r=st.floats(min_value=0.0, max_value=MAX_EFF_SQUEEZE),
+       alpha=st.floats(min_value=0.0, allow_infinity=False),
+       u=st.floats(min_value=0.0, max_value=MAX_EFF_SQUEEZE),
+       theta=finite_floats, phi=finite_floats, lam=finite_floats)
+@settings(max_examples=300, deadline=None)
+def test_eval_gives_finite_json_or_usage_error(nbar, r, alpha, u, theta,
+                                               phi, lam):
+    args = ["eval"] + [f"--{flag}={value!r}" for flag, value in (
+        ("nbar", nbar), ("r", r), ("alpha", alpha), ("u", u),
+        ("theta", theta), ("phi", phi), ("lambda", lam))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    if code == 0:
+        report = strict_json(out.getvalue())
+        assert all(math.isfinite(v) for v in report.values()
+                   if isinstance(v, float))
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage error:")
+
+
+# sha256 of stdout as first written by the per-point implementations of
+# these tables; a one-ulp drift in any value changes them.  They depend on
+# the platform's libm and numpy build (recorded on x86-64 Linux, numpy 2.4).
+@pytest.mark.parametrize("args, digest", [
+    (["sweep", "--nbar", "0.2", "--r", "0.1", "--alpha", "0.3494",
+      "--theta", "0.6", "--phi", "0.1", "--lambda", "0.2", "--u-start", "0",
+      "--u-stop", "1.2", "--u-steps", "241"],
+     "ea3f945af2afab9a68fd28189e914b072163fa7789e05d8177387ddda66e3430"),
+    (["wigner-grid", "--nbar", "0.3", "--r", "0.2", "--alpha", "0.5",
+      "--theta", "0.8", "--phi", "0.3", "--lambda", "0.1", "--u", "0.4",
+      "--grid-steps", "41"],
+     "a10c0948c5b78759f5db63f94fe9adea3182c4cbda1e577997e77c04519a54c1"),
+    (["eval", "--nbar", "0.2", "--r", "0.1", "--alpha", "0.3494",
+      "--theta", "0.8", "--phi", "0.3", "--lambda", "0.1", "--u", "0.3857"],
+     "ef72e047a040555de56b7d304b9512883e21205cf3b22a10ea25331ab229d557"),
+    (["critical", "--nbar", "0.1", "--r", "0.2"],
+     "3142b20b0b397115bb99a45ee3e822e712f8bd22cca1fb3fbd39c9cf87825c4e"),
+], ids=["sweep", "wigner-grid", "eval", "critical"])
+def test_stdout_is_byte_identical(args, digest, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -231,14 +311,18 @@ def test_verify_small_grid_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--config", str(config),
                             "--workers", "1"], capsys)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["pass"] is True
     assert all(e["rel_err"] <= 1e-6 for e in payload["entries"])
 
     code, out, _ = run_cli(["verify", "--config", str(config),
                             "--workers", "1", "--fock-dim", "12"], capsys)
     assert code == 2
-    assert json.loads(out)["pass"] is False
+    payload = strict_json(out)
+    assert payload["pass"] is False
+    forced = [e for e in payload["entries"] if "error" in e]
+    assert forced
+    assert all(e["oracle"] is None and e["rel_err"] is None for e in forced)
 
 
 def test_verify_empty_grid_is_usage_error(tmp_path, capsys):

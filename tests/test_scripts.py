@@ -1,0 +1,43 @@
+"""Smoke tests of the scripts under scripts/, run as their users run them."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_mandel_sweeps_script(tmp_path):
+    proc = run_script("mandel_sweeps.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    files = sorted(tmp_path.glob("mandel_*.csv"))
+    assert len(files) == 10
+    for path in files:
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# dpagauss")
+        assert len(lines) == 2 + 241
+
+
+def test_critical_points_script(tmp_path):
+    out = tmp_path / "critical.json"
+    proc = run_script("critical_points.py", str(out))
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(out.read_text())
+    assert [(rec["nbar"], rec["r"]) for rec in records] == [
+        (0.2, 0.1), (0.1, 0.2), (1.0, 1.0)]
+    assert [rec["alpha_c"] for rec in records] == pytest.approx(
+        [0.3494, 0.4961, 9.714], abs=5e-4)
+    assert [rec["mechanism"] for rec in records] == [
+        "interior_tangency", "interior_tangency", "boundary_q0_zero"]

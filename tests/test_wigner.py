@@ -49,7 +49,7 @@ def wigner_integral(state, values_fn, nodes=160, half_sigmas=8.0):
     xs, ps, weights = gauss_legendre_grid(state, half_sigmas, nodes)
     total = 0.0
     for i, x in enumerate(xs):
-        row = np.array([wigner_quadrature(state, 0.0, x, p) for p in ps])
+        row = wigner_quadrature(state, 0.0, x, ps)
         total += (weights[i] * row * values_fn(x, ps)).sum()
     return total
 
@@ -208,6 +208,37 @@ def test_quadrature_peak_and_jacobian_consistency():
             0.5 * wigner_beta(state, beta), rel=1e-11, abs=1e-280)
 
 
+def test_quadrature_broadcast_matches_scalar_formula_bit_for_bit():
+    # the CLI grid evaluates one x row per call and must reproduce the
+    # per-point libm arithmetic exactly, not just to a tolerance
+    def reference(state, lam, x, p):
+        k = quad_form_coeffs(state, lam)
+        dx = x - k.mean_x
+        dp = p - k.mean_p
+        form = k.eps_xx * dx * dx + k.eps_pp * dp * dp + k.eps_xp * dx * dp
+        det = (2.0 * state.nbar + 1.0) ** 2
+        return (1.0 / math.pi) / math.sqrt(det) * math.exp(-form / det)
+
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        state = random_state(rng)
+        lam = rng.uniform(-math.pi, math.pi)
+        k = quad_form_coeffs(state, lam)
+        xs = (k.mean_x + rng.uniform(-4, 4, 7)).tolist()
+        ps = (k.mean_p + rng.uniform(-4, 4, 9)).tolist()
+        expected = [[reference(state, lam, x, p) for p in ps] for x in xs]
+        scalar = [[wigner_quadrature(state, lam, x, p) for p in ps]
+                  for x in xs]
+        grid = wigner_quadrature(state, lam, np.array(xs)[:, None],
+                                 np.array(ps))
+        rows = [wigner_quadrature(state, lam, x, np.array(ps)).tolist()
+                for x in xs]
+        assert all(type(w) is float for row in scalar for w in row)
+        assert scalar == expected
+        assert grid.tolist() == expected
+        assert rows == expected
+
+
 def test_aligned_case_factorizes():
     nbar, rho = 0.5, 0.65
     theta = 1.1
@@ -242,8 +273,8 @@ def test_marginal_is_normal_and_matches_joint():
     mean_p = quad_mean(state, lam + 0.5 * math.pi)
     ps = mean_p + 9.0 * sig_p * xs
     for x in (mean, mean + 0.7 * sig, mean - 1.9 * sig):
-        joint = (wx * 9.0 * sig_p * np.array(
-            [wigner_quadrature(state, lam, x, p) for p in ps])).sum()
+        joint = (wx * 9.0 * sig_p
+                 * wigner_quadrature(state, lam, x, ps)).sum()
         assert joint == pytest.approx(marginal_quadrature_pdf(state, lam, x),
                                       abs=1e-8)
 
