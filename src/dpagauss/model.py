@@ -132,15 +132,20 @@ def displacement_amplitude(params: ModelParams, u):
                                          - (1/2) coth(r/2)(cosh u - 1) ] )
 
     Requires r > 0; the coth(r/2) factor is singular otherwise (see
-    ``limit_r_zero_displacement`` for the combined r -> 0 limit).  Accepts a
-    scalar or ndarray ``u`` and broadcasts.
+    ``limit_r_zero_displacement`` for the combined r -> 0 limit), and raises
+    ``ValueError`` for r below about 1.1e-308, where coth(r/2) overflows
+    double precision.  Accepts a scalar or ndarray ``u`` and broadcasts.
     """
     _check_u(u)
     r = params.squeeze_mag
     if r == 0:
         raise ValueError("displacement_amplitude requires squeeze_mag > 0; "
                          "use limit_r_zero_displacement for r = 0")
-    coth_half = 1.0 / math.tanh(0.5 * r)
+    tanh_half = math.tanh(0.5 * r)
+    coth_half = 1.0 / tanh_half if tanh_half > 0.0 else math.inf
+    if math.isinf(coth_half):
+        raise ValueError(f"squeeze_mag {r!r} is too small: coth(r/2) "
+                         "overflows double precision")
     u = np.asarray(u, dtype=float)
     ch, sh = np.cosh(u), np.sinh(u)
     phase = np.exp(1j * (params.squeeze_phase - 2.0 * params.alpha_phase))

@@ -137,10 +137,13 @@ def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
     return num / den
 
 
+@np.errstate(over="raise", invalid="raise")
 def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     """Vectorized Mandel parameter over an array of times u, phi = theta/2 = 0.
 
-    Used by the sweep and critical-point machinery; requires r > 0.
+    Used by the sweep and critical-point machinery; requires r > 0.  Raises
+    ``FloatingPointError`` where the curve overflows double precision
+    (cosh 4(u + r) from u + r of about 177.6) instead of returning inf/NaN.
     """
     params = ModelParams(alpha_mag=alpha_mag, alpha_phase=0.0, squeeze_mag=r,
                          squeeze_phase=0.0, nbar=nbar)

@@ -2,6 +2,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -94,6 +98,21 @@ def test_unrepresentable_results_are_usage_errors(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == "" and err.startswith("usage error:")
+
+
+def test_critical_overflow_prints_only_the_usage_error():
+    # a fresh interpreter, so numpy warnings reach stderr as users see them
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpagauss.cli", "critical", "--r", "400"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("usage error:")
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -200,6 +201,67 @@ def test_chebyshev_kernel_matches_eigensolve():
     exact = fock._apply_exp_tridiag(sub, ladder)
     assert np.abs(fast - exact).max() <= 1e-12
     assert np.abs(np.linalg.norm(fast, axis=0) - 1.0).max() <= 1e-12
+
+
+# a thermal ladder whose parity chains (3,000 levels, 24 rows of support)
+# are long enough for the windowed eigensolve
+WINDOW_XI = 3.0 * np.exp(0.3j)
+WINDOW_DIM = 6000
+
+
+@pytest.fixture(scope="module")
+def full_spectrum_ladder():
+    """S(xi)|k> for k < 48 from a full eigensolve of each parity chain."""
+    out = np.zeros((WINDOW_DIM, 48), dtype=complex)
+    for start in (0, 1):
+        idx = np.arange(start, WINDOW_DIM, 2)
+        low = idx[:-1].astype(float)
+        sub = -0.5j * WINDOW_XI * np.sqrt((low + 1.0) * (low + 2.0))
+        # H = G T G^* with T real: G_k = e^{i (arg sub_0 + ... + arg sub_k-1)}
+        gauge = np.exp(1j * np.concatenate(([0.0],
+                                            np.cumsum(np.angle(sub)))))
+        w, v = sla.eigh_tridiagonal(np.zeros(len(idx)), np.abs(sub))
+        cols = np.arange(start, 48, 2)
+        out[idx[:, None], cols] = gauge[:, None] * (
+            (v * np.exp(-1j * w)) @ (v[cols // 2].T
+                                     * gauge[cols // 2].conj()))
+    return out
+
+
+def window_records(caplog):
+    return [rec.args for rec in caplog.records
+            if rec.name == "dpagauss.fock" and rec.levelno == logging.DEBUG]
+
+
+def test_windowed_squeeze_ladder_matches_full_spectrum(full_spectrum_ladder,
+                                                       caplog, capsys):
+    # silent by default: no record and no output without logging set up
+    fock.squeezed_fock_ladder(1, 1.0, 2200)
+    assert window_records(caplog) == []
+    assert capsys.readouterr() == ("", "")
+
+    caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
+    ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, WINDOW_DIM)
+    assert np.abs(ladder - full_spectrum_ladder).max() <= 1e-12
+    assert np.abs(np.linalg.norm(ladder, axis=0) - 1.0).max() <= 1e-13
+    # one record per parity chain: chain length, support height, eigenpairs
+    # kept, final window, edge component, growths
+    records = window_records(caplog)
+    assert [args[:2] for args in records] == [(3000, 24), (3000, 24)]
+    for _, _, kept, span, edge, growths in records:
+        assert 0 < kept < 3000 and span > 0.0
+        assert edge <= 1e-16 and growths == 0
+
+
+def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
+                                                   monkeypatch, caplog):
+    monkeypatch.setattr(fock, "_WINDOW_MARGIN", 0.0)
+    caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
+    ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, WINDOW_DIM)
+    assert np.abs(ladder - full_spectrum_ladder).max() <= 1e-12
+    records = window_records(caplog)
+    assert len(records) == 2
+    assert all(args[4] <= 1e-16 and args[5] >= 1 for args in records)
 
 
 def record_slab_dims(monkeypatch):

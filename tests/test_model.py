@@ -79,6 +79,11 @@ def test_displacement_rejects_r_zero_and_negative_u():
     with pytest.raises(ValueError):
         displacement_amplitude(ModelParams(alpha_mag=1.0, squeeze_mag=0.1),
                                -0.1)
+    # subnormal r: tanh(r/2) underflows to 0 or its reciprocal to inf
+    for r in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match="coth"):
+            displacement_amplitude(ModelParams(alpha_mag=1.0, squeeze_mag=r),
+                                   0.5)
 
 
 def test_limit_r_zero_displacement():
