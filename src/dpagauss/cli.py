@@ -8,16 +8,21 @@ oracle).  Output is deterministic byte for byte for a fixed configuration:
 floats are printed with 17 significant digits and every CSV embeds the full
 parameter set, phase conventions and tool version in its header.
 
+Each option is declared once, in ``OPTIONS``, and ``COMMANDS`` lists the
+options each subcommand reads; the parser, the config-file check and the
+handlers' namespaces are built from these two, so any other flag or config
+key is a usage error.  Config keys are the namespace attribute names
+(``lam``, ``u_steps``, ...); flags override file values.
+
 Exit codes: 0 success, 1 usage error, 2 numerical gate failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -28,6 +33,43 @@ from .model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
 
 USAGE_ERROR = 1
 GATE_ERROR = 2
+
+# config key -> (flag, type, default, help)
+OPTIONS = {
+    "nbar": ("--nbar", float, 0.0, "thermal occupation of the initial state"),
+    "r": ("--r", float, 0.0, "squeeze magnitude r"),
+    "theta": ("--theta", float, 0.0, "squeeze angle in radians"),
+    "alpha": ("--alpha", float, 0.0, "displacement magnitude |alpha|"),
+    "phi": ("--phi", float, 0.0, "displacement phase in radians"),
+    "lam": ("--lambda", float, 0.0, "quadrature angle"),
+    "prep_time": ("--prep-time", float, 1.0, "preparation time t"),
+    "u": ("--u", float, 0.0, "dimensionless time u"),
+    "u_start": ("--u-start", float, 0.0, "first u"),
+    "u_stop": ("--u-stop", float, 1.0, "last u"),
+    "u_steps": ("--u-steps", int, 101, "number of u values"),
+    "grid_steps": ("--grid-steps", int, 121, "points per axis"),
+    "grid_halfwidth_sigmas": ("--grid-halfwidth-sigmas", float, 6.0,
+                              "half-width per axis in standard deviations"),
+    "out": ("--out", str, None, "output path (default stdout)"),
+    "workers": ("--workers", int, None,
+                "worker processes for verify (default: CPU count); the other "
+                "subcommands run serially"),
+}
+_MODEL_KEYS = ("nbar", "r", "theta", "alpha", "phi", "lam")
+_SHARED_KEYS = ("out", "workers")
+
+# subcommand -> (help, the keys of OPTIONS it reads besides _SHARED_KEYS)
+COMMANDS = {
+    "eval": ("observables at a single time", (*_MODEL_KEYS, "u")),
+    "sweep": ("CSV sweep over u", (*_MODEL_KEYS, "prep_time", "u_start",
+                                   "u_stop", "u_steps")),
+    "critical": ("critical displacement solve",
+                 ("nbar", "r", "theta", "phi")),
+    "wigner-grid": ("CSV of W over a quadrature rectangle",
+                    (*_MODEL_KEYS, "prep_time", "u", "grid_steps",
+                     "grid_halfwidth_sigmas")),
+    "verify": ("closed forms against the Fock oracle", ()),
+}
 
 
 class UsageError(Exception):
@@ -41,37 +83,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    nbar: float = 0.0
-    r: float = 0.0
-    theta: float = 0.0
-    alpha: float = 0.0
-    phi: float = 0.0
-    prep_time: float = 1.0
-    lam: float = 0.0
-    u: float = 0.0
-    u_start: float = 0.0
-    u_stop: float = 1.0
-    u_steps: int = 101
-    grid_steps: int = 121
-    grid_halfwidth_sigmas: float = 6.0
-    out: Optional[str] = None
-    workers: int = 0
-    forced_dim: Optional[int] = None
-    # verification grids, settable through the config file only
-    nbars: Optional[tuple] = None
-    rs: Optional[tuple] = None
-    alphas: Optional[tuple] = None
-    us: Optional[tuple] = None
-    evolution_grid: Optional[tuple] = None
-    wigner_points: Optional[tuple] = None
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return value
 
-    def params(self) -> ModelParams:
-        return ModelParams(alpha_mag=self.alpha, alpha_phase=self.phi,
-                           squeeze_mag=self.r, squeeze_phase=self.theta,
-                           nbar=self.nbar, prep_time=self.prep_time)
+
+def _numbers(row, width: int) -> tuple:
+    if not (isinstance(row, list) and len(row) == width):
+        raise TypeError(f"{row!r} is not a list of {width} numbers")
+    return tuple(map(_number, row))
+
+
+def _wigner_point(row) -> tuple:
+    """[nbar, r, alpha, u, beta], beta a number or [re, im]."""
+    beta = row[4] if isinstance(row, list) and len(row) == 5 else None
+    if isinstance(beta, list):
+        return (*_numbers(row[:4], 4), complex(*_numbers(beta, 2)))
+    return (*_numbers(row, 5)[:4], complex(beta))
+
+
+# verify grids, read from the config file only: key -> entry converter;
+# numbers are passed on as parsed, so the report echoes them unchanged
+GRIDS = {"nbars": _number, "rs": _number, "alphas": _number, "us": _number,
+         "evolution_grid": lambda row: _numbers(row, 4),
+         "wigner_points": _wigner_point}
 
 
 def _fmt(x: float) -> str:
@@ -82,153 +118,131 @@ def _fmt(x: float) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dpagauss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--nbar", type=float, default=None,
-                       help="thermal occupation of the initial state")
-        p.add_argument("--r", type=float, default=None,
-                       help="squeeze magnitude r")
-        p.add_argument("--theta", type=float, default=None,
-                       help="squeeze angle in radians")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="displacement magnitude |alpha|")
-        p.add_argument("--phi", type=float, default=None,
-                       help="displacement phase in radians")
-        p.add_argument("--prep-time", type=float, default=None,
-                       help="preparation time t (default 1)")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="quadrature angle")
-        p.add_argument("--out", type=str, default=None,
-                       help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for verify (default: CPU "
-                            "count); the other subcommands run serially")
-        p.add_argument("--config", type=str, default=None,
+    for command, (summary, keys) in COMMANDS.items():
+        # a flag not given stays off the namespace
+        p = sub.add_parser(command, help=summary,
+                           argument_default=argparse.SUPPRESS)
+        for key in keys + _SHARED_KEYS:
+            flag, kind, default, text = OPTIONS[key]
+            if default is not None:
+                text = f"{text} (default {default:g})"
+            p.add_argument(flag, dest=key, type=kind, help=text)
+        p.add_argument("--config",
                        help="JSON config file; flags override its values")
-
-    p_eval = sub.add_parser("eval", help="observables at a single time")
-    add_common(p_eval)
-    p_eval.add_argument("--u", type=float, default=None,
-                        help="dimensionless time u")
-
-    p_sweep = sub.add_parser("sweep", help="CSV sweep over u")
-    add_common(p_sweep)
-    p_sweep.add_argument("--u-start", type=float, default=None)
-    p_sweep.add_argument("--u-stop", type=float, default=None)
-    p_sweep.add_argument("--u-steps", type=int, default=None)
-
-    p_crit = sub.add_parser("critical", help="critical displacement solve")
-    add_common(p_crit)
-
-    p_grid = sub.add_parser("wigner-grid",
-                            help="CSV of W over a quadrature rectangle")
-    add_common(p_grid)
-    p_grid.add_argument("--u", type=float, default=None)
-    p_grid.add_argument("--grid-steps", type=int, default=None,
-                        help="points per axis (default 121)")
-    p_grid.add_argument("--grid-halfwidth-sigmas", type=float, default=None,
-                        help="half-width per axis in standard deviations")
-
-    p_verify = sub.add_parser("verify",
-                              help="closed forms against the Fock oracle")
-    add_common(p_verify)
-    p_verify.add_argument("--fock-dim", dest="forced_dim", type=int,
-                          default=None,
-                          help="force a fixed truncation (negative test)")
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
-    if getattr(args, "config", None):
+def _read_config(path: str, command: str, keys: Sequence[str]) -> dict:
+    """The values of a JSON config file, each checked as its flag would be."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            file_values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    if not isinstance(file_values, dict):
+        raise UsageError("config file must hold a JSON object")
+    values = {}
+    for key, value in file_values.items():
+        if key not in keys and not (command == "verify" and key in GRIDS):
+            raise UsageError(f"config key {key!r} is not read by {command}")
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a JSON object")
+            if key in GRIDS:
+                if not isinstance(value, list):
+                    raise TypeError(f"{value!r} is not a list")
+                values[key] = tuple(map(GRIDS[key], value))
+            elif isinstance(value, bool) \
+                    or not isinstance(value, (int, float, str)):
+                raise TypeError(f"{value!r} is not a number or a string")
+            else:
+                values[key] = OPTIONS[key][1](str(value))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
+    return values
 
-    merged = {"command": args.command}
-    for field in dataclasses.fields(RunConfig):
-        if field.name == "command":
-            continue
-        flag = getattr(args, field.name, None)
-        if flag is not None:
-            merged[field.name] = flag
-        elif field.name in file_values:
-            value = file_values[field.name]
-            merged[field.name] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in value) \
-                if isinstance(value, list) else value
-    config = RunConfig(**merged)
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(config, field.name)
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Defaults, overridden by config-file values, overridden by flags, for
+    the keys the subcommand reads."""
+    args = _build_parser().parse_args(argv)
+    path = vars(args).pop("config", None)
+    keys = COMMANDS[args.command][1] + _SHARED_KEYS
+    merged = {key: OPTIONS[key][2] for key in keys}
+    if path is not None:
+        merged.update(_read_config(path, args.command, keys))
+    merged.update(vars(args))
+    for key, value in merged.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise UsageError(f"{field.name} must be finite, got {value}")
-    if config.workers == 0:
-        config = dataclasses.replace(config, workers=os.cpu_count() or 1)
-    return config
+            raise UsageError(f"{key} must be finite, got {value}")
+    return argparse.Namespace(**merged)
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+def _params(args: argparse.Namespace) -> ModelParams:
+    """The model parameters; eval has no --prep-time (none of its outputs
+    depends on it) and critical no --alpha, so those keep the defaults."""
+    given = vars(args)
+    return ModelParams(alpha_mag=given.get("alpha", 0.0),
+                       alpha_phase=args.phi, squeeze_mag=args.r,
+                       squeeze_phase=args.theta, nbar=args.nbar,
+                       prep_time=given.get("prep_time", 1.0))
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _csv_header(config: RunConfig, extra: str = "") -> str:
-    fields = (f"nbar={_fmt(config.nbar)} r={_fmt(config.r)} "
-              f"theta={_fmt(config.theta)} alpha={_fmt(config.alpha)} "
-              f"phi={_fmt(config.phi)} prep_time={_fmt(config.prep_time)} "
-              f"lambda={_fmt(config.lam)}")
+def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
+    fields = (f"nbar={_fmt(args.nbar)} r={_fmt(args.r)} "
+              f"theta={_fmt(args.theta)} alpha={_fmt(args.alpha)} "
+              f"phi={_fmt(args.phi)} prep_time={_fmt(args.prep_time)} "
+              f"lambda={_fmt(args.lam)}")
     return (f"# dpagauss {__version__} {fields}"
             f" convention=theta-2phi-2lambda-alignment-optional"
             f"{' ' + extra if extra else ''}\n")
 
 
-def _check_u(config: RunConfig, u: float) -> None:
+def _check_u(args: argparse.Namespace, u: float) -> None:
     """Reject a time the evolved-state guards would refuse."""
     if u < 0:
         raise UsageError("u must be >= 0")
-    if config.r == 0 and u > 0:
+    if args.r == 0 and u > 0:
         raise UsageError("r = 0 supports only u = 0 (static state)")
-    if u + config.r > MAX_EFF_SQUEEZE:
+    if u + args.r > MAX_EFF_SQUEEZE:
         raise UsageError(f"u + r must be <= {MAX_EFF_SQUEEZE:g}, "
-                         f"got {u + config.r}")
+                         f"got {u + args.r}")
 
 
-def cmd_eval(config: RunConfig) -> int:
-    params = config.params()
-    _check_u(config, config.u)
-    state = evolved_state(params, config.u)
+def cmd_eval(args: argparse.Namespace) -> int:
+    params = _params(args)
+    _check_u(args, args.u)
+    state = evolved_state(params, args.u)
     try:
         mandel = statistics.mandel_q(state)
     except ValueError:
         mandel = None
-    factor = nonclassicality.classicality_factor(config.nbar, config.r,
-                                                 config.u)
+    factor = nonclassicality.classicality_factor(args.nbar, args.r, args.u)
     report = {
-        "u": config.u,
-        "quad_mean": statistics.quad_mean(state, config.lam),
-        "quad_variance": statistics.quad_variance_state(state, config.lam),
+        "u": args.u,
+        "quad_mean": statistics.quad_mean(state, args.lam),
+        "quad_variance": statistics.quad_variance_state(state, args.lam),
         "variance_product": statistics.variance_product(
-            config.nbar, config.r, config.theta, config.lam, config.u),
-        "snr": statistics.snr(state, config.lam),
+            args.nbar, args.r, args.theta, args.lam, args.u),
+        "snr": statistics.snr(state, args.lam),
         "mean_photon": statistics.mean_photon(state),
         "photon_variance": statistics.photon_variance(state),
         "mandel_q": mandel if mandel is not None else "undefined (vacuum)",
         "classicality_factor": factor,
         "p_representation_exists": nonclassicality.p_representation_exists(
-            config.nbar, config.r, config.u),
+            args.nbar, args.r, args.u),
         "field_nonclassical": nonclassicality.field_nonclassical(
-            config.nbar, config.r, config.u),
+            args.nbar, args.r, args.u),
         "squeezing_criterion": nonclassicality.squeezing_criterion(
-            config.nbar, config.r, config.theta, config.lam, config.u),
+            args.nbar, args.r, args.theta, args.lam, args.u),
     }
-    crossover = nonclassicality.crossover_time(config.nbar, config.r)
+    crossover = nonclassicality.crossover_time(args.nbar, args.r)
     report["crossover_u"] = crossover
     non_finite = sorted(name for name, value in report.items()
                         if isinstance(value, float)
@@ -236,31 +250,30 @@ def cmd_eval(config: RunConfig) -> int:
     if non_finite:
         raise UsageError(f"{', '.join(non_finite)} not finite in double "
                          "precision for these inputs")
-    _write(config, json.dumps(report, indent=2, sort_keys=True,
-                              allow_nan=False) + "\n")
+    _write(args, json.dumps(report, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if config.u_steps < 2:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.u_steps < 2:
         raise UsageError("u_steps must be >= 2")
-    if not (config.u_stop > config.u_start >= 0):
+    if not (args.u_stop > args.u_start >= 0):
         raise UsageError("need u_stop > u_start >= 0")
-    params = config.params()
+    params = _params(args)
     if params.squeeze_mag == 0:
         raise UsageError("sweeps require squeeze_mag r > 0")
-    _check_u(config, config.u_stop)
-    step = (config.u_stop - config.u_start) / (config.u_steps - 1)
-    lines = [_csv_header(config,
-                         extra=(f"u_start={_fmt(config.u_start)} "
-                                f"u_stop={_fmt(config.u_stop)} "
-                                f"u_steps={config.u_steps}"))]
+    _check_u(args, args.u_stop)
+    step = (args.u_stop - args.u_start) / (args.u_steps - 1)
+    lines = [_csv_header(args, extra=(f"u_start={_fmt(args.u_start)} "
+                                      f"u_stop={_fmt(args.u_stop)} "
+                                      f"u_steps={args.u_steps}"))]
     lines.append("u,mandel_q,quad_variance,mean_photon,photon_variance,"
                  "squeezing_criterion,p_representation_exists,"
                  "field_nonclassical\n")
-    nbar, r, theta, lam = config.nbar, config.r, config.theta, config.lam
-    for i in range(config.u_steps):
-        u = config.u_start + i * step
+    nbar, r, theta, lam = args.nbar, args.r, args.theta, args.lam
+    for i in range(args.u_steps):
+        u = args.u_start + i * step
         state = evolved_state(params, u)
         try:
             mandel = statistics.mandel_q(state)
@@ -274,57 +287,57 @@ def cmd_sweep(config: RunConfig) -> int:
             nonclassicality.p_representation_exists(nbar, r, u),
             nonclassicality.field_nonclassical(nbar, r, u)))
         lines.append(f"{floats},{flags}\n")
-    _write(config, "".join(lines))
+    _write(args, "".join(lines))
     return 0
 
 
-def cmd_critical(config: RunConfig) -> int:
-    params = config.params()
+def cmd_critical(args: argparse.Namespace) -> int:
+    params = _params(args)
     if params.squeeze_mag <= 0:
         raise UsageError("critical solve requires squeeze_mag r > 0")
     # the solver works at theta = phi = 0; only theta - 2 phi enters Q_M
-    if abs(math.remainder(config.theta - 2.0 * config.phi,
+    if abs(math.remainder(args.theta - 2.0 * args.phi,
                           2.0 * math.pi)) > 1e-12:
         raise UsageError("critical solve requires theta - 2 phi = 0 "
                          "(mod 2 pi)")
     try:
-        result = nonclassicality.find_critical_alpha(config.nbar, config.r)
+        result = nonclassicality.find_critical_alpha(args.nbar, args.r)
     except nonclassicality.NoTransitionError as exc:
-        _write(config, json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
+        _write(args, json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return GATE_ERROR
     record = {
-        "nbar": config.nbar,
-        "r": config.r,
+        "nbar": args.nbar,
+        "r": args.r,
         "alpha_c": result.alpha_c,
         "tangency_u": result.tangency_u,
         "mechanism": result.mechanism.value,
         "zeros": list(nonclassicality.classify_behavior(
-            config.nbar, config.r, result.alpha_c).zeros),
+            args.nbar, args.r, result.alpha_c).zeros),
     }
-    _write(config, json.dumps(record, indent=2, sort_keys=True,
-                              allow_nan=False) + "\n")
+    _write(args, json.dumps(record, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
     return 0
 
 
-def cmd_wigner_grid(config: RunConfig) -> int:
-    if config.grid_steps < 2:
+def cmd_wigner_grid(args: argparse.Namespace) -> int:
+    if args.grid_steps < 2:
         raise UsageError("grid_steps must be >= 2")
-    if config.grid_halfwidth_sigmas <= 0:
+    if args.grid_halfwidth_sigmas <= 0:
         raise UsageError("grid_halfwidth_sigmas must be > 0")
-    params = config.params()
-    _check_u(config, config.u)
-    state = evolved_state(params, config.u)
-    coeffs = wigner.quad_form_coeffs(state, config.lam)
-    sig_x = math.sqrt(statistics.quad_variance_state(state, config.lam))
+    params = _params(args)
+    _check_u(args, args.u)
+    state = evolved_state(params, args.u)
+    coeffs = wigner.quad_form_coeffs(state, args.lam)
+    sig_x = math.sqrt(statistics.quad_variance_state(state, args.lam))
     sig_p = math.sqrt(statistics.quad_variance_state(
-        state, config.lam + 0.5 * math.pi))
-    half_x = config.grid_halfwidth_sigmas * sig_x
-    half_p = config.grid_halfwidth_sigmas * sig_p
-    n = config.grid_steps
-    lines = [_csv_header(config, extra=(f"u={_fmt(config.u)} "
-                                        f"grid_steps={n} "
-                                        f"halfwidth_sigmas="
-                                        f"{_fmt(config.grid_halfwidth_sigmas)}"))]
+        state, args.lam + 0.5 * math.pi))
+    half_x = args.grid_halfwidth_sigmas * sig_x
+    half_p = args.grid_halfwidth_sigmas * sig_p
+    n = args.grid_steps
+    lines = [_csv_header(args, extra=(f"u={_fmt(args.u)} "
+                                      f"grid_steps={n} "
+                                      f"halfwidth_sigmas="
+                                      f"{_fmt(args.grid_halfwidth_sigmas)}"))]
     lines.append("x,p,w\n")
     steps = np.arange(n)
     xs = coeffs.mean_x - half_x + 2.0 * half_x * steps / (n - 1)
@@ -334,54 +347,33 @@ def cmd_wigner_grid(config: RunConfig) -> int:
     # grid as a Python float at once
     for x in xs.tolist():
         x_text = _fmt(x)
-        ws = wigner.wigner_quadrature(state, config.lam, x, ps)
+        ws = wigner.wigner_quadrature(state, args.lam, x, ps)
         lines.extend(f"{x_text},{p_text},{_fmt(w)}\n"
                      for p_text, w in zip(p_texts, ws.tolist()))
-    _write(config, "".join(lines))
+    _write(args, "".join(lines))
     return 0
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    return complex(value)
-
-
-def cmd_verify(config: RunConfig) -> int:
-    kwargs = {}
-    for name in ("nbars", "rs", "alphas", "us"):
-        value = getattr(config, name)
-        if value is not None:
-            kwargs[name] = tuple(value)
-    if config.evolution_grid is not None:
-        kwargs["evolution_grid"] = tuple(tuple(c) for c in
-                                         config.evolution_grid)
-    if config.wigner_points is not None:
-        kwargs["wigner_points"] = tuple(
-            (*point[:4], _as_complex(point[4]))
-            for point in config.wigner_points)
-    report = verify.run_verification(forced_dim=config.forced_dim,
-                                     workers=config.workers, **kwargs)
+def cmd_verify(args: argparse.Namespace) -> int:
+    grids = {key: getattr(args, key) for key in GRIDS if key in args}
+    report = verify.run_verification(workers=args.workers, **grids)
     ok = verify.all_passed(report)
     payload = {"pass": ok, "entries": report}
-    _write(config, json.dumps(payload, indent=2, sort_keys=True,
-                              allow_nan=False) + "\n")
+    _write(args, json.dumps(payload, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
     return 0 if ok else GATE_ERROR
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _merge_config(args)
-        handler = {
-            "eval": cmd_eval,
-            "sweep": cmd_sweep,
-            "critical": cmd_critical,
-            "wigner-grid": cmd_wigner_grid,
-            "verify": cmd_verify,
-        }[config.command]
-        return handler(config)
+        args = _parse(argv)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        # closed forms raise instead of warning and writing inf or NaN;
+        # verify's pool workers would not inherit the setting
+        with (contextlib.nullcontext() if args.command == "verify"
+              else np.errstate(over="raise", invalid="raise")):
+            return handler(args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR

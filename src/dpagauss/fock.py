@@ -52,6 +52,10 @@ from .model import hamiltonian_coeffs
 UNITARITY_RTOL = 1e-8
 SELF_CHECK_RTOL = 1e-8
 EDGE_MASS_TOL = 1e-9
+# numeric_wigner: refinement tolerance, and half-width of the integration
+# square in standard deviations of the widest axis of the integrand
+WIGNER_TOL = 1e-9
+WIGNER_HALFWIDTH_SIGMAS = 8.0
 THERMAL_TAIL_TOL = 1e-12
 
 # windowed eigensolve: used on chains of at least _WINDOW_MIN_LEVELS +
@@ -461,17 +465,16 @@ def occupation_tail_scale(nbar: float, eff_squeeze: float) -> float:
     return max(2.0, 1.0 / rate)
 
 
-def suggest_dim(params: ModelParams, u: float, *,
-                rtol: float = SELF_CHECK_RTOL) -> int:
+def suggest_dim(params: ModelParams, u: float) -> int:
     """Truncation sized so the N versus N + 20 self-check passes first try.
 
     Solves mean + nu * log(margin) for the dimension at which the geometric
     occupation tail can no longer move the second moment by more than
-    ``rtol`` relative.  That margin shrinks as the moments grow, so a large
-    displacement would leave mass on the truncation edge.  The dimension
-    therefore also covers the Gaussian bulk: n <= (x^2 + p^2)/2 with the
-    principal quadratures x, p of the squeeze frame each taken out to its
-    two-sided ``EDGE_MASS_TOL`` point.  Sizing uses the closed-form moments;
+    ``SELF_CHECK_RTOL`` relative.  That margin shrinks as the moments grow,
+    so a large displacement would leave mass on the truncation edge.  The
+    dimension therefore also covers the Gaussian bulk: n <= (x^2 + p^2)/2
+    with the principal quadratures x, p of the squeeze frame each taken out
+    to its two-sided ``EDGE_MASS_TOL`` point.  Sizing uses the closed-form moments;
     the self-check remains the independent arbiter.
     """
     from .statistics import (mean_photon, photon_variance, quad_mean,
@@ -485,7 +488,8 @@ def suggest_dim(params: ModelParams, u: float, *,
     # slice prefactor calibrated against measured N vs N+20 differences
     dim = mean + spread + 10.0 * nu
     for _ in range(4):
-        slice_weight = max(dim, 10.0) ** 2 / (nu * rtol * m2_scale)
+        slice_weight = (max(dim, 10.0) ** 2
+                        / (nu * SELF_CHECK_RTOL * m2_scale))
         dim = mean + spread + nu * math.log(max(slice_weight, math.e))
     reach = math.sqrt(2.0) * erfcinv(EDGE_MASS_TOL)
     bulk = 0.0
@@ -505,14 +509,13 @@ def _moments_agree(m1: FockMoments, m2: FockMoments, rtol: float) -> bool:
 
 
 def numeric_wigner(params: ModelParams, u: float, beta: complex, *,
-                   tol: float = 1e-9, max_nodes: int = 2048,
-                   halfwidth_sigmas: float = 8.0) -> float:
+                   max_nodes: int = 2048) -> float:
     """Wigner density from the defining phase-space integral.
 
     Evaluates (1/pi^2) * integral of chi(eta) e^{-|eta|^2/2}
     e^{-beta* eta + beta eta*} over the complex eta plane with a
     Gauss-Legendre tensor grid, doubling the node count until two successive
-    refinements differ by less than ``tol``.
+    refinements differ by less than ``WIGNER_TOL``.
     """
     state = evolved_state(params, u)
     t_coeff, s_coeff = _hyperbolic_coeffs(state.eff_squeeze,
@@ -521,7 +524,7 @@ def numeric_wigner(params: ModelParams, u: float, beta: complex, *,
     amp = state.displacement
     # widest principal axis of the Gaussian integrand
     sigma = 1.0 / math.sqrt(2.0 * nb_half * math.exp(-2.0 * state.eff_squeeze))
-    half = halfwidth_sigmas * sigma
+    half = WIGNER_HALFWIDTH_SIGMAS * sigma
 
     def evaluate(nodes: int) -> float:
         x, wts = np.polynomial.legendre.leggauss(nodes)
@@ -544,7 +547,7 @@ def numeric_wigner(params: ModelParams, u: float, beta: complex, *,
         nodes *= 2
         cur = evaluate(nodes)
         delta = abs(cur - prev)
-        if delta < tol:
+        if delta < WIGNER_TOL:
             return cur
         prev = cur
     raise QuadratureError(

@@ -124,6 +124,16 @@ def _check_u(u) -> None:
         raise ValueError("dimensionless time u must be >= 0")
 
 
+def _tanh_half(r: float) -> float:
+    """tanh(r/2), for formulas that divide by it: raises ``ValueError`` for
+    r below about 1.1e-308, where coth(r/2) overflows double precision."""
+    tanh_half = math.tanh(0.5 * r)
+    if not (tanh_half > 0.0 and math.isfinite(1.0 / tanh_half)):
+        raise ValueError(f"squeeze_mag {r!r} is too small: coth(r/2) "
+                         "overflows double precision")
+    return tanh_half
+
+
 def displacement_amplitude(params: ModelParams, u):
     """Displacement amplitude A(tau) of the evolved state at u = Omega*tau.
 
@@ -141,11 +151,7 @@ def displacement_amplitude(params: ModelParams, u):
     if r == 0:
         raise ValueError("displacement_amplitude requires squeeze_mag > 0; "
                          "use limit_r_zero_displacement for r = 0")
-    tanh_half = math.tanh(0.5 * r)
-    coth_half = 1.0 / tanh_half if tanh_half > 0.0 else math.inf
-    if math.isinf(coth_half):
-        raise ValueError(f"squeeze_mag {r!r} is too small: coth(r/2) "
-                         "overflows double precision")
+    coth_half = 1.0 / _tanh_half(r)
     u = np.asarray(u, dtype=float)
     ch, sh = np.cosh(u), np.sinh(u)
     phase = np.exp(1j * (params.squeeze_phase - 2.0 * params.alpha_phase))
@@ -246,7 +252,9 @@ def hamiltonian_coeffs(params: ModelParams) -> HamiltonianCoeffs:
         b = -(i/2t) (alpha e^{-i theta} + alpha* coth(r/2)) r
 
     r = 0 with alpha != 0 is rejected (coth singularity); r = 0 with
-    alpha = 0 returns the trivial Hamiltonian b = c = 0.
+    alpha = 0 returns the trivial Hamiltonian b = c = 0.  Like
+    ``displacement_amplitude``, raises ``ValueError`` where coth(r/2)
+    overflows.
     """
     r, t = params.squeeze_mag, params.prep_time
     if r == 0:
@@ -258,5 +266,5 @@ def hamiltonian_coeffs(params: ModelParams) -> HamiltonianCoeffs:
     theta = params.squeeze_phase
     c = -0.5j * (r / t) * complex(math.cos(theta), math.sin(theta))
     b = -0.5j * (r / t) * (alpha * complex(math.cos(theta), -math.sin(theta))
-                           + alpha.conjugate() / math.tanh(0.5 * r))
+                           + alpha.conjugate() / _tanh_half(r))
     return HamiltonianCoeffs(c_coeff=c, b_coeff=b)

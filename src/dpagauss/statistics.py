@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .model import EvolvedState, ModelParams, evolved_state
+from .model import EvolvedState, ModelParams, _tanh_half, evolved_state
 
 
 def quad_mean(state: EvolvedState, lam: float) -> float:
@@ -66,7 +66,7 @@ def snr_max(params: ModelParams, u: float) -> float:
         |alpha|^2 [coth(r/2)(1 - e^{-u}) + (1 + e^{-u})]^2
         / ((2 nbar + 1) e^{-2(u + r)})
 
-    Requires r > 0.
+    Requires r > 0, and raises ``ValueError`` where coth(r/2) overflows.
     """
     if np.any(np.asarray(u) < 0):
         raise ValueError("u must be >= 0")
@@ -76,7 +76,7 @@ def snr_max(params: ModelParams, u: float) -> float:
     if params.alpha_mag == 0:
         return 0.0
     eu = math.exp(-u)
-    bracket = (1.0 - eu) / math.tanh(0.5 * r) + 1.0 + eu
+    bracket = (1.0 - eu) / _tanh_half(r) + 1.0 + eu
     return (params.alpha_mag ** 2 * bracket ** 2
             / ((2.0 * params.nbar + 1.0) * math.exp(-2.0 * (u + r))))
 

@@ -29,6 +29,9 @@ WIGNER_GATE = 1e-6
 # exercising both the stretched and the squeezed variance branches
 REFERENCE_LAM = 0.7
 
+# largest truncation a moment slab may try
+MAX_DIM = 40000
+
 DEFAULT_NBARS = (0.0, 0.2, 1.0)
 DEFAULT_RS = (0.05, 0.2, 1.0)
 DEFAULT_ALPHAS = (0.0, 0.5, 2.0)
@@ -119,51 +122,35 @@ def _slab_moments(r: float, u: float, nbars: Sequence[float],
 
 
 def moment_slab_report(r: float, u: float, nbars: Sequence[float],
-                       alphas: Sequence[float], *, lam: float = REFERENCE_LAM,
-                       forced_dim: Optional[int] = None,
-                       self_check_rtol: float = fock.SELF_CHECK_RTOL,
-                       max_dim: int = 40000) -> list[dict]:
+                       alphas: Sequence[float]) -> list[dict]:
     """Verify one (r, u) slab of the moment grid.
 
     The N versus N + 20 self-check gates every cell in the slab; the slab
     grows its truncation by a quarter until the check passes, skipping the
-    N + 20 ladder when N itself is already insufficient.  With
-    ``forced_dim`` no adaptation happens and failures are reported as
-    entries with ``pass: false``.
+    N + 20 ladder when N itself is already insufficient, and raises
+    ``fock.TruncationError`` rather than try more than ``MAX_DIM`` levels.
     """
-    dim = forced_dim if forced_dim is not None else max(
-        fock.suggest_dim(_cell_params(nbar, r, alpha), u)
-        for nbar in nbars for alpha in alphas)
-
-    while True:
+    dim = max(fock.suggest_dim(_cell_params(nbar, r, alpha), u)
+              for nbar in nbars for alpha in alphas)
+    while dim <= MAX_DIM:
         first = _slab_moments(r, u, nbars, alphas, dim)
         second = None if first is None else _slab_moments(
             r, u, nbars, alphas, dim + 20)
         if second is not None and all(
-                fock._moments_agree(first[key], second[key], self_check_rtol)
+                fock._moments_agree(first[key], second[key],
+                                    fock.SELF_CHECK_RTOL)
                 for key in first):
             entries = []
             for nbar in nbars:
                 for alpha in alphas:
                     entries.extend(_moment_entries(
                         nbar, r, alpha, u, second[(nbar, alpha)],
-                        dim + 20, lam))
+                        dim + 20, REFERENCE_LAM))
             return entries
-        if forced_dim is not None:
-            return [{
-                "quantity": "moments_self_check",
-                "params": {"nbar": nbar, "r": r, "alpha": alpha, "u": u},
-                "closed_form": 0.0,
-                "oracle": None,
-                "rel_err": None,
-                "N_used": dim,
-                "pass": False,
-                "error": "truncation insufficient at forced dimension",
-            } for nbar in nbars for alpha in alphas]
         dim += max(1, dim // 4)
-        if dim > max_dim:
-            raise fock.TruncationError(
-                f"slab (r={r}, u={u}) not self-consistent below dim {max_dim}")
+    raise fock.TruncationError(
+        f"slab (r={r}, u={u}) needs more than {MAX_DIM} Fock levels "
+        f"(next truncation {dim})")
 
 
 def evolution_cell_report(nbar: float, r: float, alpha: float,
@@ -209,7 +196,7 @@ def wigner_point_report(nbar: float, r: float, alpha: float, u: float,
 def _run_task(task) -> list[dict]:
     kind, args = task
     if kind == "moments":
-        return moment_slab_report(*args[:4], forced_dim=args[4])
+        return moment_slab_report(*args)
     if kind == "evolution":
         return [evolution_cell_report(*args)]
     return [wigner_point_report(*args)]
@@ -221,21 +208,26 @@ def run_verification(*, nbars: Sequence[float] = DEFAULT_NBARS,
                      us: Sequence[float] = DEFAULT_US,
                      evolution_grid=DEFAULT_EVOLUTION_GRID,
                      wigner_points=DEFAULT_WIGNER_POINTS,
-                     forced_dim: Optional[int] = None,
                      workers: Optional[int] = None) -> list[dict]:
-    """Run the full verification suite; deterministic entry order."""
+    """Run the full verification suite; deterministic entry order.
+
+    The tasks run on ``workers`` processes (default: the CPU count); one
+    worker runs them in this process.
+    """
     if not (len(nbars) and len(rs) and len(alphas) and len(us)):
         raise ValueError("empty verification grid")
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = []
     for r, u in product(rs, us):
-        tasks.append(("moments", (r, u, tuple(nbars), tuple(alphas),
-                                  forced_dim)))
+        tasks.append(("moments", (r, u, tuple(nbars), tuple(alphas))))
     for cell in evolution_grid or ():
         tasks.append(("evolution", tuple(cell)))
     for point in wigner_points or ():
         tasks.append(("wigner", tuple(point)))
 
-    workers = workers if workers is not None else (os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_run_task, tasks))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpagauss import verify
 from dpagauss.cli import main
 from dpagauss.model import MAX_EFF_SQUEEZE
 
@@ -100,13 +101,21 @@ def test_unrepresentable_results_are_usage_errors(args, capsys):
     assert out == "" and err.startswith("usage error:")
 
 
-def test_critical_overflow_prints_only_the_usage_error():
+@pytest.mark.parametrize("args", [
+    ["critical", "--r", "400"],
+    ["eval", "--r", "1e-300", "--alpha", "1e10", "--u", "1"],
+    ["sweep", "--r", "1e-300", "--alpha", "1e10", "--u-stop", "1",
+     "--u-steps", "3"],
+    ["wigner-grid", "--r", "1e-300", "--alpha", "1e10", "--u", "1",
+     "--grid-steps", "2"],
+], ids=["critical", "eval", "sweep", "wigner-grid"])
+def test_overflow_prints_only_the_usage_error(args):
     # a fresh interpreter, so numpy warnings reach stderr as users see them
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, (str(src),
                                          os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "dpagauss.cli", "critical", "--r", "400"],
+        [sys.executable, "-m", "dpagauss.cli", *args],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
@@ -124,6 +133,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
        u=st.floats(min_value=0.0, max_value=MAX_EFF_SQUEEZE),
        theta=finite_floats, phi=finite_floats, lam=finite_floats)
 @settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eval_gives_finite_json_or_usage_error(nbar, r, alpha, u, theta,
                                                phi, lam):
     args = ["eval"] + [f"--{flag}={value!r}" for flag, value in (
@@ -169,6 +179,48 @@ def test_stdout_is_byte_identical(args, digest, capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(["eval", "--bogus", "1"], capsys)
     assert code == 1
+
+
+def assert_one_usage_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--nbar", "1"],
+    ["critical", "--r", "0.1", "--alpha", "1"],
+    ["critical", "--r", "0.1", "--lambda", "1"],
+    ["eval", "--prep-time", "2"],
+    ["verify", "--fock-dim", "12"],
+], ids=["verify-nbar", "critical-alpha", "critical-lambda",
+        "eval-prep-time", "verify-fock-dim"])
+def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
+    assert_one_usage_error_line(*run_cli(args, capsys))
+
+
+def test_workers_below_one_is_usage_error(capsys):
+    code, out, err = run_cli(["verify", "--workers", "0"], capsys)
+    assert_one_usage_error_line(code, out, err)
+    assert "workers" in err
+
+
+@pytest.mark.parametrize("command, values, named", [
+    ("eval", {"nbr": 0.2}, "nbr"),
+    ("eval", {"u_steps": 5}, "u_steps"),
+    ("eval", {"nbar": "x"}, "nbar"),
+    ("eval", {"nbar": True}, "nbar"),
+    ("sweep", {"r": 0.1, "u_steps": 2.5}, "u_steps"),
+    ("verify", {"nbars": 0.5}, "nbars"),
+    ("verify", {"wigner_points": [[0.2, 0.1, 0.3, 0.5]]}, "wigner_points"),
+], ids=["typo", "other-subcommand", "not-a-number", "bool", "int-flag",
+        "grid-scalar", "wigner-point-width"])
+def test_config_defects_are_usage_errors(tmp_path, capsys, command, values,
+                                         named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    code, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert_one_usage_error_line(code, out, err)
+    assert repr(named) in err
 
 
 def test_sweep_deterministic_and_positive_for_small_alpha(tmp_path, capsys):
@@ -319,7 +371,7 @@ def test_wigner_grid_rejects_bad_spec(capsys):
     assert code == 1
 
 
-def test_verify_small_grid_exit_codes(tmp_path, capsys):
+def test_verify_small_grid_exit_codes(tmp_path, capsys, monkeypatch):
     config = tmp_path / "verify.json"
     config.write_text(json.dumps({
         "nbars": [0.0, 0.5], "rs": [0.1], "alphas": [0.0, 0.8],
@@ -334,14 +386,14 @@ def test_verify_small_grid_exit_codes(tmp_path, capsys):
     assert payload["pass"] is True
     assert all(e["rel_err"] <= 1e-6 for e in payload["entries"])
 
+    # a gate no comparison can meet: exit 2 with a strict-JSON report
+    monkeypatch.setattr(verify, "MOMENT_GATE", 0.0)
     code, out, _ = run_cli(["verify", "--config", str(config),
-                            "--workers", "1", "--fock-dim", "12"], capsys)
+                            "--workers", "1"], capsys)
     assert code == 2
     payload = strict_json(out)
     assert payload["pass"] is False
-    forced = [e for e in payload["entries"] if "error" in e]
-    assert forced
-    assert all(e["oracle"] is None and e["rel_err"] is None for e in forced)
+    assert any(e["pass"] is False for e in payload["entries"])
 
 
 def test_verify_empty_grid_is_usage_error(tmp_path, capsys):

@@ -178,12 +178,15 @@ def test_verification_light_grid_passes():
         assert entry["rel_err"] <= 1e-6
 
 
-def test_verification_surfaces_forced_truncation_failure():
-    report = verify.run_verification(
-        nbars=(1.0,), rs=(0.3,), alphas=(1.0,), us=(0.5,),
-        evolution_grid=(), wigner_points=(), forced_dim=12, workers=1)
-    assert not verify.all_passed(report)
-    assert any("error" in entry for entry in report)
+def test_slab_never_starts_above_the_truncation_cap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fock, "suggest_dim",
+                        lambda params, u: verify.MAX_DIM + 1)
+    monkeypatch.setattr(verify, "_slab_moments",
+                        lambda *args: calls.append(args))
+    with pytest.raises(fock.TruncationError, match=str(verify.MAX_DIM)):
+        verify.moment_slab_report(3.0, 3.0, (0.0,), (0.0,))
+    assert calls == []
 
 
 def test_verification_rejects_empty_grid():

@@ -14,6 +14,7 @@ from dpagauss import (
     evolved_state,
     hamiltonian_coeffs,
     limit_r_zero_displacement,
+    snr_max,
     symmetric_coeff,
 )
 
@@ -79,11 +80,16 @@ def test_displacement_rejects_r_zero_and_negative_u():
     with pytest.raises(ValueError):
         displacement_amplitude(ModelParams(alpha_mag=1.0, squeeze_mag=0.1),
                                -0.1)
-    # subnormal r: tanh(r/2) underflows to 0 or its reciprocal to inf
+    # subnormal r: tanh(r/2) underflows to 0 or its reciprocal to inf; the
+    # other formulas dividing by tanh(r/2) share the guard
     for r in (5e-324, 1e-310):
+        params = ModelParams(alpha_mag=1.0, squeeze_mag=r)
         with pytest.raises(ValueError, match="coth"):
-            displacement_amplitude(ModelParams(alpha_mag=1.0, squeeze_mag=r),
-                                   0.5)
+            displacement_amplitude(params, 0.5)
+        with pytest.raises(ValueError, match="coth"):
+            hamiltonian_coeffs(params)
+        with pytest.raises(ValueError, match="coth"):
+            snr_max(params, 0.5)
 
 
 def test_limit_r_zero_displacement():
