@@ -24,12 +24,13 @@ import contextlib
 import json
 import math
 import sys
+import traceback
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__, fock, nonclassicality, statistics, verify, wigner
-from .model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
+from .model import ModelParams, evolved_state
 
 USAGE_ERROR = 1
 GATE_ERROR = 2
@@ -178,12 +179,11 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 def _params(args: argparse.Namespace) -> ModelParams:
     """The model parameters; eval has no --prep-time (none of its outputs
-    depends on it) and critical no --alpha, so those keep the defaults."""
-    given = vars(args)
-    return ModelParams(alpha_mag=given.get("alpha", 0.0),
-                       alpha_phase=args.phi, squeeze_mag=args.r,
-                       squeeze_phase=args.theta, nbar=args.nbar,
-                       prep_time=given.get("prep_time", 1.0))
+    depends on it), so it keeps the default."""
+    return ModelParams(alpha_mag=args.alpha, alpha_phase=args.phi,
+                       squeeze_mag=args.r, squeeze_phase=args.theta,
+                       nbar=args.nbar,
+                       prep_time=vars(args).get("prep_time", 1.0))
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -204,21 +204,8 @@ def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
             f"{' ' + extra if extra else ''}\n")
 
 
-def _check_u(args: argparse.Namespace, u: float) -> None:
-    """Reject a time the evolved-state guards would refuse."""
-    if u < 0:
-        raise UsageError("u must be >= 0")
-    if args.r == 0 and u > 0:
-        raise UsageError("r = 0 supports only u = 0 (static state)")
-    if u + args.r > MAX_EFF_SQUEEZE:
-        raise UsageError(f"u + r must be <= {MAX_EFF_SQUEEZE:g}, "
-                         f"got {u + args.r}")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    params = _params(args)
-    _check_u(args, args.u)
-    state = evolved_state(params, args.u)
+    state = evolved_state(_params(args), args.u)
     try:
         mandel = statistics.mandel_q(state)
     except ValueError:
@@ -261,9 +248,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (args.u_stop > args.u_start >= 0):
         raise UsageError("need u_stop > u_start >= 0")
     params = _params(args)
-    if params.squeeze_mag == 0:
-        raise UsageError("sweeps require squeeze_mag r > 0")
-    _check_u(args, args.u_stop)
+    # the model's guards, before any row: r = 0 or u + r past the guard
+    evolved_state(params, args.u_stop)
     step = (args.u_stop - args.u_start) / (args.u_steps - 1)
     lines = [_csv_header(args, extra=(f"u_start={_fmt(args.u_start)} "
                                       f"u_stop={_fmt(args.u_stop)} "
@@ -292,9 +278,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_critical(args: argparse.Namespace) -> int:
-    params = _params(args)
-    if params.squeeze_mag <= 0:
-        raise UsageError("critical solve requires squeeze_mag r > 0")
     # the solver works at theta = phi = 0; only theta - 2 phi enters Q_M
     if abs(math.remainder(args.theta - 2.0 * args.phi,
                           2.0 * math.pi)) > 1e-12:
@@ -324,9 +307,7 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
         raise UsageError("grid_steps must be >= 2")
     if args.grid_halfwidth_sigmas <= 0:
         raise UsageError("grid_halfwidth_sigmas must be > 0")
-    params = _params(args)
-    _check_u(args, args.u)
-    state = evolved_state(params, args.u)
+    state = evolved_state(_params(args), args.u)
     coeffs = wigner.quad_form_coeffs(state, args.lam)
     sig_x = math.sqrt(statistics.quad_variance_state(state, args.lam))
     sig_p = math.sqrt(statistics.quad_variance_state(
@@ -379,9 +360,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     except ArithmeticError as exc:
         # the guards admit inputs at which a closed form overflows or
-        # divides by an underflowed value
-        sys.stderr.write(f"usage error: inputs beyond the double-precision "
-                         f"range of the closed forms ({exc})\n")
+        # divides by an underflowed value: name the innermost formula
+        formula = "a closed form"
+        for frame, _ in traceback.walk_tb(exc.__traceback__):
+            if frame.f_globals.get("__package__") == __package__:
+                formula = frame.f_code.co_name
+        sys.stderr.write(f"usage error: {formula} overflows double "
+                         "precision for these inputs\n")
         return USAGE_ERROR
     except (fock.TruncationError, fock.QuadratureError) as exc:
         sys.stderr.write(f"numerical gate failure: {exc}\n")

@@ -105,8 +105,8 @@ class EvolvedState:
             raise ValueError(f"eff_squeeze must be >= 0, got {self.eff_squeeze}")
         if self.eff_squeeze > MAX_EFF_SQUEEZE:
             raise ValueError(
-                f"eff_squeeze {self.eff_squeeze} exceeds the overflow guard "
-                f"{MAX_EFF_SQUEEZE}")
+                f"eff_squeeze u + r = {self.eff_squeeze} exceeds the "
+                f"overflow guard {MAX_EFF_SQUEEZE}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
 

@@ -52,6 +52,14 @@ def _rel_err(closed: float, oracle: float) -> float:
     return abs(closed - oracle) / max(abs(closed), 1e-6)
 
 
+def _entry(quantity: str, params: dict, closed: float, oracle: float,
+           err: float, dim: int, gate: float) -> dict:
+    """One report entry: a closed form against its oracle value."""
+    return {"quantity": quantity, "params": params, "closed_form": closed,
+            "oracle": oracle, "rel_err": err, "N_used": dim,
+            "pass": bool(err <= gate)}
+
+
 def _cell_params(nbar: float, r: float, alpha: float) -> ModelParams:
     return ModelParams(alpha_mag=alpha, alpha_phase=0.0, squeeze_mag=r,
                        squeeze_phase=0.0, nbar=nbar)
@@ -73,20 +81,10 @@ def _moment_entries(nbar: float, r: float, alpha: float, u: float,
         "mean_photon": moments.mean_n,
         "photon_variance": moments.var_n,
     }
-    entries = []
-    for name, value in closed.items():
-        err = _rel_err(value, oracle[name])
-        entries.append({
-            "quantity": name,
-            "params": {"nbar": nbar, "r": r, "alpha": alpha, "u": u,
-                       "lam": lam},
-            "closed_form": value,
-            "oracle": oracle[name],
-            "rel_err": err,
-            "N_used": dim,
-            "pass": bool(err <= MOMENT_GATE),
-        })
-    return entries
+    cell = {"nbar": nbar, "r": r, "alpha": alpha, "u": u, "lam": lam}
+    return [_entry(name, dict(cell), value, oracle[name],
+                   _rel_err(value, oracle[name]), dim, MOMENT_GATE)
+            for name, value in closed.items()]
 
 
 def _slab_moments(r: float, u: float, nbars: Sequence[float],
@@ -163,15 +161,9 @@ def evolution_cell_report(nbar: float, r: float, alpha: float,
     rho_h = fock.evolve_via_hamiltonian(params, params.prep_time + tau, dim)
     rho_g = fock.build_rho_evolved(params, u, dim)
     dist = fock.trace_distance(rho_h, rho_g)
-    return {
-        "quantity": "evolution_trace_distance",
-        "params": {"nbar": nbar, "r": r, "alpha": alpha, "u": u},
-        "closed_form": 0.0,
-        "oracle": dist,
-        "rel_err": dist,
-        "N_used": dim,
-        "pass": bool(dist <= TRACE_DISTANCE_GATE),
-    }
+    return _entry("evolution_trace_distance",
+                  {"nbar": nbar, "r": r, "alpha": alpha, "u": u},
+                  0.0, dist, dist, dim, TRACE_DISTANCE_GATE)
 
 
 def wigner_point_report(nbar: float, r: float, alpha: float, u: float,
@@ -180,17 +172,10 @@ def wigner_point_report(nbar: float, r: float, alpha: float, u: float,
     params = _cell_params(nbar, r, alpha)
     closed = wigner.wigner_beta(evolved_state(params, u), beta)
     oracle = fock.numeric_wigner(params, u, beta)
-    err = _rel_err(closed, oracle)
-    return {
-        "quantity": "wigner_density",
-        "params": {"nbar": nbar, "r": r, "alpha": alpha, "u": u,
+    return _entry("wigner_density",
+                  {"nbar": nbar, "r": r, "alpha": alpha, "u": u,
                    "beta_re": beta.real, "beta_im": beta.imag},
-        "closed_form": closed,
-        "oracle": oracle,
-        "rel_err": err,
-        "N_used": 0,
-        "pass": bool(err <= WIGNER_GATE),
-    }
+                  closed, oracle, _rel_err(closed, oracle), 0, WIGNER_GATE)
 
 
 def _run_task(task) -> list[dict]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpagauss import verify
+from dpagauss import statistics, verify
 from dpagauss.cli import main
 from dpagauss.model import MAX_EFF_SQUEEZE
 
@@ -86,19 +86,24 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
     assert out == "" and "u + r" in err
 
 
-@pytest.mark.parametrize("args", [
-    ["eval", "--r", "1", "--u", "200"],
-    ["critical", "--r", "400"],
-    ["eval", "--nbar", "1e200", "--r", "0.1"],
-    ["sweep", "--r", "1", "--u-stop", "200"],
+@pytest.mark.parametrize("args, named", [
+    (["eval", "--r", "1", "--u", "200"], "photon_variance overflows"),
+    (["critical", "--r", "400"], "mandel_q_curve overflows"),
+    (["eval", "--nbar", "1e200", "--r", "0.1"], "photon_variance overflows"),
+    (["sweep", "--r", "1", "--u-stop", "200"], "photon_variance overflows"),
+    (["sweep", "--nbar", "1e300", "--r", "1", "--u-steps", "2"],
+     "photon_variance overflows"),
     # finite inputs whose photon variance is +inf in double precision
-    ["eval", "--nbar", "1.3e154", "--r", "0.1"],
+    (["eval", "--nbar", "1.3e154", "--r", "0.1"], "photon_variance not finite"),
 ], ids=["eval-u200", "critical-r400", "eval-nbar1e200", "sweep-u200",
-        "eval-infinite-variance"])
-def test_unrepresentable_results_are_usage_errors(args, capsys):
+        "sweep-nbar1e300", "eval-infinite-variance"])
+def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == "" and err.startswith("usage error:")
+    # the formula, not the errno tuple or text of the float exception
+    assert named in err
+    assert "(34," not in err and "range error" not in err
 
 
 @pytest.mark.parametrize("args", [
@@ -133,7 +138,6 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
        u=st.floats(min_value=0.0, max_value=MAX_EFF_SQUEEZE),
        theta=finite_floats, phi=finite_floats, lam=finite_floats)
 @settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eval_gives_finite_json_or_usage_error(nbar, r, alpha, u, theta,
                                                phi, lam):
     args = ["eval"] + [f"--{flag}={value!r}" for flag, value in (
@@ -196,6 +200,24 @@ def assert_one_usage_error_line(code, out, err):
         "eval-prep-time", "verify-fock-dim"])
 def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
     assert_one_usage_error_line(*run_cli(args, capsys))
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--r", "0", "--u-stop", "1"],
+    ["sweep", "--r", "0.1", "--u-stop", "400"],
+    ["wigner-grid", "--u", "1"],
+    ["wigner-grid", "--r", "0.1", "--u", "400"],
+    ["eval", "--r", "0.1", "--u", "-1"],
+    ["critical", "--r", "0"],
+], ids=["sweep-r0", "sweep-beyond-guard", "wigner-grid-r0",
+        "wigner-grid-beyond-guard", "eval-negative-u", "critical-r0"])
+def test_model_time_guards_are_usage_errors(args, capsys, monkeypatch):
+    rows = []
+    monkeypatch.setattr(statistics, "mandel_q",
+                        lambda state: rows.append(state))
+    assert_one_usage_error_line(*run_cli(args, capsys))
+    # a sweep fails before its first row
+    assert rows == []
 
 
 def test_workers_below_one_is_usage_error(capsys):

@@ -40,7 +40,7 @@ def test_displacement_operator():
 
     alpha = 0.8 - 0.5j
     d_mat = fock.displacement_op(alpha, dim)
-    assert fock.unitarity_residual(d_mat) < 1e-10
+    assert np.abs(d_mat.conj().T @ d_mat - np.eye(dim)).max() < 1e-10
     # coherent-state amplitudes against the Poisson closed form
     column = d_mat[:, 0]
     for n in range(25):
@@ -62,7 +62,7 @@ def test_squeeze_operator():
     dim = 80
     xi = 0.6 * np.exp(0.9j)
     s_mat = fock.squeeze_op(xi, dim)
-    assert fock.unitarity_residual(s_mat) < 1e-10
+    assert np.abs(s_mat.conj().T @ s_mat - np.eye(dim)).max() < 1e-10
     a = fock.annihilation(dim)
     dense = sla.expm(-0.5 * xi * (a.conj().T @ a.conj().T)
                      + 0.5 * np.conj(xi) * (a @ a))
@@ -135,6 +135,29 @@ def test_hamiltonian_evolution_matches_construction(alpha_mag, phi, r, theta,
     rho_h = fock.evolve_via_hamiltonian(params, params.prep_time + tau, dim)
     rho_g = fock.build_rho_evolved(params, 0.3, dim)
     assert fock.trace_distance(rho_h, rho_g) <= 1e-6
+
+
+def _hamiltonian_displaced_state(dim):
+    # |A| = 2 at u = 0: about four photons, which reach the top eight of
+    # 20 levels (mass 1e-4 and 1e-3) but not those of 80 (1e-31)
+    params = ModelParams(alpha_mag=2.0, squeeze_mag=0.1)
+    return fock.evolve_via_hamiltonian(params, params.prep_time, dim)
+
+
+def _displaced_vacuum_moments(dim):
+    vacuum = np.zeros((dim, 1), dtype=complex)
+    vacuum[0] = 1.0
+    return fock.ensemble_moments(fock.apply_displacement(2.0, vacuum),
+                                 np.ones(1))
+
+
+@pytest.mark.parametrize("evolve", [_hamiltonian_displaced_state,
+                                    _displaced_vacuum_moments],
+                         ids=["evolve_via_hamiltonian", "ensemble_moments"])
+def test_edge_mass_gate_rejects_a_short_truncation(evolve):
+    with pytest.raises(fock.TruncationError, match="truncation edge"):
+        evolve(20)
+    evolve(80)
 
 
 def test_numeric_wigner_vacuum_and_thermal():
