@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, fock, nonclassicality, statistics, verify, wigner
-from .model import ModelParams, evolved_state
+from .model import (EvolvedState, ModelParams, displacement_amplitude,
+                    evolved_state)
 
 USAGE_ERROR = 1
 GATE_ERROR = 2
@@ -258,19 +259,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  "squeezing_criterion,p_representation_exists,"
                  "field_nonclassical\n")
     nbar, r, theta, lam = args.nbar, args.r, args.theta, args.lam
-    for i in range(args.u_steps):
-        u = args.u_start + i * step
-        state = evolved_state(params, u)
+    # numpy-valued formulas over all rows at once, with the per-row bits
+    us = args.u_start + np.arange(args.u_steps) * step
+    amps = displacement_amplitude(params, us)
+    quads = statistics.quad_variance(nbar, r, theta, lam, us)
+    squeezed = nonclassicality.squeezing_criterion(nbar, r, theta, lam, us)
+    for u, amp, quad, squeezed_u in zip(us.tolist(), amps.tolist(),
+                                        quads.tolist(), squeezed.tolist()):
+        state = EvolvedState(amp, u + r, theta, nbar)
         try:
             mandel = statistics.mandel_q(state)
         except ValueError:
             mandel = math.nan
         floats = ",".join(_fmt(x) for x in (
-            u, mandel, statistics.quad_variance_state(state, lam),
-            statistics.mean_photon(state), statistics.photon_variance(state)))
+            u, mandel, quad, statistics.mean_photon(state),
+            statistics.photon_variance(state)))
         flags = ",".join("1" if b else "0" for b in (
-            nonclassicality.squeezing_criterion(nbar, r, theta, lam, u),
-            nonclassicality.p_representation_exists(nbar, r, u),
+            squeezed_u, nonclassicality.p_representation_exists(nbar, r, u),
             nonclassicality.field_nonclassical(nbar, r, u)))
         lines.append(f"{floats},{flags}\n")
     _write(args, "".join(lines))

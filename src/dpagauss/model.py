@@ -101,12 +101,7 @@ class EvolvedState:
     nbar: float = 0.0
 
     def __post_init__(self):
-        if self.eff_squeeze < 0:
-            raise ValueError(f"eff_squeeze must be >= 0, got {self.eff_squeeze}")
-        if self.eff_squeeze > MAX_EFF_SQUEEZE:
-            raise ValueError(
-                f"eff_squeeze u + r = {self.eff_squeeze} exceeds the "
-                f"overflow guard {MAX_EFF_SQUEEZE}")
+        _check_eff_squeeze(self.eff_squeeze)
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
 
@@ -117,6 +112,14 @@ class HamiltonianCoeffs:
 
     c_coeff: complex
     b_coeff: complex
+
+
+def _check_eff_squeeze(eff_squeeze: float) -> None:
+    if eff_squeeze < 0:
+        raise ValueError(f"eff_squeeze must be >= 0, got {eff_squeeze}")
+    if eff_squeeze > MAX_EFF_SQUEEZE:
+        raise ValueError(f"eff_squeeze u + r = {eff_squeeze} exceeds the "
+                         f"overflow guard {MAX_EFF_SQUEEZE}")
 
 
 def _check_u(u) -> None:
@@ -144,7 +147,10 @@ def displacement_amplitude(params: ModelParams, u):
     Requires r > 0; the coth(r/2) factor is singular otherwise (see
     ``limit_r_zero_displacement`` for the combined r -> 0 limit), and raises
     ``ValueError`` for r below about 1.1e-308, where coth(r/2) overflows
-    double precision.  Accepts a scalar or ndarray ``u`` and broadcasts.
+    double precision.  Accepts a scalar or ndarray ``u`` and broadcasts
+    with the bits of one call per element: the complex products are done in
+    real arithmetic, as numpy's scalar product does them, because numpy's
+    complex128 array loop rounds differently.
     """
     _check_u(u)
     r = params.squeeze_mag
@@ -155,8 +161,14 @@ def displacement_amplitude(params: ModelParams, u):
     u = np.asarray(u, dtype=float)
     ch, sh = np.cosh(u), np.sinh(u)
     phase = np.exp(1j * (params.squeeze_phase - 2.0 * params.alpha_phase))
-    amp = params.alpha * (ch + 0.5 * coth_half * sh - 0.5 * (ch - 1.0)
-                          + phase * (-0.5 * sh - 0.5 * coth_half * (ch - 1.0)))
+    x = ch + 0.5 * coth_half * sh - 0.5 * (ch - 1.0)
+    y = -0.5 * sh - 0.5 * coth_half * (ch - 1.0)
+    # alpha (x + phase y); the + 0.0 is the real x's zero imaginary part
+    bracket_re, bracket_im = x + phase.real * y, phase.imag * y + 0.0
+    alpha = params.alpha
+    amp = np.empty(u.shape, dtype=complex)
+    amp.real = alpha.real * bracket_re - alpha.imag * bracket_im
+    amp.imag = alpha.real * bracket_im + alpha.imag * bracket_re
     return complex(amp) if amp.ndim == 0 else amp
 
 
@@ -203,9 +215,11 @@ def evolved_state(params: ModelParams, u: float) -> EvolvedState:
     """Evolved Gaussian state descriptor (A(tau), u + r, theta, nbar).
 
     For r = 0 only u = 0 is meaningful (the static displaced thermal state);
-    dynamics at r = 0 belongs to the combined-limit operations.
+    dynamics at r = 0 belongs to the combined-limit operations.  The u + r
+    guard runs first: A(tau) overflows from u of about 710.
     """
     _check_u(u)
+    _check_eff_squeeze(u + params.squeeze_mag)
     if params.squeeze_mag == 0:
         if u != 0:
             raise ValueError("r = 0 dynamics requires the combined limit; "

@@ -92,13 +92,13 @@ def field_nonclassical(nbar: float, r: float, u: float) -> bool:
 
 
 def squeezing_criterion(nbar: float, r: float, theta: float, lam: float,
-                        u: float) -> bool:
+                        u) -> bool:
     """True iff Var(x_lam) < 1/2, i.e. narrower than a coherent state.
 
     At the aligned angle theta = 2 lam this is exactly equivalent to
-    ``field_nonclassical``.
+    ``field_nonclassical``.  Broadcasts over an ndarray ``u``.
     """
-    if u < 0:
+    if np.any(np.asarray(u) < 0):
         raise ValueError("u must be >= 0")
     return quad_variance(nbar, r, theta, lam, u) < 0.5
 

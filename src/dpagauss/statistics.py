@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .model import EvolvedState, ModelParams, _tanh_half, evolved_state
+from .model import (EvolvedState, ModelParams, _tanh_half,
+                    displacement_amplitude)
 
 
 def quad_mean(state: EvolvedState, lam: float) -> float:
@@ -148,7 +149,6 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     params = ModelParams(alpha_mag=alpha_mag, alpha_phase=0.0, squeeze_mag=r,
                          squeeze_phase=0.0, nbar=nbar)
     us = np.asarray(us, dtype=float)
-    from .model import displacement_amplitude
     amp = displacement_amplitude(params, us)
     rho = us + r
     abs2 = np.abs(amp) ** 2

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpagauss import statistics, verify
+from dpagauss import cli, model, nonclassicality, statistics, verify
 from dpagauss.cli import main
-from dpagauss.model import MAX_EFF_SQUEEZE
+from dpagauss.model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
 
 
 def run_cli(args, capsys):
@@ -202,20 +202,29 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
     assert_one_usage_error_line(*run_cli(args, capsys))
 
 
-@pytest.mark.parametrize("args", [
-    ["sweep", "--r", "0", "--u-stop", "1"],
-    ["sweep", "--r", "0.1", "--u-stop", "400"],
-    ["wigner-grid", "--u", "1"],
-    ["wigner-grid", "--r", "0.1", "--u", "400"],
-    ["eval", "--r", "0.1", "--u", "-1"],
-    ["critical", "--r", "0"],
+@pytest.mark.parametrize("args, named", [
+    (["sweep", "--r", "0", "--u-stop", "1"], "combined limit"),
+    (["sweep", "--r", "0.1", "--u-stop", "400"], "exceeds the overflow guard"),
+    (["wigner-grid", "--u", "1"], "combined limit"),
+    (["wigner-grid", "--r", "0.1", "--u", "400"],
+     "exceeds the overflow guard"),
+    (["eval", "--r", "0.1", "--u", "-1"], "u must be >= 0"),
+    (["critical", "--r", "0"], "requires r > 0"),
+    # cosh(800) overflows: the guard must run before A(tau) is computed
+    (["eval", "--r", "1", "--u", "800"], "exceeds the overflow guard"),
+    (["sweep", "--r", "1", "--u-stop", "800", "--u-steps", "3"],
+     "exceeds the overflow guard"),
 ], ids=["sweep-r0", "sweep-beyond-guard", "wigner-grid-r0",
-        "wigner-grid-beyond-guard", "eval-negative-u", "critical-r0"])
-def test_model_time_guards_are_usage_errors(args, capsys, monkeypatch):
+        "wigner-grid-beyond-guard", "eval-negative-u", "critical-r0",
+        "eval-u800", "sweep-u800"])
+def test_model_time_guards_are_usage_errors(args, named, capsys,
+                                            monkeypatch):
     rows = []
     monkeypatch.setattr(statistics, "mandel_q",
                         lambda state: rows.append(state))
-    assert_one_usage_error_line(*run_cli(args, capsys))
+    code, out, err = run_cli(args, capsys)
+    assert_one_usage_error_line(code, out, err)
+    assert named in err
     # a sweep fails before its first row
     assert rows == []
 
@@ -263,6 +272,64 @@ def test_sweep_deterministic_and_positive_for_small_alpha(tmp_path, capsys):
     assert len(rows) == 41
     # strictly classical benchmark curve: the Mandel parameter stays positive
     assert min(float(row[1]) for row in rows) > 0.0
+
+
+LONG_SWEEP = {"nbar": 0.3, "r": 0.25, "alpha": 1.1, "theta": 0.7,
+              "phi": 0.2, "lambda": 0.35, "u-start": 0.05, "u-stop": 4.05,
+              "u-steps": 2401}
+
+
+def long_sweep(capsys):
+    code, out, _ = run_cli(["sweep"] + [f"--{flag}={value!r}" for flag, value
+                                        in LONG_SWEEP.items()], capsys)
+    assert code == 0
+    return out
+
+
+def test_long_misaligned_sweep_equals_per_row_scalar_calls(capsys):
+    # theta - 2 phi != 0, 2,401 rows: every row as the scalar formulas
+    # print it at that u
+    c = LONG_SWEEP
+    params = ModelParams(alpha_mag=c["alpha"], alpha_phase=c["phi"],
+                         squeeze_mag=c["r"], squeeze_phase=c["theta"],
+                         nbar=c["nbar"])
+    nbar, r, theta, lam = c["nbar"], c["r"], c["theta"], c["lambda"]
+    step = (c["u-stop"] - c["u-start"]) / (c["u-steps"] - 1)
+    expected = []
+    for i in range(c["u-steps"]):
+        u = c["u-start"] + i * step
+        state = evolved_state(params, u)
+        floats = (u, statistics.mandel_q(state),
+                  statistics.quad_variance_state(state, lam),
+                  statistics.mean_photon(state),
+                  statistics.photon_variance(state))
+        flags = (nonclassicality.squeezing_criterion(nbar, r, theta, lam, u),
+                 nonclassicality.p_representation_exists(nbar, r, u),
+                 nonclassicality.field_nonclassical(nbar, r, u))
+        expected.append(",".join([f"{x:.17g}" for x in floats]
+                                 + ["1" if b else "0" for b in flags]))
+    rows = long_sweep(capsys).splitlines()[2:]
+    assert len(rows) == c["u-steps"]
+    for row, want in zip(rows, expected):
+        assert row == want
+
+
+def test_sweep_evaluates_the_state_once_not_per_row(capsys, monkeypatch):
+    # the sweep's rows share one array call: a per-row evolved_state or
+    # displacement_amplitude would show here as thousands of calls
+    calls = {}
+    for name in ("evolved_state", "displacement_amplitude"):
+        original = getattr(model, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        for module in (model, cli):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    long_sweep(capsys)
+    assert 1 <= calls["evolved_state"] <= 2
+    assert 1 <= calls["displacement_amplitude"] <= 2
 
 
 def test_sweep_negative_start_curve(tmp_path):

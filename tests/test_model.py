@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dpagauss import (
     EvolvedState,
@@ -58,6 +58,30 @@ def test_displacement_linear_in_alpha(alpha_mag, phi, r, theta, u):
                          squeeze_mag=r, squeeze_phase=theta)
     assert displacement_amplitude(double, u) == pytest.approx(
         2.0 * displacement_amplitude(base, u), rel=1e-12, abs=1e-13)
+
+
+def float_bits(values):
+    """The IEEE bit patterns, so that -0.0 and 0.0 differ and NaN equals
+    itself."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@given(alpha_mag=st.just(0.0) | st.floats(min_value=0.0, max_value=1e100),
+       phi=st.floats(allow_nan=False, allow_infinity=False),
+       r=st.floats(min_value=1e-3, max_value=5.0),
+       theta=st.floats(allow_nan=False, allow_infinity=False),
+       us=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1,
+                   max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_displacement_broadcasts_bit_for_bit(alpha_mag, phi, r, theta, us):
+    # a whole sweep is one array call: it must give each row's scalar bits
+    assume(math.isfinite(theta - 2.0 * phi))
+    params = ModelParams(alpha_mag=alpha_mag, alpha_phase=phi, squeeze_mag=r,
+                         squeeze_phase=theta)
+    amps = displacement_amplitude(params, np.array(us))
+    singles = [displacement_amplitude(params, u) for u in us]
+    assert float_bits(amps.real) == float_bits([z.real for z in singles])
+    assert float_bits(amps.imag) == float_bits([z.imag for z in singles])
 
 
 def test_displacement_zero_alpha_is_zero():
@@ -244,6 +268,9 @@ def test_evolved_state_guard_rails():
         EvolvedState(displacement=0j, eff_squeeze=301.0)
     with pytest.raises(ValueError):
         EvolvedState(displacement=0j, eff_squeeze=0.1, nbar=-1.0)
+    # the u + r guard, not an overflow of A(tau) at cosh(800)
+    with pytest.raises(ValueError, match="exceeds the overflow guard"):
+        evolved_state(ModelParams(alpha_mag=1.0, squeeze_mag=1.0), 800.0)
 
 
 def test_char_fn_state_accepts_arbitrary_reference_states():

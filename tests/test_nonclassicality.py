@@ -50,6 +50,21 @@ def test_nonclassicality_is_monotone_persistent(nbar, r, u1, du):
 def test_squeezing_criterion_cases():
     assert not squeezing_criterion(0.0, 0.0, 0.0, 0.0, 0.0)  # exactly 1/2
     assert squeezing_criterion(0.0, 0.5, 0.8, 0.4, 0.0)
+    with pytest.raises(ValueError):
+        squeezing_criterion(0.0, 0.5, 0.0, 0.0, -0.1)
+    with pytest.raises(ValueError, match="u must be >= 0"):
+        squeezing_criterion(0.0, 0.5, 0.0, 0.0, np.array([0.2, -0.1]))
+
+
+@given(nbars, squeezes, st.floats(min_value=-10.0, max_value=10.0),
+       st.floats(min_value=-10.0, max_value=10.0),
+       st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1,
+                max_size=40))
+@settings(max_examples=200)
+def test_squeezing_criterion_broadcasts(nbar, r, theta, lam, us):
+    flags = squeezing_criterion(nbar, r, theta, lam, np.array(us))
+    assert flags.tolist() == [squeezing_criterion(nbar, r, theta, lam, u)
+                              for u in us]
 
 
 def test_criteria_equivalence_at_alignment():
