@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, fock, nonclassicality, statistics, verify, wigner
+from . import __version__, nonclassicality, statistics, wigner
 from .model import (EvolvedState, ModelParams, displacement_amplitude,
                     evolved_state)
 
@@ -341,8 +341,15 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the Fock oracle and the scipy modules it needs load on this path only
+    from . import fock, verify
+
     grids = {key: getattr(args, key) for key in GRIDS if key in args}
-    report = verify.run_verification(workers=args.workers, **grids)
+    try:
+        report = verify.run_verification(workers=args.workers, **grids)
+    except (fock.TruncationError, fock.QuadratureError) as exc:
+        sys.stderr.write(f"numerical gate failure: {exc}\n")
+        return GATE_ERROR
     ok = verify.all_passed(report)
     payload = {"pass": ok, "entries": report}
     _write(args, json.dumps(payload, indent=2, sort_keys=True,
@@ -373,9 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"usage error: {formula} overflows double "
                          "precision for these inputs\n")
         return USAGE_ERROR
-    except (fock.TruncationError, fock.QuadratureError) as exc:
-        sys.stderr.write(f"numerical gate failure: {exc}\n")
-        return GATE_ERROR
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .statistics import mandel_q_curve, mandel_q_zero, quad_variance
 
@@ -126,6 +125,8 @@ def q0_sign(nbar: float, r: float, alpha_mag: float, *,
 
 
 def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
+    from scipy.optimize import brentq
+
     root = brentq(q_of, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return float(root)
 
@@ -133,6 +134,8 @@ def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
 def _min_q(q_of: Callable[[float], float], us: np.ndarray,
            qs: np.ndarray) -> tuple[float, float]:
     """Global minimum of the Mandel curve: grid argmin plus local refinement."""
+    from scipy.optimize import minimize_scalar
+
     i = int(np.argmin(qs))
     lo = us[max(i - 1, 0)]
     hi = us[min(i + 1, len(us) - 1)]

@@ -119,6 +119,14 @@ def _slab_moments(r: float, u: float, nbars: Sequence[float],
         return None
 
 
+def _slab_dim(r: float, u: float, nbars: Sequence[float],
+              alphas: Sequence[float]) -> int:
+    """The first truncation a moment slab tries: the largest its cells
+    suggest."""
+    return max(fock.suggest_dim(_cell_params(nbar, r, alpha), u)
+               for nbar in nbars for alpha in alphas)
+
+
 def moment_slab_report(r: float, u: float, nbars: Sequence[float],
                        alphas: Sequence[float]) -> list[dict]:
     """Verify one (r, u) slab of the moment grid.
@@ -128,8 +136,7 @@ def moment_slab_report(r: float, u: float, nbars: Sequence[float],
     N + 20 ladder when N itself is already insufficient, and raises
     ``fock.TruncationError`` rather than try more than ``MAX_DIM`` levels.
     """
-    dim = max(fock.suggest_dim(_cell_params(nbar, r, alpha), u)
-              for nbar in nbars for alpha in alphas)
+    dim = _slab_dim(r, u, nbars, alphas)
     while dim <= MAX_DIM:
         first = _slab_moments(r, u, nbars, alphas, dim)
         second = None if first is None else _slab_moments(
@@ -197,7 +204,10 @@ def run_verification(*, nbars: Sequence[float] = DEFAULT_NBARS,
     """Run the full verification suite; deterministic entry order.
 
     The tasks run on ``workers`` processes (default: the CPU count); one
-    worker runs them in this process.
+    worker runs them in this process.  The pool takes the moment slabs in
+    descending order of their first truncation, then the evolution and
+    Wigner cells, so the heaviest slab does not start last; the report keeps
+    entry order.
     """
     if not (len(nbars) and len(rs) and len(alphas) and len(us)):
         raise ValueError("empty verification grid")
@@ -214,8 +224,13 @@ def run_verification(*, nbars: Sequence[float] = DEFAULT_NBARS,
         tasks.append(("wigner", tuple(point)))
 
     if workers > 1 and len(tasks) > 1:
+        cost = [_slab_dim(*args) if kind == "moments" else 0
+                for kind, args in tasks]
+        order = sorted(range(len(tasks)), key=cost.__getitem__, reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_run_task, tasks))
+            done = dict(zip(order, pool.map(_run_task,
+                                            [tasks[i] for i in order])))
+        grouped = [done[i] for i in range(len(tasks))]
     else:
         grouped = [_run_task(task) for task in tasks]
     return [entry for group in grouped for entry in group]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpagauss import cli, model, nonclassicality, statistics, verify
+from dpagauss import cli, fock, model, nonclassicality, statistics, verify
 from dpagauss.cli import main
 from dpagauss.model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
 
@@ -21,6 +21,14 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def strict_json(text):
@@ -116,13 +124,9 @@ def test_unrepresentable_results_are_usage_errors(args, named, capsys):
 ], ids=["critical", "eval", "sweep", "wigner-grid"])
 def test_overflow_prints_only_the_usage_error(args):
     # a fresh interpreter, so numpy warnings reach stderr as users see them
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, (str(src),
-                                         os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "dpagauss.cli", *args],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-        text=True, timeout=120)
+        [sys.executable, "-m", "dpagauss.cli", *args], env=fresh_env(),
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("usage error:")
     assert "RuntimeWarning" not in proc.stderr
@@ -492,3 +496,42 @@ def test_verify_empty_grid_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--config", str(config)], capsys)
     assert code == 1
     assert "empty" in err
+
+
+@pytest.mark.parametrize("error", [fock.TruncationError,
+                                   fock.QuadratureError],
+                         ids=["truncation", "quadrature"])
+def test_verify_gate_failure_is_one_line_and_exit_2(error, tmp_path, capsys,
+                                                    monkeypatch):
+    def fail(**grids):
+        raise error("forced failure")
+
+    monkeypatch.setattr(verify, "run_verification", fail)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["verify", "--workers", "1",
+                              "--out", str(report)], capsys)
+    assert code == 2 and out == ""
+    assert err == "numerical gate failure: forced failure\n"
+    assert not report.exists()
+
+
+# importing loads neither scipy nor the Fock oracle; critical still finds
+# scipy.optimize when it solves
+@pytest.mark.parametrize("module", ["dpagauss", "dpagauss.cli"])
+def test_import_loads_no_scipy_and_no_oracle(module, tmp_path):
+    out = tmp_path / "critical.json"
+    script = f"""
+import importlib, sys
+importlib.import_module({module!r})
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[0] == "scipy"
+                or name in ("dpagauss.fock", "dpagauss.verify"))
+assert not loaded, loaded
+from dpagauss import cli
+sys.exit(cli.main(["critical", "--nbar", "1", "--r", "1",
+                   "--out", {str(out)!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["alpha_c"] > 0

@@ -212,6 +212,36 @@ def test_slab_never_starts_above_the_truncation_cap(monkeypatch):
     assert calls == []
 
 
+def test_pool_starts_the_heaviest_slab_and_keeps_entry_order(monkeypatch):
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            submitted.extend(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify, "_run_task", lambda task: [task])
+    serial = verify.run_verification(workers=1)
+    assert verify.run_verification(workers=2) == serial
+    slabs = [args for kind, args in submitted if kind == "moments"]
+    dims = [verify._slab_dim(*args) for args in slabs]
+    assert dims == sorted(dims, reverse=True)
+    assert slabs[0][:2] == (1.0, 2.0)
+    # the evolution and Wigner cells follow the slabs, in entry order
+    assert submitted[len(slabs):] == serial[len(slabs):]
+    assert sorted(map(repr, submitted)) == sorted(map(repr, serial))
+
+
 def test_verification_rejects_empty_grid():
     with pytest.raises(ValueError):
         verify.run_verification(nbars=(), rs=(0.1,), alphas=(0.5,),
