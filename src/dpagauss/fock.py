@@ -52,9 +52,10 @@ from .model import hamiltonian_coeffs
 
 SELF_CHECK_RTOL = 1e-8
 EDGE_MASS_TOL = 1e-9
-# numeric_wigner: refinement tolerance, and half-width of the integration
-# square in standard deviations of the widest axis of the integrand
+# numeric_wigner: refinement tolerance, node cap per axis, and half-width of
+# the integration square in standard deviations of the integrand's widest axis
 WIGNER_TOL = 1e-9
+WIGNER_MAX_NODES = 2048
 WIGNER_HALFWIDTH_SIGMAS = 8.0
 THERMAL_TAIL_TOL = 1e-12
 
@@ -490,8 +491,7 @@ def _moments_agree(m1: FockMoments, m2: FockMoments, rtol: float) -> bool:
                for x, y in pairs)
 
 
-def numeric_wigner(params: ModelParams, u: float, beta: complex, *,
-                   max_nodes: int = 2048) -> float:
+def numeric_wigner(params: ModelParams, u: float, beta: complex) -> float:
     """Wigner density from the defining phase-space integral.
 
     Evaluates (1/pi^2) * integral of chi(eta) e^{-|eta|^2/2}
@@ -525,7 +525,7 @@ def numeric_wigner(params: ModelParams, u: float, beta: complex, *,
     nodes = 64
     prev = evaluate(nodes)
     delta = math.inf
-    while nodes < max_nodes:
+    while nodes < WIGNER_MAX_NODES:
         nodes *= 2
         cur = evaluate(nodes)
         delta = abs(cur - prev)
@@ -533,5 +533,5 @@ def numeric_wigner(params: ModelParams, u: float, beta: complex, *,
             return cur
         prev = cur
     raise QuadratureError(
-        f"phase-space quadrature not converged at {max_nodes} nodes; "
+        f"phase-space quadrature not converged at {WIGNER_MAX_NODES} nodes; "
         f"estimated error {delta:.2e}")

@@ -123,7 +123,7 @@ def _check_eff_squeeze(eff_squeeze: float) -> None:
 
 
 def _check_u(u) -> None:
-    if np.any(np.asarray(u) < 0):
+    if np.count_nonzero(np.asarray(u) < 0):
         raise ValueError("dimensionless time u must be >= 0")
 
 

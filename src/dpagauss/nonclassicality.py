@@ -24,7 +24,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .model import _check_u
 from .statistics import mandel_q_curve, mandel_q_zero, quad_variance
+
+# the critical solve and the classification scan the same window [0, U_MAX]
+U_MAX = 10.0
+SCAN_POINTS = 512
+CLASSIFY_GRID = 2048
+ALPHA_TOL = 1e-9  # the bisection over |alpha| stops at this bracket width
+ALPHA_CAP = 1e3  # min Q > 0 up to this |alpha|: NoTransitionError
+Q0_ATOL = 1e-5  # |Q(0)| at or below this reports Q0Sign.ZERO
 
 # |Q| below this at the curve minimum counts as a tangency; the figure-level
 # rounding of critical displacements shifts the minimum by about 1e-4.
@@ -58,7 +67,7 @@ class Q0Sign(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Temporal behavior of the Mandel parameter on [0, u_max]."""
+    """Temporal behavior of the Mandel parameter on [0, U_MAX]."""
 
     kind: BehaviorKind
     zeros: tuple[float, ...]
@@ -80,6 +89,8 @@ def classicality_factor(nbar: float, r: float, u: float) -> float:
 
 def p_representation_exists(nbar: float, r: float, u: float) -> bool:
     """True iff the coherent-state quasiprobability is a regular density."""
+    # a scalar test, not model._check_u: its np.asarray costs about 19 us a
+    # row, which took the 2,401-row sweep from 36 to 81 ms
     if u < 0:
         raise ValueError("u must be >= 0")
     return classicality_factor(nbar, r, u) >= 1.0
@@ -97,8 +108,7 @@ def squeezing_criterion(nbar: float, r: float, theta: float, lam: float,
     At the aligned angle theta = 2 lam this is exactly equivalent to
     ``field_nonclassical``.  Broadcasts over an ndarray ``u``.
     """
-    if np.any(np.asarray(u) < 0):
-        raise ValueError("u must be >= 0")
+    _check_u(u)
     return quad_variance(nbar, r, theta, lam, u) < 0.5
 
 
@@ -111,15 +121,14 @@ def crossover_time(nbar: float, r: float) -> Optional[float]:
     return 0.5 * math.log(factor)
 
 
-def q0_sign(nbar: float, r: float, alpha_mag: float, *,
-            atol: float = 1e-5) -> Q0Sign:
+def q0_sign(nbar: float, r: float, alpha_mag: float) -> Q0Sign:
     """Sign of the Mandel parameter at u = 0 (aligned convention).
 
     Whenever (2 nbar + 1) e^{-2r} >= 1 the sign is positive for every
-    displacement magnitude; values within ``atol`` of zero report ZERO.
+    displacement magnitude; values within ``Q0_ATOL`` of zero report ZERO.
     """
     q0 = mandel_q_zero(nbar, r, alpha_mag)
-    if abs(q0) <= atol:
+    if abs(q0) <= Q0_ATOL:
         return Q0Sign.ZERO
     return Q0Sign.POSITIVE if q0 > 0 else Q0Sign.NEGATIVE
 
@@ -127,8 +136,18 @@ def q0_sign(nbar: float, r: float, alpha_mag: float, *,
 def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
     from scipy.optimize import brentq
 
-    root = brentq(q_of, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    return float(brentq(q_of, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+
+
+def _scan(nbar: float, r: float, alpha_mag: float, points: int
+          ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
+    """Mandel curve u -> Q(u), and its values at ``points`` u in [0, U_MAX]."""
+
+    def q_of(u: float) -> float:
+        return float(mandel_q_curve(nbar, r, alpha_mag, u))
+
+    us = np.linspace(0.0, U_MAX, points)
+    return q_of, us, mandel_q_curve(nbar, r, alpha_mag, us)
 
 
 def _min_q(q_of: Callable[[float], float], us: np.ndarray,
@@ -139,8 +158,6 @@ def _min_q(q_of: Callable[[float], float], us: np.ndarray,
     i = int(np.argmin(qs))
     lo = us[max(i - 1, 0)]
     hi = us[min(i + 1, len(us) - 1)]
-    if lo == hi:
-        return float(qs[i]), float(us[i])
     res = minimize_scalar(q_of, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     if res.fun <= qs[i]:
@@ -148,55 +165,37 @@ def _min_q(q_of: Callable[[float], float], us: np.ndarray,
     return float(qs[i]), float(us[i])
 
 
-def classify_behavior(nbar: float, r: float, alpha_mag: float,
-                      u_max: float = 10.0, *, grid: int = 2048,
-                      tangency_atol: float = TANGENCY_ATOL) -> Classification:
-    """Classify the Mandel curve on [0, u_max] and locate its zeros.
+def classify_behavior(nbar: float, r: float,
+                      alpha_mag: float) -> Classification:
+    """Classify the Mandel curve on [0, U_MAX] and locate its zeros.
 
     Sign changes are bracketed on a uniform grid and refined by root
     bracketing; a strictly interior dip narrower than the grid is caught by
-    refining the curve minimum.  A minimum within ``tangency_atol`` of zero
+    refining the curve minimum.  A minimum within ``TANGENCY_ATOL`` of zero
     (with no sign change) is reported as the tangent-critical behavior.
     """
-    if u_max <= 0:
-        raise ValueError("u_max must be > 0")
-    if r <= 0:
-        raise ValueError("classification requires squeeze_mag r > 0")
-    mandel_q_zero(nbar, r, alpha_mag)  # vacuum guard
-
-    def q_of(u: float) -> float:
-        return float(mandel_q_curve(nbar, r, alpha_mag, u))
-
-    us = np.linspace(0.0, u_max, grid)
-    qs = mandel_q_curve(nbar, r, alpha_mag, us)
+    q_of, us, qs = _scan(nbar, r, alpha_mag, CLASSIFY_GRID)
     q0 = float(qs[0])
-    min_q, argmin_u = _min_q(q_of, us, qs)
-
-    if q0 < -tangency_atol:
-        zeros = [
-            _refine_zero(q_of, us[i], us[i + 1])
-            for i in np.flatnonzero(np.signbit(qs[:-1]) != np.signbit(qs[1:]))
-        ]
-        if len(zeros) != 1:
-            warnings.warn(f"negative start with {len(zeros)} crossings on "
-                          f"[0, {u_max}]; outside the expected taxonomy")
-        return Classification(kind=BehaviorKind.NEGATIVE_START_ONE_CROSSING,
-                              zeros=tuple(zeros))
-
-    if min_q > tangency_atol:
-        return Classification(kind=BehaviorKind.STRICTLY_CLASSICAL, zeros=())
-
-    if min_q >= -tangency_atol:
-        # the minimum sits within the tolerance band around zero: a tangency,
-        # at the boundary when the start itself is the minimum
-        zero = 0.0 if abs(q0) <= tangency_atol else argmin_u
-        return Classification(kind=BehaviorKind.TANGENT_CRITICAL,
-                              zeros=(zero,))
+    if q0 >= -TANGENCY_ATOL:
+        min_q, argmin_u = _min_q(q_of, us, qs)
+        if min_q > TANGENCY_ATOL:
+            return Classification(BehaviorKind.STRICTLY_CLASSICAL, ())
+        if min_q >= -TANGENCY_ATOL:
+            # a tangency; at the boundary when the start itself is the minimum
+            zero = 0.0 if abs(q0) <= TANGENCY_ATOL else argmin_u
+            return Classification(BehaviorKind.TANGENT_CRITICAL, (zero,))
 
     zeros = [
         _refine_zero(q_of, us[i], us[i + 1])
         for i in np.flatnonzero(np.signbit(qs[:-1]) != np.signbit(qs[1:]))
     ]
+    if q0 < -TANGENCY_ATOL:
+        if len(zeros) != 1:
+            warnings.warn(f"negative start with {len(zeros)} crossings on "
+                          f"[0, {U_MAX}]; outside the expected taxonomy")
+        return Classification(BehaviorKind.NEGATIVE_START_ONE_CROSSING,
+                              tuple(zeros))
+
     if not zeros:
         # dip narrower than the grid: bracket both crossings around it
         half_grid = (us[1] - us[0]) / 2.0
@@ -204,39 +203,27 @@ def classify_behavior(nbar: float, r: float, alpha_mag: float,
         while left > 0 and q_of(left) < 0:
             left = max(left - half_grid, 0.0)
         right = argmin_u
-        while right < u_max and q_of(right) < 0:
-            right = min(right + half_grid, u_max)
+        while right < U_MAX and q_of(right) < 0:
+            right = min(right + half_grid, U_MAX)
         zeros = [left if q_of(left) < 0 else _refine_zero(q_of, left, argmin_u),
                  _refine_zero(q_of, argmin_u, right)]
     if len(zeros) > 2:
         warnings.warn(f"{len(zeros)} zeros found; outside the expected "
                       "taxonomy of at most two crossings")
-    return Classification(kind=BehaviorKind.MIXED_TWO_CROSSINGS,
-                          zeros=tuple(sorted(zeros)))
+    return Classification(BehaviorKind.MIXED_TWO_CROSSINGS,
+                          tuple(sorted(zeros)))
 
 
-def _curve_minimum(nbar: float, r: float, alpha_mag: float, u_max: float,
-                   scan_points: int) -> tuple[float, float]:
-    us = np.linspace(0.0, u_max, scan_points)
-    qs = mandel_q_curve(nbar, r, alpha_mag, us)
-
-    def q_of(u: float) -> float:
-        return float(mandel_q_curve(nbar, r, alpha_mag, u))
-
-    return _min_q(q_of, us, qs)
-
-
-def find_critical_alpha(nbar: float, r: float, *, u_max: float = 10.0,
-                        alpha_tol: float = 1e-9, scan_points: int = 512,
-                        alpha_cap: float = 1e3) -> CriticalPointResult:
+def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
     """Smallest displacement magnitude at which min_u Q_M(u) reaches zero.
 
     The scalar map m(|alpha|) = min over u of the Mandel parameter is assumed
     strictly decreasing across the bracket; the bracket signs are verified
     explicitly and a violation raises rather than returning a bogus root.
     The upper bracket grows by doubling and failing to find m < 0 below
-    ``alpha_cap`` raises ``NoTransitionError``.  A minimizer within 1e-6 of
-    u = 0 is reported as the boundary mechanism (the zero of the Mandel
+    ``ALPHA_CAP`` raises ``NoTransitionError``; a root too close to zero to
+    resolve at ``ALPHA_TOL`` raises ``ValueError``.  A minimizer within 1e-6
+    of u = 0 is reported as the boundary mechanism (the zero of the Mandel
     parameter at u = 0), otherwise as an interior tangency.
     """
     if r <= 0:
@@ -244,7 +231,7 @@ def find_critical_alpha(nbar: float, r: float, *, u_max: float = 10.0,
                          "combined-limit dynamics is not covered")
 
     def min_of(alpha_mag: float) -> tuple[float, float]:
-        return _curve_minimum(nbar, r, alpha_mag, u_max, scan_points)
+        return _min_q(*_scan(nbar, r, alpha_mag, SCAN_POINTS))
 
     lo = 0.0
     m_lo, _ = min_of(lo)
@@ -256,18 +243,21 @@ def find_critical_alpha(nbar: float, r: float, *, u_max: float = 10.0,
     m_hi, _ = min_of(hi)
     while m_hi > 0:
         hi *= 2.0
-        if hi > alpha_cap:
+        if hi > ALPHA_CAP:
             raise NoTransitionError(
-                f"min Q stays positive for all |alpha| <= {alpha_cap}")
+                f"min Q stays positive for all |alpha| <= {ALPHA_CAP}")
         m_hi, _ = min_of(hi)
 
-    while hi - lo > alpha_tol:
+    while hi - lo > ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         m_mid, _ = min_of(mid)
         if m_mid > 0:
             lo = mid
         else:
             hi = mid
+    if lo == 0.0:
+        raise ValueError(f"critical displacement below {hi:.3g} is not "
+                         f"resolved at ALPHA_TOL = {ALPHA_TOL:g}")
     alpha_c = 0.5 * (lo + hi)
     _, u_star = min_of(alpha_c)
     if u_star <= BOUNDARY_U_TOL:
@@ -283,7 +273,7 @@ def critical_alpha_q0_root(nbar: float, r: float) -> float:
 
     Exists only when (2 nbar + 1) e^{-2r} < 1.
     """
-    slope = 1.0 - (2.0 * nbar + 1.0) * math.exp(-2.0 * r)
+    slope = 1.0 - classicality_factor(nbar, r, 0.0)
     if slope <= 0:
         raise ValueError("the u = 0 Mandel parameter has no root: it is "
                          "positive for every displacement")

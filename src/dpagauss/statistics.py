@@ -12,8 +12,14 @@ import math
 
 import numpy as np
 
-from .model import (EvolvedState, ModelParams, _tanh_half,
+from .model import (EvolvedState, ModelParams, _check_u, _tanh_half,
                     displacement_amplitude)
+
+_VACUUM = ("Mandel parameter undefined for the vacuum (mean photon number "
+           "is zero)")
+# mandel_q_curve's bound on the rounding error of Q: eps (nbar + 1/2)
+# cosh 2(u + r) |A|^2 / <n>, from the cancelling displacement term of Var n
+Q_ROUNDING_TOL = 1e-4
 
 
 def quad_mean(state: EvolvedState, lam: float) -> float:
@@ -69,8 +75,7 @@ def snr_max(params: ModelParams, u: float) -> float:
 
     Requires r > 0, and raises ``ValueError`` where coth(r/2) overflows.
     """
-    if np.any(np.asarray(u) < 0):
-        raise ValueError("u must be >= 0")
+    _check_u(u)
     r = params.squeeze_mag
     if r == 0:
         raise ValueError("snr_max requires squeeze_mag > 0")
@@ -116,8 +121,7 @@ def mandel_q(state: EvolvedState) -> float:
     """
     n = mean_photon(state)
     if n <= 0:
-        raise ValueError("Mandel parameter undefined for the vacuum "
-                         "(mean photon number is zero)")
+        raise ValueError(_VACUUM)
     return (photon_variance(state) - n) / n
 
 
@@ -130,8 +134,7 @@ def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
     """
     den = (nbar + 0.5) * math.cosh(2.0 * r) + alpha_mag ** 2 - 0.5
     if den <= 0:
-        raise ValueError("Mandel parameter undefined for the vacuum "
-                         "(mean photon number is zero)")
+        raise ValueError(_VACUUM)
     num = ((nbar + 0.5) ** 2 * math.cosh(4.0 * r)
            + ((2.0 * nbar + 1.0) * math.exp(-2.0 * r) - 1.0) * alpha_mag ** 2
            - (nbar + 0.5) * math.cosh(2.0 * r) + 0.25)
@@ -142,9 +145,10 @@ def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
 def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     """Vectorized Mandel parameter over an array of times u, phi = theta/2 = 0.
 
-    Used by the sweep and critical-point machinery; requires r > 0.  Raises
-    ``FloatingPointError`` where the curve overflows double precision
-    (cosh 4(u + r) from u + r of about 177.6) instead of returning inf/NaN.
+    Used by the critical-point machinery; requires r > 0.  Raises
+    ``FloatingPointError`` where the curve overflows (cosh 4(u + r) from
+    u + r of about 177.6), and ``ValueError`` for the vacuum, as ``mandel_q``
+    does, and where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
     """
     params = ModelParams(alpha_mag=alpha_mag, alpha_phase=0.0, squeeze_mag=r,
                          squeeze_phase=0.0, nbar=nbar)
@@ -152,9 +156,15 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     amp = displacement_amplitude(params, us)
     rho = us + r
     abs2 = np.abs(amp) ** 2
-    n = (nbar + 0.5) * np.cosh(2.0 * rho) + abs2 - 0.5
+    ch2 = np.cosh(2.0 * rho)
+    n = (nbar + 0.5) * ch2 + abs2 - 0.5
+    # the vacuum, n = 0, fails the rounding test too
+    if np.count_nonzero(math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2
+                        * abs2 >= n):
+        raise ValueError(_VACUUM if (n <= 0).any() else "Mandel parameter "
+                         "lost to rounding past Q_ROUNDING_TOL")
     pair_term = 2.0 * (amp * amp).real
     var = ((nbar + 0.5) ** 2 * np.cosh(4.0 * rho)
-           + (nbar + 0.5) * (2.0 * np.cosh(2.0 * rho) * abs2
+           + (nbar + 0.5) * (2.0 * ch2 * abs2
                              - np.sinh(2.0 * rho) * pair_term) - 0.25)
     return (var - n) / n

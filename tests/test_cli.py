@@ -6,11 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpagauss import cli, fock, model, nonclassicality, statistics, verify
 from dpagauss.cli import main
@@ -103,8 +104,18 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
      "photon_variance overflows"),
     # finite inputs whose photon variance is +inf in double precision
     (["eval", "--nbar", "1.3e154", "--r", "0.1"], "photon_variance not finite"),
+    # cosh 2r rounds to 1, so the squeezed vacuum has no photons at u = 0:
+    # Q is 0/0 at r = 4e-9 and x/0 at r = 5e-9
+    (["critical", "--nbar", "0", "--r", "4e-9"], "undefined for the vacuum"),
+    (["critical", "--nbar", "0", "--r", "5e-9"], "undefined for the vacuum"),
+    # coth(r/2) = 2e30 puts alpha_c far below the bisection tolerance
+    (["critical", "--nbar", "1", "--r", "1e-30"], "not resolved at ALPHA_TOL"),
+    # Var n's displacement term cancels to rounding noise near u = 9.4
+    (["critical", "--nbar", "75351050109549", "--r", "1.310771115913621e-31"],
+     "lost to rounding"),
 ], ids=["eval-u200", "critical-r400", "eval-nbar1e200", "sweep-u200",
-        "sweep-nbar1e300", "eval-infinite-variance"])
+        "sweep-nbar1e300", "eval-infinite-variance", "critical-vacuum-0/0",
+        "critical-vacuum-x/0", "critical-unresolved", "critical-rounding"])
 def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
@@ -121,7 +132,12 @@ def test_unrepresentable_results_are_usage_errors(args, named, capsys):
      "--u-steps", "3"],
     ["wigner-grid", "--r", "1e-300", "--alpha", "1e10", "--u", "1",
      "--grid-steps", "2"],
-], ids=["critical", "eval", "sweep", "wigner-grid"])
+    # the vacuum's x/0 exited 0 after two numpy warnings, and so did an
+    # alpha_c at the bisection floor; its 0/0 already gave one error line
+    ["critical", "--nbar", "0", "--r", "5e-9"],
+    ["critical", "--nbar", "1", "--r", "1e-30"],
+], ids=["critical", "eval", "sweep", "wigner-grid", "critical-vacuum-x/0",
+        "critical-unresolved"])
 def test_overflow_prints_only_the_usage_error(args):
     # a fresh interpreter, so numpy warnings reach stderr as users see them
     proc = subprocess.run(
@@ -158,6 +174,37 @@ def test_eval_gives_finite_json_or_usage_error(nbar, r, alpha, u, theta,
         assert code == 1
         assert out.getvalue() == ""
         assert err.getvalue().startswith("usage error:")
+
+
+@given(nbar=st.floats(min_value=0.0, allow_infinity=False),
+       r=st.floats(min_value=0.0, allow_infinity=False), theta=finite_floats)
+# a bisection floor reported as alpha_c, with a "3 zeros found" warning
+@example(nbar=13416674.0, r=1.175494351e-38, theta=0.0)
+# Var n's displacement term cancelled to rounding noise: Q = -1 at u = 9.4
+# and a "32 zeros found" warning
+@example(nbar=75351050109549.0, r=1.310771115913621e-31, theta=0.0)
+@settings(max_examples=200, deadline=None)
+def test_critical_gives_a_record_a_usage_error_or_no_transition(nbar, r,
+                                                                 theta):
+    args = ["critical", f"--nbar={nbar!r}", f"--r={r!r}",
+            f"--theta={theta!r}", f"--phi={theta / 2!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    if code == 0:
+        record = strict_json(out.getvalue())
+        assert math.isfinite(record["alpha_c"]) and record["alpha_c"] > 0
+        assert all(math.isfinite(zero) for zero in record["zeros"])
+        assert err.getvalue() == ""
+    elif code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == 2
+        assert list(strict_json(out.getvalue())) == ["error"]
 
 
 # sha256 of stdout as first written by the per-point implementations of

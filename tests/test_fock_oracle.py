@@ -180,10 +180,11 @@ def test_numeric_wigner_matches_closed_form():
         closed, abs=1e-9)
 
 
-def test_numeric_wigner_reports_nonconvergence():
+def test_numeric_wigner_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(fock, "WIGNER_MAX_NODES", 64)
     params = ModelParams(alpha_mag=0.3, squeeze_mag=0.4, nbar=0.5)
     with pytest.raises(fock.QuadratureError):
-        fock.numeric_wigner(params, 0.8, 0.2 + 0.1j, max_nodes=64)
+        fock.numeric_wigner(params, 0.8, 0.2 + 0.1j)
 
 
 def test_verification_light_grid_passes():
