@@ -5,28 +5,38 @@ truncated generator matrices and moments are read off by contraction, so the
 closed forms elsewhere in the package can be checked against an arithmetic
 that shares nothing with them beyond the operator definitions.
 
-Both generators are tridiagonal after a diagonal gauge (the squeeze one per
-parity chain), and their exponentials are applied to blocks of vectors by
-one of two propagators:
+Both generators are tridiagonal chains (the squeeze one per parity chain)
+with coefficients c sqrt(...) below and -c^* sqrt(...) above the diagonal.
+A diagonal phase R = diag(e^{i j arg c}) turns each into a real
+antisymmetric chain K; for real c, as on the oracle grid at phase 0, R is
+the identity and a real block stays real.  One real kernel applies exp(K)
+to a float64 block (a complex block runs as its float view) by one of two
+methods:
 
-* a real symmetric tridiagonal eigensolve, exactly unitary, for every
-  squeeze, for small truncations and for displacements whose spectral
-  radius 2 |alpha| sqrt(N) exceeds N / 3;
-* otherwise a Chebyshev expansion in the Bessel coefficients J_k(radius),
-  a fused real-arithmetic kernel (one in-place sparse product and one axpy
-  per degree) that is unitary to machine precision.
+* a real symmetric tridiagonal eigensolve, exactly orthogonal, for every
+  squeeze, for truncations of at most 512 levels and for displacements
+  whose spectral radius 2 |alpha| sqrt(N) exceeds 1.5 N.  With D = diag(i^j)
+  and T the symmetric chain with the off-diagonals of K, K = D (-i T) D^*,
+  so exp(K) = D V e^{-i w} V^T D^*; its real part separates by row parity
+  into cos w and sin w terms on the even and odd rows of V;
+* otherwise the Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem.
+  Phys. 81, 3967 (1984)) in the Bessel coefficients J_k(radius), which for
+  an antisymmetric K is the real recurrence Q_{k+1} = (2K/radius) Q_k +
+  Q_{k-1}: one in-place sparse product and one axpy per degree, orthogonal
+  to machine precision.
 
 The eigensolve is full (LAPACK stevd) for dense input blocks such as the
 identity behind ``squeeze_op``.  When the input is supported only on the
 first ``height`` rows of a chain of at least 1024 + 64 * height levels, as
 for the squeezed thermal ladder, it solves only the eigenpairs in a window
-|lambda| <= L (bisection plus inverse iteration, O(N) per eigenpair).  The
-off-diagonals of both generators grow along the chain, so an eigenvector
-is evanescent on the rows where 2 |H[m+1, m]| < |lambda|: L grows by half
-until the eigenvectors at the window edge carry at most 1e-16 on the
-support, and the dropped eigenpairs cannot reach the input.  The rule reads
-the chain alone, never a closed-form moment.  Each windowed solve logs one
-DEBUG record on the ``dpagauss.fock`` logger.
+|lambda| <= L: bisection to full relative accuracy (stebz), then inverse
+iteration (stein) over blocks of 32 consecutive eigenvalues, O(N) per
+eigenpair.  The off-diagonals of both generators grow along the chain, so
+an eigenvector is evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L
+grows by half until the eigenvectors at the window edge carry at most
+1e-16 on the support, and the dropped eigenpairs cannot reach the input.
+The rule reads the chain alone, never a closed-form moment.  Each windowed
+solve logs one DEBUG record on the ``dpagauss.fock`` logger.
 
 The operative truncation gates are the occupation mass near the truncation
 edge and the agreement between two truncations N and N + 20.  Both
@@ -42,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.linalg.blas import daxpy
 # Y += A @ X in place for CSR A; the public product always allocates Y
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -73,6 +84,14 @@ _WINDOW_EDGE_TOL = 1e-16
 # tridiagonal are the +-singular values of a bidiagonal, fixed to relative
 # precision by the off-diagonals, so the phases e^{-i lambda} stay exact
 _BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
+# eigenvalues per inverse-iteration call: stein's reorthogonalization costs
+# O(N k^2) in the k eigenvalues of one call
+_STEIN_BLOCK = 32
+# apply_displacement uses the Chebyshev propagator above this many levels
+# when its spectral radius estimate 2 |alpha| sqrt(N) is at most this
+# fraction of N, and the eigensolve otherwise
+_CHEBYSHEV_MIN_DIM = 512
+_CHEBYSHEV_MAX_RADIUS = 1.5
 
 _log = logging.getLogger(__name__)
 
@@ -96,28 +115,30 @@ def expm_antihermitian(gen: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _gauge_real_tridiag(sub_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal gauge making a zero-diagonal Hermitian tridiagonal real.
+def _eigh_window(off: np.ndarray,
+                 span: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the zero-diagonal chain ``off`` with |lambda| <= span.
 
-    Returns (gauge phases, real nonnegative off-diagonals) such that
-    H = diag(gauge) T diag(gauge)^* with T real symmetric tridiagonal.
+    Bisection finds the eigenvalues; inverse iteration runs over blocks of
+    ``_STEIN_BLOCK`` consecutive ones, so stein reorthogonalizes within a
+    block only, not across the whole window.
     """
-    phases = np.concatenate(([0.0], np.cumsum(np.angle(sub_diag))))
-    return np.exp(1j * phases), np.abs(sub_diag)
-
-
-def _real_matmul(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mat @ vecs for real mat and complex vecs without complex promotion.
-
-    Stacks the real and imaginary parts contiguously so a single real GEMM
-    does the work (strided .real/.imag views would bypass BLAS).
-    """
-    n, k = vecs.shape
-    stacked = np.empty((n, 2 * k), dtype=float)
-    stacked[:, :k] = vecs.real
-    stacked[:, k:] = vecs.imag
-    prod = mat @ stacked
-    return prod[:, :k] + 1j * prod[:, k:]
+    diag = np.zeros(len(off) + 1)
+    count, w, iblock, isplit, info = lapack.dstebz(
+        diag, off, 1, -span, span, 0, 0, _BISECTION_ABSTOL, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
+    w = w[:count]
+    v = np.empty((len(diag), count), order="F")
+    for lo in range(0, count, _STEIN_BLOCK):
+        hi = min(lo + _STEIN_BLOCK, count)
+        # stein reads the block indices of its eigenvalues from the front
+        v[:, lo:hi], info = lapack.dstein(diag, off, w[lo:hi],
+                                          np.roll(iblock, -lo), isplit)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"dstein: {info} eigenvectors failed to converge")
+    return w, v
 
 
 def _eigh_reaching(off: np.ndarray,
@@ -125,21 +146,21 @@ def _eigh_reaching(off: np.ndarray,
     """Eigenpairs of the zero-diagonal chain ``off`` that reach its first
     ``height`` rows: all of them, or a window |lambda| <= L on a long chain.
 
-    Assumes off-diagonals that grow along the chain, so the top components
-    of an eigenvector shrink as |lambda| grows past 2 off[height].
+    Assumes off-diagonals whose moduli grow along the chain, so the top
+    components of an eigenvector shrink as |lambda| grows past
+    2 |off[height]|.
     """
     dim = len(off) + 1
     if dim < _WINDOW_MIN_LEVELS + _WINDOW_LEVELS_PER_ROW * height:
         return sla.eigh_tridiagonal(np.zeros(dim), off)
-    radius = float(np.max(off[:-1] + off[1:]))
-    span = 2.0 * off[min(2 * height, dim - 2)] + _WINDOW_MARGIN * off[0]
+    mag = np.abs(off)
+    radius = float(np.max(mag[:-1] + mag[1:]))
+    span = 2.0 * mag[min(2 * height, dim - 2)] + _WINDOW_MARGIN * mag[0]
     growths = 0
     while span < radius:
-        w, v = sla.eigh_tridiagonal(np.zeros(dim), off, select="v",
-                                    select_range=(-span, span),
-                                    tol=_BISECTION_ABSTOL)
+        w, v = _eigh_window(off, span)
         # the spectrum is symmetric: the two outermost share their moduli
-        edge = float(np.abs(v[:height, [0, -1]]).max())
+        edge = float(np.abs(v[:height, [w.argmin(), w.argmax()]]).max())
         if edge <= _WINDOW_EDGE_TOL:
             break
         span *= _WINDOW_GROWTH
@@ -154,118 +175,133 @@ def _eigh_reaching(off: np.ndarray,
     return w, v
 
 
-def _apply_exp_tridiag(sub_diag: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """exp(-i H) @ vecs for Hermitian tridiagonal H with zero diagonal.
+def _expm_chain(sub: np.ndarray, block: np.ndarray,
+                chebyshev: bool) -> np.ndarray:
+    """exp(K) @ block for the real antisymmetric tridiagonal chain K with
+    K[j+1, j] = sub[j] = -K[j, j+1].
 
-    ``sub_diag[j]`` is H[j+1, j].  After the gauge rotation a real symmetric
-    tridiagonal eigensolver does the work; the result is exactly unitary,
-    or to the window's 1e-16 edge tolerance.  Only the rows of ``vecs`` up
-    to its last nonzero one enter, and their count selects between the
-    full and the windowed eigensolve.
+    K is real, so a complex block runs as its float view, one real column
+    per real and imaginary part.  With ``chebyshev`` the propagator is the
+    Chebyshev expansion of e^{rho z} on the spectrum i[-rho, rho] of K:
+    Q_0 = X, Q_1 = (K/rho) X, Q_{k+1} = (2K/rho) Q_k + Q_{k-1}, summed with
+    weights (2 - delta_k0) J_k(rho); one in-place sparse product and one
+    axpy per degree.  Otherwise K = D (-i T) D^* with
+    D = diag(i^j) and T the symmetric chain with off-diagonals ``sub``, and
+    with T = V diag(w) V^T and sigma_j = (-1)^(j//2) the real parts
+    separate by row parity:
+    a = V_even^T (sigma X)_even, b = -V_odd^T (sigma X)_odd, even rows
+    sigma V_even (cos w a + sin w b) and odd rows
+    -sigma V_odd (cos w b - sin w a).  Only the rows of ``block`` up to its
+    last nonzero one enter, and their count selects between the full and
+    the windowed eigensolve.
     """
-    gauge, off = _gauge_real_tridiag(sub_diag)
-    rows = np.flatnonzero(np.any(vecs != 0, axis=1))
+    x = np.ascontiguousarray(block)
+    if np.iscomplexobj(x):
+        return _expm_chain(sub, x.view(float), chebyshev).view(complex)
+    x = x.astype(float, copy=True)
+    if not np.any(sub):
+        return x
+    if chebyshev:
+        mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
+        # Gershgorin: every eigenvalue of K lies in i[-radius, radius]
+        radius = 1.000001 * float(np.max(mag[:-1] + mag[1:]))
+        degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
+        weights = jv(np.arange(degree + 1), radius)
+        weights[1:] *= 2.0
+        band = sub * (2.0 / radius)
+        two_k = sparse.diags([band, -band], [-1, 1], format="csr")
+        dim, cols = x.shape
+        prev = x
+        cur = two_k @ prev
+        cur *= 0.5
+        total = weights[0] * prev
+        total += weights[1] * cur
+        flat = total.reshape(-1)
+        for k in range(2, degree + 1):
+            _csr_matvecs(dim, dim, cols, two_k.indptr, two_k.indices,
+                         two_k.data, cur.reshape(-1), prev.reshape(-1))
+            prev, cur = cur, prev
+            if abs(weights[k]) > 1e-18:
+                daxpy(cur.reshape(-1), flat, a=weights[k])
+        return total
+    rows = np.flatnonzero(np.any(x != 0, axis=1))
     height = int(rows[-1]) + 1 if rows.size else 1
-    w, v = _eigh_reaching(off, height)
-    inner = _real_matmul(v[:height].T,
-                         gauge.conj()[:height, None] * vecs[:height])
-    return gauge[:, None] * _real_matmul(v, np.exp(-1j * w)[:, None] * inner)
+    w, v = _eigh_reaching(sub, height)
+    sigma = np.where(np.arange(len(x)) & 2, -1.0, 1.0)[:, None]
+    sx = sigma[:height] * x[:height]
+    v_even, v_odd = v[0::2], v[1::2]
+    a = v_even[:(height + 1) // 2].T @ sx[0::2]
+    b = v_odd[:height // 2].T @ sx[1::2]
+    b *= -1.0
+    cos, sin = np.cos(w)[:, None], np.sin(w)[:, None]
+    x[0::2] = sigma[0::2] * (v_even @ (cos * a + sin * b))
+    x[1::2] = sigma[1::2] * (v_odd @ (sin * a - cos * b))
+    return x
 
 
-def _apply_exp_tridiag_chebyshev(sub_diag: np.ndarray,
-                                 vecs: np.ndarray) -> np.ndarray:
-    """exp(-i H) @ vecs by a Chebyshev expansion of e^{-i w x} on [-1, 1].
+def _apply_chain(coeff: complex, root: np.ndarray, block: np.ndarray,
+                 chebyshev: bool) -> np.ndarray:
+    """exp(G) @ block for the chain generator G[j+1, j] = coeff root[j],
+    G[j, j+1] = -coeff^* root[j].
 
-    Suited to generators whose spectral radius is small compared to the
-    dimension (the expansion degree is about the radius itself); accurate to
-    machine precision once the Bessel coefficients have decayed.
-
-    The gauge makes the operator real, so the recurrence runs on the float64
-    view of the complex block: one in-place sparse product per degree
-    updates T_{k+1} = 2 x T_k - T_{k-1}.  The coefficients (-i)^k J_k are
-    real for even k and imaginary for odd k, so the two partial sums
-    accumulate in real buffers and combine once at the end.
+    G = R (|coeff| J) R^* with J[j+1, j] = root[j] = -J[j, j+1] and
+    R = diag(e^{i j arg coeff}).  For a real coeff R is the identity (the
+    sign stays in the chain), so a real block stays real.
     """
-    gauge, off = _gauge_real_tridiag(sub_diag)
-    radius = float(np.max(off[:-1] + off[1:])) if len(off) > 1 else \
-        float(2.0 * off.max(initial=0.0))
-    if radius == 0.0:
-        return np.array(vecs, dtype=complex, copy=True)
-    radius *= 1.000001
-    degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
-    order = np.arange(degree + 1)
-    # (-i)^k = (-1)^(k//2) for even k and -i (-1)^(k//2) for odd k
-    weights = jv(order, radius) * (-1.0) ** (order // 2)
-    weights[1:] *= 2.0
-
-    band = off * (2.0 / radius)
-    two_x = sparse.diags([band, band], [-1, 1], format="csr")
-    dim = two_x.shape[0]
-
-    prev = np.ascontiguousarray(gauge.conj()[:, None] * vecs,
-                                dtype=complex).view(float)
-    cur = two_x @ prev
-    cur *= 0.5
-    even = weights[0] * prev
-    odd = weights[1] * cur
-    sums = (even.reshape(-1), odd.reshape(-1))
-    for k in range(2, degree + 1):
-        np.negative(prev, out=prev)
-        _csr_matvecs(dim, dim, prev.shape[1], two_x.indptr, two_x.indices,
-                     two_x.data, cur.reshape(-1), prev.reshape(-1))
-        prev, cur = cur, prev
-        if abs(weights[k]) > 1e-18:
-            daxpy(cur.reshape(-1), sums[k & 1], a=weights[k])
-    result = odd.view(complex)
-    result *= -1j
-    result += even.view(complex)
-    result *= gauge[:, None]
-    return result
+    if coeff.imag == 0.0:
+        return _expm_chain(coeff.real * root, block, chebyshev)
+    phase = np.exp(1j * np.angle(coeff) * np.arange(len(root) + 1))[:, None]
+    out = _expm_chain(abs(coeff) * root, phase.conj() * block, chebyshev)
+    out *= phase
+    return out
 
 
 def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
     """exp(alpha a^dag - alpha* a) @ vecs.
 
-    The generator couples neighboring levels only: i*gen is Hermitian
-    tridiagonal with subdiagonal i alpha sqrt(n+1).  Its spectral radius
-    grows like 2 |alpha| sqrt(dim) only, so a Chebyshev propagator beats the
-    eigensolve on large truncations with modest displacement; otherwise the
-    exact tridiagonal eigensolve is used.
+    The generator couples neighboring levels only, with coefficient
+    alpha sqrt(n+1).  Its spectral radius grows like 2 |alpha| sqrt(dim)
+    only, so the Chebyshev propagator beats the eigensolve on large
+    truncations with modest displacement; otherwise the exact tridiagonal
+    eigensolve is used.  Real alpha on a real block gives a real result.
     """
     dim = vecs.shape[0]
-    sub = 1j * alpha * np.sqrt(np.arange(1, dim, dtype=float))
     radius_estimate = 2.0 * abs(alpha) * math.sqrt(dim)
-    if dim <= 512 or radius_estimate > dim / 3.0:
-        return _apply_exp_tridiag(sub, vecs)
-    return _apply_exp_tridiag_chebyshev(sub, vecs)
+    chebyshev = dim > _CHEBYSHEV_MIN_DIM and \
+        radius_estimate <= _CHEBYSHEV_MAX_RADIUS * dim
+    return _apply_chain(complex(alpha),
+                        np.sqrt(np.arange(1, dim, dtype=float)), vecs,
+                        chebyshev)
 
 
 def apply_squeeze(xi: complex, vecs: np.ndarray) -> np.ndarray:
     """exp(-(xi/2) a^dag^2 + (xi*/2) a^2) @ vecs.
 
     The two-photon generator preserves parity, so it splits into even and
-    odd level chains, each Hermitian tridiagonal in the chain index.
+    odd level chains, each with coefficient -(xi/2) sqrt((n+1)(n+2)) at
+    level n.  Real xi on a real block gives a real result.
     """
+    vecs = np.asarray(vecs)
+    xi = complex(xi)
     dim = vecs.shape[0]
-    levels = np.arange(dim, dtype=float)
-    out = np.empty_like(np.asarray(vecs, dtype=complex))
+    real = xi.imag == 0.0 and not np.iscomplexobj(vecs)
+    out = np.empty(vecs.shape, dtype=float if real else complex)
     for start in (0, 1):
-        idx = np.arange(start, dim, 2)
-        low = levels[idx[:-1]]
-        # chain subdiagonal of i*gen: -i (xi/2) sqrt((n+1)(n+2)) at level n
-        sub = -0.5j * xi * np.sqrt((low + 1.0) * (low + 2.0))
-        out[idx] = _apply_exp_tridiag(sub, np.asarray(vecs, dtype=complex)[idx])
+        low = np.arange(start, dim - 2, 2, dtype=float)
+        out[start::2] = _apply_chain(-0.5 * xi,
+                                     np.sqrt((low + 1.0) * (low + 2.0)),
+                                     vecs[start::2], False)
     return out
 
 
 def displacement_op(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    return apply_displacement(alpha, np.eye(dim, dtype=complex))
+    return apply_displacement(alpha, np.eye(dim))
 
 
 def squeeze_op(xi: complex, dim: int) -> np.ndarray:
     """S(xi) = exp(-(xi/2) a^dag^2 + (xi*/2) a^2) on the truncated space."""
-    return apply_squeeze(xi, np.eye(dim, dtype=complex))
+    return apply_squeeze(xi, np.eye(dim))
 
 
 def thermal_tail_weight(nbar: float, dim: int) -> float:
@@ -397,9 +433,7 @@ def _thermal_vector_count(nbar: float, dim: int) -> int:
 
 def squeezed_fock_ladder(count: int, xi: complex, dim: int) -> np.ndarray:
     """The vectors S(xi)|k> for k < count, as columns."""
-    vecs = np.zeros((dim, count), dtype=complex)
-    vecs[np.arange(count), np.arange(count)] = 1.0
-    return apply_squeeze(xi, vecs)
+    return apply_squeeze(xi, np.eye(dim, count))
 
 
 def ensemble_moments(vecs: np.ndarray, weights: np.ndarray) -> FockMoments:

@@ -11,8 +11,10 @@ displacement differs with alpha, and applying it is cheap.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from itertools import product
 from typing import Optional, Sequence
 
@@ -28,6 +30,12 @@ WIGNER_GATE = 1e-6
 # reference quadrature angle for the moment comparisons; arbitrary but fixed,
 # exercising both the stretched and the squeezed variance branches
 REFERENCE_LAM = 0.7
+
+# the pool's workers each run one BLAS thread, so that ``workers`` processes
+# do not oversubscribe the CPUs; they start from a fresh interpreter, which
+# reads these when it loads BLAS
+POOL_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                 "MKL_NUM_THREADS": "1"}
 
 # largest truncation a moment slab may try
 MAX_DIM = 40000
@@ -185,6 +193,22 @@ def wigner_point_report(nbar: float, r: float, alpha: float, u: float,
                   closed, oracle, _rel_err(closed, oracle), 0, WIGNER_GATE)
 
 
+@contextmanager
+def _pool_blas_env():
+    """Set ``POOL_BLAS_ENV`` in this process's environment, and restore the
+    previous values on exit."""
+    saved = {name: os.environ.get(name) for name in POOL_BLAS_ENV}
+    os.environ.update(POOL_BLAS_ENV)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _run_task(task) -> list[dict]:
     kind, args = task
     if kind == "moments":
@@ -207,7 +231,8 @@ def run_verification(*, nbars: Sequence[float] = DEFAULT_NBARS,
     worker runs them in this process.  The pool takes the moment slabs in
     descending order of their first truncation, then the evolution and
     Wigner cells, so the heaviest slab does not start last; the report keeps
-    entry order.
+    entry order.  The pool spawns fresh interpreters with one BLAS thread
+    each (``POOL_BLAS_ENV``, set only while the pool runs).
     """
     if not (len(nbars) and len(rs) and len(alphas) and len(us)):
         raise ValueError("empty verification grid")
@@ -227,7 +252,9 @@ def run_verification(*, nbars: Sequence[float] = DEFAULT_NBARS,
         cost = [_slab_dim(*args) if kind == "moments" else 0
                 for kind, args in tasks]
         order = sorted(range(len(tasks)), key=cost.__getitem__, reverse=True)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool_blas_env(), ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             done = dict(zip(order, pool.map(_run_task,
                                             [tasks[i] for i in order])))
         grouped = [done[i] for i in range(len(tasks))]

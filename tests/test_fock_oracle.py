@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_pool_starts_the_heaviest_slab_and_keeps_entry_order(monkeypatch):
     submitted = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             pass
 
         def __enter__(self):
@@ -243,6 +244,26 @@ def test_pool_starts_the_heaviest_slab_and_keeps_entry_order(monkeypatch):
     assert sorted(map(repr, submitted)) == sorted(map(repr, serial))
 
 
+def _pool_child_blas_env(task):
+    """Pool task stand-in: the BLAS settings a worker sees, and whether it
+    imported verify afresh (a forked worker would inherit the patch)."""
+    env = {name: os.environ.get(name) for name in verify.POOL_BLAS_ENV}
+    return [(env, verify._run_task is not _pool_child_blas_env)]
+
+
+def test_pool_workers_start_fresh_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(verify, "_run_task", _pool_child_blas_env)
+    report = verify.run_verification(
+        nbars=(0.0,), rs=(0.1,), alphas=(0.0,), us=(0.0,), evolution_grid=(),
+        wigner_points=((0.0, 0.1, 0.0, 0.0, 0.3),), workers=2)
+    assert report == [(verify.POOL_BLAS_ENV, True)] * 2
+    # the parent's environment is restored once the pool is done
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
 def test_verification_rejects_empty_grid():
     with pytest.raises(ValueError):
         verify.run_verification(nbars=(), rs=(0.1,), alphas=(0.5,),
@@ -253,11 +274,43 @@ def test_chebyshev_kernel_matches_eigensolve():
     dim = 2000
     alpha = 1.3 + 0.7j
     ladder = fock.squeezed_fock_ladder(48, 0.8 * np.exp(0.3j), dim)
-    sub = 1j * alpha * np.sqrt(np.arange(1, dim, dtype=float))
-    fast = fock._apply_exp_tridiag_chebyshev(sub, ladder)
-    exact = fock._apply_exp_tridiag(sub, ladder)
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    fast = fock._apply_chain(alpha, root, ladder, True)
+    exact = fock._apply_chain(alpha, root, ladder, False)
     assert np.abs(fast - exact).max() <= 1e-12
     assert np.abs(np.linalg.norm(fast, axis=0) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("coeff", [-1.3, 1.1 * np.exp(0.7j)],
+                         ids=["real", "complex"])
+def test_chain_kernel_matches_dense_exponential(coeff):
+    dim = 700
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    gen = np.diag(coeff * root, -1) - np.diag(np.conj(coeff) * root, 1)
+    dense = sla.expm(gen)[:, :16]
+    for chebyshev in (False, True):
+        result = fock._apply_chain(complex(coeff), root, np.eye(dim, 16),
+                                   chebyshev)
+        assert np.abs(result - dense).max() <= 1e-12
+        assert np.iscomplexobj(result) == (np.imag(coeff) != 0.0)
+
+
+def test_phase_zero_oracle_runs_in_real_arithmetic(monkeypatch):
+    dim = 2200
+    assert fock.squeezed_fock_ladder(48, 3.0, dim).dtype == np.float64
+    block = np.eye(dim, 4)
+    assert fock.apply_displacement(2.0, block).dtype == np.float64
+    assert fock.apply_displacement(2.0, block[:600]).dtype == np.float64
+    seen = []
+    original = fock.ensemble_moments
+
+    def recording(vecs, weights):
+        seen.append(vecs.dtype)
+        return original(vecs, weights)
+
+    monkeypatch.setattr(fock, "ensemble_moments", recording)
+    moments = verify._slab_moments(0.2, 0.5, (0.0, 1.0), (0.0, 0.5), 200)
+    assert len(moments) == 4 and seen == [np.float64] * 4
 
 
 # a thermal ladder whose parity chains (3,000 levels, 24 rows of support)
@@ -268,20 +321,31 @@ WINDOW_DIM = 6000
 
 @pytest.fixture(scope="module")
 def full_spectrum_ladder():
-    """S(xi)|k> for k < 48 from a full eigensolve of each parity chain."""
+    """S(xi)|k> for k < 48 from a full eigensolve of each parity chain.
+
+    The chain generator is R (|c| J) R^* with c = -xi/2, R = diag(e^{i m arg c})
+    and J real antisymmetric, and J = D (-i T) D^* with D = diag(i^m) and T
+    the real symmetric chain T = V diag(w) V^T.  So
+    exp(|c| J)[m, l] = Re(i^(m-l) sum_p V[m, p] V[l, p] e^{-i w_p}): cos w_p
+    terms with sign (-1)^((m-l)/2) for even m - l, sin w_p terms with sign
+    (-1)^((m-l-1)/2) for odd m - l.
+    """
     out = np.zeros((WINDOW_DIM, 48), dtype=complex)
+    coeff = -0.5 * WINDOW_XI
     for start in (0, 1):
         idx = np.arange(start, WINDOW_DIM, 2)
         low = idx[:-1].astype(float)
-        sub = -0.5j * WINDOW_XI * np.sqrt((low + 1.0) * (low + 2.0))
-        # H = G T G^* with T real: G_k = e^{i (arg sub_0 + ... + arg sub_k-1)}
-        gauge = np.exp(1j * np.concatenate(([0.0],
-                                            np.cumsum(np.angle(sub)))))
-        w, v = sla.eigh_tridiagonal(np.zeros(len(idx)), np.abs(sub))
-        cols = np.arange(start, 48, 2)
-        out[idx[:, None], cols] = gauge[:, None] * (
-            (v * np.exp(-1j * w)) @ (v[cols // 2].T
-                                     * gauge[cols // 2].conj()))
+        w, v = sla.eigh_tridiagonal(
+            np.zeros(len(idx)), abs(coeff) * np.sqrt((low + 1.0) * (low + 2.0)))
+        rot = np.exp(1j * np.angle(coeff) * np.arange(len(idx)))
+        for col in range(start, 48, 2):
+            lead = col // 2
+            gap = np.arange(len(idx)) - lead
+            sign = np.where((gap - (gap & 1)) & 2, -1.0, 1.0)
+            even = v @ (np.cos(w) * v[lead])
+            odd = v @ (np.sin(w) * v[lead])
+            real = sign * np.where(gap & 1, odd, even)
+            out[idx, col] = rot * real * rot[lead].conj()
     return out
 
 
