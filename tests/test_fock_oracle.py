@@ -323,25 +323,25 @@ WINDOW_DIM = 6000
 def full_spectrum_ladder():
     """S(xi)|k> for k < 48 from a full eigensolve of each parity chain.
 
-    The chain generator is R (|c| J) R^* with c = -xi/2, R = diag(e^{i m arg c})
-    and J real antisymmetric, and J = D (-i T) D^* with D = diag(i^m) and T
-    the real symmetric chain T = V diag(w) V^T.  So
-    exp(|c| J)[m, l] = Re(i^(m-l) sum_p V[m, p] V[l, p] e^{-i w_p}): cos w_p
-    terms with sign (-1)^((m-l)/2) for even m - l, sin w_p terms with sign
-    (-1)^((m-l-1)/2) for odd m - l.
+    The chain generator is R (|c| J) R^* with c = -xi/2,
+    R = diag(e^{i m arg c}) and J real antisymmetric, and
+    J = D (-i T) D^* with D = diag(i^m) and T = V diag(w) V^T the real
+    symmetric chain.  So exp(|c| J)[m, l] is
+    Re(i^(m-l) sum_p V[m, p] V[l, p] e^{-i w_p}): the cos w_p sum for even
+    m - l and the sin w_p sum for odd m - l, with sign (-1)^floor((m-l)/2).
     """
     out = np.zeros((WINDOW_DIM, 48), dtype=complex)
     coeff = -0.5 * WINDOW_XI
     for start in (0, 1):
         idx = np.arange(start, WINDOW_DIM, 2)
         low = idx[:-1].astype(float)
-        w, v = sla.eigh_tridiagonal(
-            np.zeros(len(idx)), abs(coeff) * np.sqrt((low + 1.0) * (low + 2.0)))
+        off = abs(coeff) * np.sqrt((low + 1.0) * (low + 2.0))
+        w, v = sla.eigh_tridiagonal(np.zeros(len(idx)), off)
         rot = np.exp(1j * np.angle(coeff) * np.arange(len(idx)))
         for col in range(start, 48, 2):
             lead = col // 2
             gap = np.arange(len(idx)) - lead
-            sign = np.where((gap - (gap & 1)) & 2, -1.0, 1.0)
+            sign = np.where((gap // 2) % 2, -1.0, 1.0)
             even = v @ (np.cos(w) * v[lead])
             odd = v @ (np.sin(w) * v[lead])
             real = sign * np.where(gap & 1, odd, even)
