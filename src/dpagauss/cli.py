@@ -347,7 +347,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grids = {key: getattr(args, key) for key in GRIDS if key in args}
     try:
         report = verify.run_verification(workers=args.workers, **grids)
-    except (fock.TruncationError, fock.QuadratureError) as exc:
+    except fock.TruncationError as exc:
         sys.stderr.write(f"numerical gate failure: {exc}\n")
         return GATE_ERROR
     ok = verify.all_passed(report)

@@ -39,14 +39,19 @@ The rule reads the chain alone, never a closed-form moment.  Each windowed
 solve logs one DEBUG record on the ``dpagauss.fock`` logger.
 
 The operative truncation gates are the occupation mass near the truncation
-edge and the agreement between two truncations N and N + 20.  Both
-propagators are unitary at any truncation, so only the tests check that.
+edge and the agreement between two truncations N and N + 20, applied by
+one loop, ``_self_checked``, to the moment slabs of ``verify`` and to
+``numeric_wigner``.  The latter sums the displaced photon-number parity on
+the moments' squeezed ladder, so it checks the state itself rather than a
+transform of its characteristic function.  Both propagators are unitary at
+any truncation, so only the tests check that.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,17 +63,16 @@ from scipy.linalg.blas import daxpy
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 from scipy.special import erfcinv, jv
 
-from .model import ModelParams, _hyperbolic_coeffs, evolved_state
-from .model import hamiltonian_coeffs
+from .model import ModelParams, evolved_state, hamiltonian_coeffs
 
 SELF_CHECK_RTOL = 1e-8
 EDGE_MASS_TOL = 1e-9
-# numeric_wigner: refinement tolerance, node cap per axis, and half-width of
-# the integration square in standard deviations of the integrand's widest axis
-WIGNER_TOL = 1e-9
-WIGNER_MAX_NODES = 2048
-WIGNER_HALFWIDTH_SIGMAS = 8.0
 THERMAL_TAIL_TOL = 1e-12
+# values below this compare absolutely: the floor of the relative errors that
+# verify gates, and of the Wigner density's N versus N + 20 self-check
+RELATIVE_FLOOR = 1e-6
+# largest truncation the self-checked loop tries
+MAX_DIM = 40000
 
 # windowed eigensolve: used on chains of at least _WINDOW_MIN_LEVELS +
 # _WINDOW_LEVELS_PER_ROW * height levels, where it beats the full solve
@@ -98,10 +102,6 @@ _log = logging.getLogger(__name__)
 
 class TruncationError(RuntimeError):
     """The requested Fock-space dimension cannot support the computation."""
-
-
-class QuadratureError(RuntimeError):
-    """The phase-space quadrature failed to converge."""
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -361,6 +361,14 @@ def _check_edge_mass(occupation: np.ndarray) -> None:
             f"truncation edge at dim {dim}; use a larger truncation")
 
 
+def _occupation(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Photon-number distribution of a weighted ensemble of Fock-space
+    vectors, through the edge-mass gate."""
+    prob = (np.abs(vecs) ** 2) @ weights
+    _check_edge_mass(prob)
+    return prob
+
+
 def evolve_via_hamiltonian(params: ModelParams, total_time: float,
                            dim: int) -> np.ndarray:
     """rho(total_time) = exp(-i H T) rho_thermal exp(i H T).
@@ -423,12 +431,13 @@ def moments_from_rho(rho: np.ndarray) -> FockMoments:
                        mean_n2=float((occ * levels ** 2).sum()))
 
 
-def _thermal_vector_count(nbar: float, dim: int) -> int:
-    if nbar == 0:
-        return 1
-    # keep levels until the discarded weight cannot move any moment at 1e-13
-    count = int(math.ceil(math.log(1e14) / math.log((nbar + 1.0) / nbar))) + 1
-    return min(count, dim)
+def _ensemble_weights(nbar: float, dim: int) -> np.ndarray:
+    """Renormalized thermal weights of the levels k whose S|k> enter an
+    ensemble: the discarded weight cannot move any moment at 1e-13."""
+    count = 1 if nbar == 0 else min(dim, int(math.ceil(
+        math.log(1e14) / math.log((nbar + 1.0) / nbar))) + 1)
+    weights = thermal_weights(nbar, dim)[:count]
+    return weights / weights.sum()
 
 
 def squeezed_fock_ladder(count: int, xi: complex, dim: int) -> np.ndarray:
@@ -443,9 +452,7 @@ def ensemble_moments(vecs: np.ndarray, weights: np.ndarray) -> FockMoments:
     edge.
     """
     dim = vecs.shape[0]
-    prob = (np.abs(vecs) ** 2) @ weights
-    _check_edge_mass(prob)
-
+    prob = _occupation(vecs, weights)
     levels = np.arange(dim)
     root = np.sqrt(np.arange(1, dim, dtype=float))
     a_vecs = np.zeros_like(vecs)
@@ -518,54 +525,55 @@ def suggest_dim(params: ModelParams, u: float) -> int:
     return int(math.ceil(max(dim, bulk))) + 64
 
 
-def _moments_agree(m1: FockMoments, m2: FockMoments, rtol: float) -> bool:
-    pairs = [(m1.mean_a, m2.mean_a), (m1.mean_aa, m2.mean_aa),
-             (m1.mean_n, m2.mean_n), (m1.mean_n2, m2.mean_n2)]
-    return all(abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
-               for x, y in pairs)
+def _self_checked(evaluate, values, floor: float, dim: int, what: str):
+    """(evaluate(N + 20), N + 20) for the first N, from ``dim`` on, at which
+    each number ``values`` reads off evaluate(N) agrees with its partner at
+    N + 20 within ``SELF_CHECK_RTOL`` of max(floor, |x|, |y|).
+
+    N + 20 is skipped when N raises ``TruncationError``; a rejected N grows
+    by a quarter, up to ``MAX_DIM`` levels.  Each attempt logs one DEBUG
+    record: ``what``, N, the outcome and the elapsed seconds.
+    """
+    while dim <= MAX_DIM:
+        start = time.perf_counter()
+        try:
+            first = evaluate(dim)
+            second = evaluate(dim + 20)
+        except TruncationError as exc:
+            outcome = str(exc)
+        else:
+            agree = all(
+                abs(x - y) <= SELF_CHECK_RTOL * max(floor, abs(x), abs(y))
+                for x, y in zip(values(first), values(second)))
+            outcome = "accepted" if agree else "N and N + 20 disagree"
+        _log.debug("%s, truncation %d: %s (%.3f s)", what, dim, outcome,
+                   time.perf_counter() - start)
+        if outcome == "accepted":
+            return second, dim + 20
+        dim += max(1, dim // 4)
+    raise TruncationError(f"{what} needs more than {MAX_DIM} Fock levels "
+                          f"(next truncation {dim})")
 
 
-def numeric_wigner(params: ModelParams, u: float, beta: complex) -> float:
-    """Wigner density from the defining phase-space integral.
+def numeric_wigner(params: ModelParams, u: float,
+                   beta: complex) -> tuple[float, int]:
+    """Wigner density from the displaced parity, and the truncation used.
 
-    Evaluates (1/pi^2) * integral of chi(eta) e^{-|eta|^2/2}
-    e^{-beta* eta + beta eta*} over the complex eta plane with a
-    Gauss-Legendre tensor grid, doubling the node count until two successive
-    refinements differ by less than ``WIGNER_TOL``.
+    W(beta) = (2/pi) Tr[rho D(beta) (-1)^n D^dag(beta)] (Royer, Phys. Rev. A
+    15, 449 (1977)) = (2/pi) sum_n (-1)^n P_n, with P_n = sum_k w_k
+    |<n| D(A - beta) S((u + r) e^{i theta}) |k>|^2 and w_k thermal.  Its
+    self-check scale is the verification gate's, max(|W|, RELATIVE_FLOOR).
     """
     state = evolved_state(params, u)
-    t_coeff, s_coeff = _hyperbolic_coeffs(state.eff_squeeze,
-                                          state.squeeze_phase)
-    nb_half = state.nbar + 0.5
-    amp = state.displacement
-    # widest principal axis of the Gaussian integrand
-    sigma = 1.0 / math.sqrt(2.0 * nb_half * math.exp(-2.0 * state.eff_squeeze))
-    half = WIGNER_HALFWIDTH_SIGMAS * sigma
+    xi = state.eff_squeeze * np.exp(1j * state.squeeze_phase)
+    shift = state.displacement - complex(beta)
 
-    def evaluate(nodes: int) -> float:
-        x, wts = np.polynomial.legendre.leggauss(nodes)
-        x = x * half
-        wts = wts * half
-        eta = x[:, None] + 1j * x[None, :]
-        exponent = (eta * np.conj(amp) - np.conj(eta) * amp
-                    - nb_half * (eta ** 2 * np.conj(t_coeff)
-                                 + np.conj(eta) ** 2 * t_coeff
-                                 + np.abs(eta) ** 2 * s_coeff)
-                    - np.conj(beta) * eta + beta * np.conj(eta))
-        integrand = np.exp(exponent)
-        total = wts @ integrand @ wts
-        return float(total.real) / math.pi ** 2
+    def parity_sum(dim: int) -> float:
+        weights = _ensemble_weights(params.nbar, dim)
+        ladder = squeezed_fock_ladder(len(weights), xi, dim)
+        prob = _occupation(apply_displacement(shift, ladder), weights)
+        return 2.0 / math.pi * float(prob[0::2].sum() - prob[1::2].sum())
 
-    nodes = 64
-    prev = evaluate(nodes)
-    delta = math.inf
-    while nodes < WIGNER_MAX_NODES:
-        nodes *= 2
-        cur = evaluate(nodes)
-        delta = abs(cur - prev)
-        if delta < WIGNER_TOL:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"phase-space quadrature not converged at {WIGNER_MAX_NODES} nodes; "
-        f"estimated error {delta:.2e}")
+    return _self_checked(parity_sum, lambda w: (w,), RELATIVE_FLOOR,
+                         suggest_dim(params, u),
+                         f"Wigner density at beta = {beta}, u = {u}")

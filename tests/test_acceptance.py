@@ -124,7 +124,7 @@ def test_criterion_6_wigner_integrity():
         state = random_state(rng)
         assert abs(adaptive_wigner_norm(state) - 1.0) <= 1e-6
 
-    # closed form against the defining integral at 100 random points
+    # closed form against the Fock-space parity sum at 100 random points
     for _ in range(20):
         params = ModelParams(alpha_mag=rng.uniform(0.0, 1.5),
                              alpha_phase=rng.uniform(-math.pi, math.pi),
@@ -139,7 +139,7 @@ def test_criterion_6_wigner_integrity():
             beta = state.displacement + complex(rng.uniform(-1, 1),
                                                 rng.uniform(-1, 1)) * sig
             closed = wigner_beta(state, beta)
-            numeric = fock.numeric_wigner(params, u, beta)
+            numeric, _ = fock.numeric_wigner(params, u, beta)
             assert abs(closed - numeric) / max(abs(closed), 1e-6) <= 1e-6
 
     # exponent-coefficient identity and positivity
@@ -150,7 +150,7 @@ def test_criterion_6_wigner_integrity():
         det = 4.0 * k.a_sq * k.b_sq - k.c_coef ** 2
         assert det == pytest.approx(4.0 * (state.nbar + 0.5) ** 2, rel=1e-12)
         assert wigner_beta(state, beta) > 0.0
-    _report(6, "normalization, defining-integral agreement at 100 points, "
+    _report(6, "normalization, Fock-space parity agreement at 100 points, "
                "coefficient identity and positivity")
 
 

@@ -545,9 +545,8 @@ def test_verify_empty_grid_is_usage_error(tmp_path, capsys):
     assert "empty" in err
 
 
-@pytest.mark.parametrize("error", [fock.TruncationError,
-                                   fock.QuadratureError],
-                         ids=["truncation", "quadrature"])
+@pytest.mark.parametrize("error", [fock.TruncationError],
+                         ids=["truncation"])
 def test_verify_gate_failure_is_one_line_and_exit_2(error, tmp_path, capsys,
                                                     monkeypatch):
     def fail(**grids):

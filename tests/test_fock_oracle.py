@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import dpagauss.fock as fock
+import dpagauss.model as model
 import dpagauss.verify as verify
 from dpagauss import ModelParams, evolved_state, wigner_beta
 
@@ -161,15 +162,23 @@ def test_edge_mass_gate_rejects_a_short_truncation(evolve):
     evolve(80)
 
 
-def test_numeric_wigner_vacuum_and_thermal():
+def test_numeric_wigner_vacuum_and_thermal(monkeypatch):
+    # the oracle must not read the closed forms it checks
+    def closed_form(*args):
+        raise AssertionError("the oracle read a closed form")
+
+    monkeypatch.setattr(model, "_hyperbolic_coeffs", closed_form)
+    monkeypatch.setattr(model, "char_fn_state", closed_form)
+    monkeypatch.setattr(fock, "_hyperbolic_coeffs", closed_form,
+                        raising=False)
     vac = ModelParams(alpha_mag=0.0)
-    assert fock.numeric_wigner(vac, 0.0, 0j) == pytest.approx(
-        2.0 / math.pi, abs=1e-6)
+    assert abs(fock.numeric_wigner(vac, 0.0, 0j)[0] - 2.0 / math.pi) \
+        <= 1e-12
     thermal = ModelParams(alpha_mag=0.0, nbar=0.6)
     beta = 0.4 - 0.2j
-    expected = (math.exp(-abs(beta) ** 2 / 1.1) / (math.pi * 1.1))
-    assert fock.numeric_wigner(thermal, 0.0, beta) == pytest.approx(
-        expected, abs=1e-6)
+    expected = math.exp(-abs(beta) ** 2 / 1.1) / (math.pi * 1.1)
+    assert abs(fock.numeric_wigner(thermal, 0.0, beta)[0] - expected) \
+        <= 1e-12
 
 
 def test_numeric_wigner_matches_closed_form():
@@ -177,15 +186,59 @@ def test_numeric_wigner_matches_closed_form():
                          squeeze_phase=0.4, nbar=0.2)
     beta = 0.45 + 0.2j
     closed = wigner_beta(evolved_state(params, 0.3), beta)
-    assert fock.numeric_wigner(params, 0.3, beta) == pytest.approx(
+    assert fock.numeric_wigner(params, 0.3, beta)[0] == pytest.approx(
         closed, abs=1e-9)
 
 
-def test_numeric_wigner_reports_nonconvergence(monkeypatch):
-    monkeypatch.setattr(fock, "WIGNER_MAX_NODES", 64)
-    params = ModelParams(alpha_mag=0.3, squeeze_mag=0.4, nbar=0.5)
-    with pytest.raises(fock.QuadratureError):
-        fock.numeric_wigner(params, 0.8, 0.2 + 0.1j)
+# W = 1.15e-21 far in the tail: a parity sum gated by edge mass alone, at
+# the suggested truncation, gives a relative error of 8.2e-7 here
+TAIL_POINT = (ModelParams(alpha_mag=0.0519, alpha_phase=-1.9971,
+                          squeeze_mag=0.7347, squeeze_phase=1.7335,
+                          nbar=0.5781), 0.7946, -2.5945 + 0.0853j)
+
+
+def test_numeric_wigner_self_check_resolves_the_tail():
+    params, u, beta = TAIL_POINT
+    closed = wigner_beta(evolved_state(params, u), beta)
+    oracle, dim = fock.numeric_wigner(params, u, beta)
+    assert verify._rel_err(closed, oracle) <= 1e-7
+    assert dim > fock.suggest_dim(params, u) + 20
+
+
+def fock_records(caplog):
+    """(what, N, outcome) of each truncation attempt logged by the oracle."""
+    return [rec.args[:3] for rec in caplog.records
+            if rec.name == "dpagauss.fock" and "truncation" in rec.msg]
+
+
+def test_numeric_wigner_grows_a_short_truncation(monkeypatch, caplog):
+    monkeypatch.setattr(fock, "suggest_dim", lambda params, u: 24)
+    caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
+    params, u, beta = TAIL_POINT
+    closed = wigner_beta(evolved_state(params, u), beta)
+    oracle, dim = fock.numeric_wigner(params, u, beta)
+    assert verify._rel_err(closed, oracle) <= 1e-7
+    outcomes = [outcome for _, _, outcome in fock_records(caplog)]
+    assert "thermal tail weight" in outcomes[0]
+    # past the edge-mass gate, the self-check alone still grows N
+    assert "N and N + 20 disagree" in outcomes
+    assert outcomes.index("accepted") == len(outcomes) - 1
+
+
+def test_truncation_attempts_are_logged(monkeypatch, caplog, capsys):
+    monkeypatch.setattr(fock, "suggest_dim", lambda params, u: 24)
+    caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
+    oracle, dim = fock.numeric_wigner(ModelParams(alpha_mag=2.0), 0.0,
+                                      0.1 + 0.2j)
+    what = "Wigner density at beta = (0.1+0.2j), u = 0.0"
+    (first, first_dim, rejected), accepted = fock_records(caplog)
+    assert (first, first_dim) == (what, 24)
+    assert rejected.startswith("evolved state carries") \
+        and "truncation edge at dim 24" in rejected
+    assert accepted == (what, 30, "accepted") and dim == 50
+    for rec in caplog.records:
+        assert rec.levelno == logging.DEBUG and rec.args[3] >= 0.0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_verification_light_grid_passes():
@@ -203,14 +256,19 @@ def test_verification_light_grid_passes():
         assert entry["rel_err"] <= 1e-6
 
 
-def test_slab_never_starts_above_the_truncation_cap(monkeypatch):
+@pytest.mark.parametrize("run", [
+    lambda: verify.moment_slab_report(3.0, 3.0, (0.0,), (0.0,)),
+    lambda: fock.numeric_wigner(ModelParams(alpha_mag=0.0, squeeze_mag=3.0),
+                                3.0, 0j),
+], ids=["slab", "numeric_wigner"])
+def test_slab_never_starts_above_the_truncation_cap(run, monkeypatch):
     calls = []
     monkeypatch.setattr(fock, "suggest_dim",
-                        lambda params, u: verify.MAX_DIM + 1)
-    monkeypatch.setattr(verify, "_slab_moments",
+                        lambda params, u: fock.MAX_DIM + 1)
+    monkeypatch.setattr(fock, "squeezed_fock_ladder",
                         lambda *args: calls.append(args))
-    with pytest.raises(fock.TruncationError, match=str(verify.MAX_DIM)):
-        verify.moment_slab_report(3.0, 3.0, (0.0,), (0.0,))
+    with pytest.raises(fock.TruncationError, match=str(fock.MAX_DIM)):
+        run()
     assert calls == []
 
 
@@ -391,8 +449,12 @@ def record_slab_dims(monkeypatch):
     original = verify._slab_moments
 
     def recording(r, u, nbars, alphas, dim):
-        result = original(r, u, nbars, alphas, dim)
-        calls.append((dim, result is not None))
+        try:
+            result = original(r, u, nbars, alphas, dim)
+        except fock.TruncationError:
+            calls.append((dim, False))
+            raise
+        calls.append((dim, True))
         return result
 
     monkeypatch.setattr(verify, "_slab_moments", recording)
