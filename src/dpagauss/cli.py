@@ -205,11 +205,20 @@ def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
             f"{' ' + extra if extra else ''}\n")
 
 
+def _check_finite(values: dict) -> None:
+    """Raise ``UsageError`` naming the float values that are not finite."""
+    non_finite = [name for name, value in values.items()
+                  if isinstance(value, float) and not math.isfinite(value)]
+    if non_finite:
+        raise UsageError(f"{', '.join(sorted(non_finite))} not finite in "
+                         "double precision for these inputs")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     state = evolved_state(_params(args), args.u)
     try:
         mandel = statistics.mandel_q(state)
-    except ValueError:
+    except statistics.VacuumError:
         mandel = None
     factor = nonclassicality.classicality_factor(args.nbar, args.r, args.u)
     report = {
@@ -229,15 +238,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             args.nbar, args.r, args.u),
         "squeezing_criterion": nonclassicality.squeezing_criterion(
             args.nbar, args.r, args.theta, args.lam, args.u),
+        "crossover_u": nonclassicality.crossover_time(args.nbar, args.r),
     }
-    crossover = nonclassicality.crossover_time(args.nbar, args.r)
-    report["crossover_u"] = crossover
-    non_finite = sorted(name for name, value in report.items()
-                        if isinstance(value, float)
-                        and not math.isfinite(value))
-    if non_finite:
-        raise UsageError(f"{', '.join(non_finite)} not finite in double "
-                         "precision for these inputs")
+    _check_finite(report)
     _write(args, json.dumps(report, indent=2, sort_keys=True,
                             allow_nan=False) + "\n")
     return 0
@@ -269,11 +272,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         state = EvolvedState(amp, u + r, theta, nbar)
         try:
             mandel = statistics.mandel_q(state)
-        except ValueError:
-            mandel = math.nan
-        floats = ",".join(_fmt(x) for x in (
-            u, mandel, quad, statistics.mean_photon(state),
-            statistics.photon_variance(state)))
+        except statistics.VacuumError:
+            mandel = None
+        values = {"u": u, "mandel_q": mandel, "quad_variance": quad,
+                  "mean_photon": statistics.mean_photon(state),
+                  "photon_variance": statistics.photon_variance(state)}
+        _check_finite(values)
+        floats = ",".join("nan" if x is None else _fmt(x)
+                          for x in values.values())
         flags = ",".join("1" if b else "0" for b in (
             squeezed_u, nonclassicality.p_representation_exists(nbar, r, u),
             nonclassicality.field_nonclassical(nbar, r, u)))

@@ -10,20 +10,14 @@ with coefficients c sqrt(...) below and -c^* sqrt(...) above the diagonal.
 A diagonal phase R = diag(e^{i j arg c}) turns each into a real
 antisymmetric chain K; for real c, as on the oracle grid at phase 0, R is
 the identity and a real block stays real.  One real kernel applies exp(K)
-to a float64 block (a complex block runs as its float view) by one of two
-methods:
+to a float64 block (a complex block runs as its float view), with one
+propagator per generator:
 
-* a real symmetric tridiagonal eigensolve, exactly orthogonal, for every
-  squeeze, for truncations of at most 512 levels and for displacements
-  whose spectral radius 2 |alpha| sqrt(N) exceeds 1.5 N.  With D = diag(i^j)
-  and T the symmetric chain with the off-diagonals of K, K = D (-i T) D^*,
-  so exp(K) = D V e^{-i w} V^T D^*; its real part separates by row parity
-  into cos w and sin w terms on the even and odd rows of V;
-* otherwise the Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem.
-  Phys. 81, 3967 (1984)) in the Bessel coefficients J_k(radius), which for
-  an antisymmetric K is the real recurrence Q_{k+1} = (2K/radius) Q_k +
-  Q_{k-1}: one in-place sparse product and one axpy per degree, orthogonal
-  to machine precision.
+* every displacement, the Chebyshev expansion of Tal-Ezer and Kosloff
+  (J. Chem. Phys. 81, 3967 (1984)): a real recurrence with one in-place
+  sparse product and one axpy per degree, orthogonal to machine precision;
+* every squeeze, a real symmetric tridiagonal eigensolve, exactly
+  orthogonal, whose cos and sin terms separate by row parity.
 
 The eigensolve is full (LAPACK stevd) for dense input blocks such as the
 identity behind ``squeeze_op``.  When the input is supported only on the
@@ -31,8 +25,8 @@ first ``height`` rows of a chain of at least 1024 + 64 * height levels, as
 for the squeezed thermal ladder, it solves only the eigenpairs in a window
 |lambda| <= L: bisection to full relative accuracy (stebz), then inverse
 iteration (stein) over blocks of 32 consecutive eigenvalues, O(N) per
-eigenpair.  The off-diagonals of both generators grow along the chain, so
-an eigenvector is evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L
+eigenpair.  The off-diagonals of a squeeze chain grow along it, so an
+eigenvector is evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L
 grows by half until the eigenvectors at the window edge carry at most
 1e-16 on the support, and the dropped eigenpairs cannot reach the input.
 The rule reads the chain alone, never a closed-form moment.  Each windowed
@@ -52,7 +46,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,7 +57,8 @@ from scipy.linalg.blas import daxpy
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 from scipy.special import erfcinv, jv
 
-from .model import ModelParams, evolved_state, hamiltonian_coeffs
+from .model import (EvolvedState, ModelParams, evolved_state,
+                    hamiltonian_coeffs)
 
 SELF_CHECK_RTOL = 1e-8
 EDGE_MASS_TOL = 1e-9
@@ -91,11 +86,6 @@ _BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
 # eigenvalues per inverse-iteration call: stein's reorthogonalization costs
 # O(N k^2) in the k eigenvalues of one call
 _STEIN_BLOCK = 32
-# apply_displacement uses the Chebyshev propagator above this many levels
-# when its spectral radius estimate 2 |alpha| sqrt(N) is at most this
-# fraction of N, and the eigensolve otherwise
-_CHEBYSHEV_MIN_DIM = 512
-_CHEBYSHEV_MAX_RADIUS = 1.5
 
 _log = logging.getLogger(__name__)
 
@@ -257,21 +247,15 @@ def _apply_chain(coeff: complex, root: np.ndarray, block: np.ndarray,
 
 
 def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
-    """exp(alpha a^dag - alpha* a) @ vecs.
+    """exp(alpha a^dag - alpha* a) @ vecs, by the Chebyshev propagator.
 
     The generator couples neighboring levels only, with coefficient
-    alpha sqrt(n+1).  Its spectral radius grows like 2 |alpha| sqrt(dim)
-    only, so the Chebyshev propagator beats the eigensolve on large
-    truncations with modest displacement; otherwise the exact tridiagonal
-    eigensolve is used.  Real alpha on a real block gives a real result.
+    alpha sqrt(n+1), so its spectral radius grows like 2 |alpha| sqrt(dim)
+    and the expansion degree with it.  Real alpha on a real block gives a
+    real result; alpha = 0 returns a copy of the block.
     """
-    dim = vecs.shape[0]
-    radius_estimate = 2.0 * abs(alpha) * math.sqrt(dim)
-    chebyshev = dim > _CHEBYSHEV_MIN_DIM and \
-        radius_estimate <= _CHEBYSHEV_MAX_RADIUS * dim
-    return _apply_chain(complex(alpha),
-                        np.sqrt(np.arange(1, dim, dtype=float)), vecs,
-                        chebyshev)
+    root = np.sqrt(np.arange(1, vecs.shape[0], dtype=float))
+    return _apply_chain(complex(alpha), root, vecs, True)
 
 
 def apply_squeeze(xi: complex, vecs: np.ndarray) -> np.ndarray:
@@ -489,8 +473,8 @@ def occupation_tail_scale(nbar: float, eff_squeeze: float) -> float:
     return max(2.0, 1.0 / rate)
 
 
-def suggest_dim(params: ModelParams, u: float) -> int:
-    """Truncation sized so the N versus N + 20 self-check passes first try.
+def suggest_dim(state: EvolvedState) -> int:
+    """Truncation at which the self-check of ``state`` passes first try.
 
     Solves mean + nu * log(margin) for the dimension at which the geometric
     occupation tail can no longer move the second moment by more than
@@ -504,10 +488,9 @@ def suggest_dim(params: ModelParams, u: float) -> int:
     from .statistics import (mean_photon, photon_variance, quad_mean,
                              quad_variance_state)
 
-    state = evolved_state(params, u)
     mean = mean_photon(state)
     spread = math.sqrt(max(photon_variance(state), 1.0))
-    nu = occupation_tail_scale(params.nbar, state.eff_squeeze)
+    nu = occupation_tail_scale(state.nbar, state.eff_squeeze)
     m2_scale = max(1.0, photon_variance(state) + mean ** 2)
     # slice prefactor calibrated against measured N vs N+20 differences
     dim = mean + spread + 10.0 * nu
@@ -561,8 +544,9 @@ def numeric_wigner(params: ModelParams, u: float,
 
     W(beta) = (2/pi) Tr[rho D(beta) (-1)^n D^dag(beta)] (Royer, Phys. Rev. A
     15, 449 (1977)) = (2/pi) sum_n (-1)^n P_n, with P_n = sum_k w_k
-    |<n| D(A - beta) S((u + r) e^{i theta}) |k>|^2 and w_k thermal.  Its
-    self-check scale is the verification gate's, max(|W|, RELATIVE_FLOOR).
+    |<n| D(A - beta) S((u + r) e^{i theta}) |k>|^2 and w_k thermal, sized by
+    ``suggest_dim`` on the state displaced by -beta.  Its self-check scale
+    is the verification gate's, max(|W|, RELATIVE_FLOOR).
     """
     state = evolved_state(params, u)
     xi = state.eff_squeeze * np.exp(1j * state.squeeze_phase)
@@ -575,5 +559,5 @@ def numeric_wigner(params: ModelParams, u: float,
         return 2.0 / math.pi * float(prob[0::2].sum() - prob[1::2].sum())
 
     return _self_checked(parity_sum, lambda w: (w,), RELATIVE_FLOOR,
-                         suggest_dim(params, u),
+                         suggest_dim(replace(state, displacement=shift)),
                          f"Wigner density at beta = {beta}, u = {u}")

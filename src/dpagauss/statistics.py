@@ -17,9 +17,23 @@ from .model import (EvolvedState, ModelParams, _check_u, _tanh_half,
 
 _VACUUM = ("Mandel parameter undefined for the vacuum (mean photon number "
            "is zero)")
-# mandel_q_curve's bound on the rounding error of Q: eps (nbar + 1/2)
+# the Mandel parameter's bound on its rounding error: eps (nbar + 1/2)
 # cosh 2(u + r) |A|^2 / <n>, from the cancelling displacement term of Var n
 Q_ROUNDING_TOL = 1e-4
+
+
+class VacuumError(ValueError):
+    """The Mandel parameter of the vacuum, whose mean photon number is 0."""
+
+
+def _check_mandel(nbar: float, ch2, abs2, n) -> None:
+    """The vacuum and ``Q_ROUNDING_TOL`` guards of Q at <n> = n,
+    cosh 2(u + r) = ch2 and |A|^2 = abs2, scalars or arrays."""
+    lost = math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2 * abs2 >= n
+    # the vacuum, n = 0, fails the rounding test too; a scalar gives a bool
+    if lost if isinstance(lost, bool) else lost.any():
+        raise VacuumError(_VACUUM) if np.any(n <= 0) else ValueError(
+            "Mandel parameter lost to rounding past Q_ROUNDING_TOL")
 
 
 def quad_mean(state: EvolvedState, lam: float) -> float:
@@ -117,11 +131,12 @@ def mandel_q(state: EvolvedState) -> float:
     """Mandel parameter (var_n - mean_n) / mean_n; bounded below by -1.
 
     Negative values certify sub-Poissonian (nonclassical) statistics.
-    Undefined for the vacuum (mean_n = 0).
+    Raises ``VacuumError`` for the vacuum (mean_n = 0), and ``ValueError``
+    where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
     """
     n = mean_photon(state)
-    if n <= 0:
-        raise ValueError(_VACUUM)
+    _check_mandel(state.nbar, math.cosh(2.0 * state.eff_squeeze),
+                  abs(state.displacement) ** 2, n)
     return (photon_variance(state) - n) / n
 
 
@@ -134,7 +149,7 @@ def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
     """
     den = (nbar + 0.5) * math.cosh(2.0 * r) + alpha_mag ** 2 - 0.5
     if den <= 0:
-        raise ValueError(_VACUUM)
+        raise VacuumError(_VACUUM)
     num = ((nbar + 0.5) ** 2 * math.cosh(4.0 * r)
            + ((2.0 * nbar + 1.0) * math.exp(-2.0 * r) - 1.0) * alpha_mag ** 2
            - (nbar + 0.5) * math.cosh(2.0 * r) + 0.25)
@@ -147,8 +162,8 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
 
     Used by the critical-point machinery; requires r > 0.  Raises
     ``FloatingPointError`` where the curve overflows (cosh 4(u + r) from
-    u + r of about 177.6), and ``ValueError`` for the vacuum, as ``mandel_q``
-    does, and where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
+    u + r of about 177.6), and the errors of ``mandel_q`` for the vacuum and
+    where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
     """
     params = ModelParams(alpha_mag=alpha_mag, alpha_phase=0.0, squeeze_mag=r,
                          squeeze_phase=0.0, nbar=nbar)
@@ -158,11 +173,7 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     abs2 = np.abs(amp) ** 2
     ch2 = np.cosh(2.0 * rho)
     n = (nbar + 0.5) * ch2 + abs2 - 0.5
-    # the vacuum, n = 0, fails the rounding test too
-    if np.count_nonzero(math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2
-                        * abs2 >= n):
-        raise ValueError(_VACUUM if (n <= 0).any() else "Mandel parameter "
-                         "lost to rounding past Q_ROUNDING_TOL")
+    _check_mandel(nbar, ch2, abs2, n)
     pair_term = 2.0 * (amp * amp).real
     var = ((nbar + 0.5) ** 2 * np.cosh(4.0 * rho)
            + (nbar + 0.5) * (2.0 * ch2 * abs2

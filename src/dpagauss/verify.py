@@ -110,10 +110,7 @@ def _slab_moments(r: float, u: float, nbars: Sequence[float],
     out = {}
     for alpha in alphas:
         state = evolved_state(_cell_params(0.0, r, alpha), u)
-        if alpha == 0.0:
-            displaced = ladder
-        else:
-            displaced = fock.apply_displacement(state.displacement, ladder)
+        displaced = fock.apply_displacement(state.displacement, ladder)
         for nbar in nbars:
             out[(nbar, alpha)] = fock.ensemble_moments(
                 displaced[:, :len(weights[nbar])], weights[nbar])
@@ -124,8 +121,9 @@ def _slab_dim(r: float, u: float, nbars: Sequence[float],
               alphas: Sequence[float]) -> int:
     """The first truncation a moment slab tries: the largest its cells
     suggest."""
-    return max(fock.suggest_dim(_cell_params(nbar, r, alpha), u)
-               for nbar in nbars for alpha in alphas)
+    return max(map(fock.suggest_dim, (
+        evolved_state(_cell_params(nbar, r, alpha), u)
+        for nbar in nbars for alpha in alphas)))
 
 
 def moment_slab_report(r: float, u: float, nbars: Sequence[float],
@@ -153,7 +151,7 @@ def evolution_cell_report(nbar: float, r: float, alpha: float,
     """Trace distance between Hamiltonian evolution and the displaced-squeezed
     construction at matching truncations."""
     params = _cell_params(nbar, r, alpha)
-    dim = max(fock.suggest_dim(params, u), 96)
+    dim = max(fock.suggest_dim(evolved_state(params, u)), 96)
     tau = u * params.prep_time / r
     rho_h = fock.evolve_via_hamiltonian(params, params.prep_time + tau, dim)
     rho_g = fock.build_rho_evolved(params, u, dim)

@@ -104,6 +104,8 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
      "photon_variance overflows"),
     # finite inputs whose photon variance is +inf in double precision
     (["eval", "--nbar", "1.3e154", "--r", "0.1"], "photon_variance not finite"),
+    (["sweep", "--nbar", "1.3e154", "--r", "0.1", "--u-stop", "0.5",
+      "--u-steps", "2"], "photon_variance not finite"),
     # cosh 2r rounds to 1, so the squeezed vacuum has no photons at u = 0:
     # Q is 0/0 at r = 4e-9 and x/0 at r = 5e-9
     (["critical", "--nbar", "0", "--r", "4e-9"], "undefined for the vacuum"),
@@ -113,9 +115,16 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
     # Var n's displacement term cancels to rounding noise near u = 9.4
     (["critical", "--nbar", "75351050109549", "--r", "1.310771115913621e-31"],
      "lost to rounding"),
+    # the same cancellation printed Q = -1 where Q is about 1.03e6
+    (["eval", "--nbar", "7.5e13", "--r", "1.3e-31", "--alpha", "0.25",
+      "--u", "9.4"], "lost to rounding"),
+    (["sweep", "--nbar", "7.5e13", "--r", "1.3e-31", "--alpha", "0.25",
+      "--u-start", "9.3", "--u-stop", "9.4", "--u-steps", "2"],
+     "lost to rounding"),
 ], ids=["eval-u200", "critical-r400", "eval-nbar1e200", "sweep-u200",
-        "sweep-nbar1e300", "eval-infinite-variance", "critical-vacuum-0/0",
-        "critical-vacuum-x/0", "critical-unresolved", "critical-rounding"])
+        "sweep-nbar1e300", "eval-infinite-variance", "sweep-infinite-variance",
+        "critical-vacuum-0/0", "critical-vacuum-x/0", "critical-unresolved",
+        "critical-rounding", "eval-rounding", "sweep-rounding"])
 def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1

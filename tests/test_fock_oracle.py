@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,12 +53,26 @@ def test_displacement_operator():
 
 
 def test_displacement_chebyshev_path_matches_dense_exponential():
-    dim = 680  # above the eigensolver cutoff
-    alpha = 1.3 + 0.4j
-    a = fock.annihilation(dim)
-    dense = sla.expm(alpha * a.conj().T - np.conj(alpha) * a)
-    fast = fock.displacement_op(alpha, dim)
-    assert np.abs(dense - fast).max() < 1e-10
+    # a large truncation with a modest shift, and a small one whose spectral
+    # radius 2 |alpha| sqrt(N) is about 2 N
+    for dim, alpha in ((680, 1.3 + 0.4j), (120, 9.0 - 6.3j)):
+        a = fock.annihilation(dim)
+        dense = sla.expm(alpha * a.conj().T - np.conj(alpha) * a)
+        fast = fock.displacement_op(alpha, dim)
+        assert np.abs(dense - fast).max() < 1e-10
+
+
+def test_displacement_never_runs_the_eigensolve(monkeypatch):
+    ladder = fock.squeezed_fock_ladder(48, 0.5, 300)
+
+    def eigensolve(*args):
+        raise AssertionError("a displacement ran the eigensolve")
+
+    monkeypatch.setattr(fock, "_eigh_reaching", eigensolve)
+    d_mat = fock.displacement_op(0.8 - 0.5j, 60)
+    assert np.abs(d_mat.conj().T @ d_mat - np.eye(60)).max() < 1e-10
+    displaced = fock.apply_displacement(2.0, ladder)
+    assert np.abs(np.linalg.norm(displaced, axis=0) - 1.0).max() <= 1e-12
 
 
 def test_squeeze_operator():
@@ -127,7 +142,7 @@ def test_hamiltonian_evolution_matches_construction(alpha_mag, phi, r, theta,
                                                     nbar):
     params = ModelParams(alpha_mag=alpha_mag, alpha_phase=phi, squeeze_mag=r,
                          squeeze_phase=theta, nbar=nbar)
-    dim = max(fock.suggest_dim(params, 0.3), 96)
+    dim = max(fock.suggest_dim(evolved_state(params, 0.3)), 96)
     # preparation stage reproduces the displaced-squeezed construction
     rho_h = fock.evolve_via_hamiltonian(params, params.prep_time, dim)
     rho_g = fock.build_rho_evolved(params, 0.0, dim)
@@ -199,10 +214,13 @@ TAIL_POINT = (ModelParams(alpha_mag=0.0519, alpha_phase=-1.9971,
 
 def test_numeric_wigner_self_check_resolves_the_tail():
     params, u, beta = TAIL_POINT
-    closed = wigner_beta(evolved_state(params, u), beta)
+    state = evolved_state(params, u)
+    closed = wigner_beta(state, beta)
     oracle, dim = fock.numeric_wigner(params, u, beta)
     assert verify._rel_err(closed, oracle) <= 1e-7
-    assert dim > fock.suggest_dim(params, u) + 20
+    # sized on the state displaced by -beta, which the parity sum reads
+    shifted = replace(state, displacement=state.displacement - beta)
+    assert dim > fock.suggest_dim(shifted) + 20
 
 
 def fock_records(caplog):
@@ -212,7 +230,7 @@ def fock_records(caplog):
 
 
 def test_numeric_wigner_grows_a_short_truncation(monkeypatch, caplog):
-    monkeypatch.setattr(fock, "suggest_dim", lambda params, u: 24)
+    monkeypatch.setattr(fock, "suggest_dim", lambda state: 24)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     params, u, beta = TAIL_POINT
     closed = wigner_beta(evolved_state(params, u), beta)
@@ -226,7 +244,7 @@ def test_numeric_wigner_grows_a_short_truncation(monkeypatch, caplog):
 
 
 def test_truncation_attempts_are_logged(monkeypatch, caplog, capsys):
-    monkeypatch.setattr(fock, "suggest_dim", lambda params, u: 24)
+    monkeypatch.setattr(fock, "suggest_dim", lambda state: 24)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     oracle, dim = fock.numeric_wigner(ModelParams(alpha_mag=2.0), 0.0,
                                       0.1 + 0.2j)
@@ -264,7 +282,7 @@ def test_verification_light_grid_passes():
 def test_slab_never_starts_above_the_truncation_cap(run, monkeypatch):
     calls = []
     monkeypatch.setattr(fock, "suggest_dim",
-                        lambda params, u: fock.MAX_DIM + 1)
+                        lambda state: fock.MAX_DIM + 1)
     monkeypatch.setattr(fock, "squeezed_fock_ladder",
                         lambda *args: calls.append(args))
     with pytest.raises(fock.TruncationError, match=str(fock.MAX_DIM)):
@@ -471,14 +489,15 @@ def test_default_heavy_displacement_slab_accepted_first_try(monkeypatch):
 
 
 def test_suggest_dim_does_not_grow_heavy_squeeze_slab():
-    dims = [fock.suggest_dim(verify._cell_params(nbar, 1.0, alpha), 2.0)
+    dims = [fock.suggest_dim(evolved_state(
+                verify._cell_params(nbar, 1.0, alpha), 2.0))
             for nbar in verify.DEFAULT_NBARS
             for alpha in verify.DEFAULT_ALPHAS]
     assert max(dims) <= 11831
 
 
 def test_rejected_truncation_grows_by_at_most_a_quarter(monkeypatch):
-    monkeypatch.setattr(fock, "suggest_dim", lambda params, u: 40)
+    monkeypatch.setattr(fock, "suggest_dim", lambda state: 40)
     calls = record_slab_dims(monkeypatch)
     report = verify.moment_slab_report(0.1, 0.4, (0.5,), (0.8,))
     assert verify.all_passed(report)
