@@ -205,9 +205,9 @@ def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
             f"{' ' + extra if extra else ''}\n")
 
 
-def _check_finite(values: dict) -> None:
+def _check_finite(names, values) -> None:
     """Raise ``UsageError`` naming the float values that are not finite."""
-    non_finite = [name for name, value in values.items()
+    non_finite = [name for name, value in zip(names, values)
                   if isinstance(value, float) and not math.isfinite(value)]
     if non_finite:
         raise UsageError(f"{', '.join(sorted(non_finite))} not finite in "
@@ -240,7 +240,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             args.nbar, args.r, args.theta, args.lam, args.u),
         "crossover_u": nonclassicality.crossover_time(args.nbar, args.r),
     }
-    _check_finite(report)
+    _check_finite(report.keys(), report.values())
     _write(args, json.dumps(report, indent=2, sort_keys=True,
                             allow_nan=False) + "\n")
     return 0
@@ -258,9 +258,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [_csv_header(args, extra=(f"u_start={_fmt(args.u_start)} "
                                       f"u_stop={_fmt(args.u_stop)} "
                                       f"u_steps={args.u_steps}"))]
-    lines.append("u,mandel_q,quad_variance,mean_photon,photon_variance,"
-                 "squeezing_criterion,p_representation_exists,"
-                 "field_nonclassical\n")
+    keys = ("u", "mandel_q", "quad_variance", "mean_photon", "photon_variance")
+    lines.append(f"{','.join(keys)},squeezing_criterion,"
+                 "p_representation_exists,field_nonclassical\n")
     nbar, r, theta, lam = args.nbar, args.r, args.theta, args.lam
     # numpy-valued formulas over all rows at once, with the per-row bits
     us = args.u_start + np.arange(args.u_steps) * step
@@ -270,16 +270,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for u, amp, quad, squeezed_u in zip(us.tolist(), amps.tolist(),
                                         quads.tolist(), squeezed.tolist()):
         state = EvolvedState(amp, u + r, theta, nbar)
+        n = statistics.mean_photon(state)
+        var = statistics.photon_variance(state)
         try:
-            mandel = statistics.mandel_q(state)
+            mandel = statistics._guarded_q(nbar, math.cosh(2.0 * (u + r)),
+                                           abs(amp) ** 2, n, var)
         except statistics.VacuumError:
             mandel = None
-        values = {"u": u, "mandel_q": mandel, "quad_variance": quad,
-                  "mean_photon": statistics.mean_photon(state),
-                  "photon_variance": statistics.photon_variance(state)}
-        _check_finite(values)
-        floats = ",".join("nan" if x is None else _fmt(x)
-                          for x in values.values())
+        values = (u, mandel, quad, n, var)
+        _check_finite(keys, values)
+        floats = ",".join("nan" if x is None else _fmt(x) for x in values)
         flags = ",".join("1" if b else "0" for b in (
             squeezed_u, nonclassicality.p_representation_exists(nbar, r, u),
             nonclassicality.field_nonclassical(nbar, r, u)))

@@ -17,8 +17,9 @@ from .model import (EvolvedState, ModelParams, _check_u, _tanh_half,
 
 _VACUUM = ("Mandel parameter undefined for the vacuum (mean photon number "
            "is zero)")
-# the Mandel parameter's bound on its rounding error: eps (nbar + 1/2)
-# cosh 2(u + r) |A|^2 / <n>, from the cancelling displacement term of Var n
+# caps eps (nbar + 1/2) cosh 2(u + r) |A|^2 / <n>, the bound on the Mandel
+# parameter's rounding error from the cancelling term of Var n, at
+# Q_ROUNDING_TOL max(1, |Q|): absolute near Q = 0, relative where |Q| > 1
 Q_ROUNDING_TOL = 1e-4
 
 
@@ -26,14 +27,16 @@ class VacuumError(ValueError):
     """The Mandel parameter of the vacuum, whose mean photon number is 0."""
 
 
-def _check_mandel(nbar: float, ch2, abs2, n) -> None:
-    """The vacuum and ``Q_ROUNDING_TOL`` guards of Q at <n> = n,
-    cosh 2(u + r) = ch2 and |A|^2 = abs2, scalars or arrays."""
-    lost = math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2 * abs2 >= n
-    # the vacuum, n = 0, fails the rounding test too; a scalar gives a bool
+def _guarded_q(nbar: float, ch2, abs2, n, var):
+    """Q = (var - n) / n behind the vacuum and rounding guards, at
+    cosh 2(u + r) = ch2 and |A|^2 = abs2; scalars or arrays."""
+    bound = math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2 * abs2
+    # bound >= n max(1, |Q|), with n |Q| = |var - n|; a scalar gives a bool
+    lost = (n <= 0) | ((bound >= n) & (bound >= abs(var - n)))
     if lost if isinstance(lost, bool) else lost.any():
         raise VacuumError(_VACUUM) if np.any(n <= 0) else ValueError(
             "Mandel parameter lost to rounding past Q_ROUNDING_TOL")
+    return (var - n) / n
 
 
 def quad_mean(state: EvolvedState, lam: float) -> float:
@@ -134,10 +137,9 @@ def mandel_q(state: EvolvedState) -> float:
     Raises ``VacuumError`` for the vacuum (mean_n = 0), and ``ValueError``
     where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
     """
-    n = mean_photon(state)
-    _check_mandel(state.nbar, math.cosh(2.0 * state.eff_squeeze),
-                  abs(state.displacement) ** 2, n)
-    return (photon_variance(state) - n) / n
+    return _guarded_q(state.nbar, math.cosh(2.0 * state.eff_squeeze),
+                      abs(state.displacement) ** 2, mean_photon(state),
+                      photon_variance(state))
 
 
 def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
@@ -173,9 +175,8 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     abs2 = np.abs(amp) ** 2
     ch2 = np.cosh(2.0 * rho)
     n = (nbar + 0.5) * ch2 + abs2 - 0.5
-    _check_mandel(nbar, ch2, abs2, n)
     pair_term = 2.0 * (amp * amp).real
     var = ((nbar + 0.5) ** 2 * np.cosh(4.0 * rho)
            + (nbar + 0.5) * (2.0 * ch2 * abs2
                              - np.sinh(2.0 * rho) * pair_term) - 0.25)
-    return (var - n) / n
+    return _guarded_q(nbar, ch2, abs2, n, var)

@@ -121,9 +121,8 @@ def _slab_dim(r: float, u: float, nbars: Sequence[float],
               alphas: Sequence[float]) -> int:
     """The first truncation a moment slab tries: the largest its cells
     suggest."""
-    return max(map(fock.suggest_dim, (
-        evolved_state(_cell_params(nbar, r, alpha), u)
-        for nbar in nbars for alpha in alphas)))
+    return max(fock.suggest_dim(evolved_state(_cell_params(nbar, r, alpha), u))
+               for nbar in nbars for alpha in alphas)
 
 
 def moment_slab_report(r: float, u: float, nbars: Sequence[float],

@@ -134,6 +134,24 @@ def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     assert "(34," not in err and "range error" not in err
 
 
+# phi = pi/2, theta = 0: the displacement term of Var n adds up, so Q of
+# about 8.4e12 at u = 14 is exact to a few ulp while the rounding bound,
+# about 3e-4, is only small relative to Q
+@pytest.mark.parametrize("args", [
+    ["eval", "--r", "1", "--alpha", "1", "--phi", "1.5707963267948966",
+     "--u", "14"],
+    ["sweep", "--r", "1", "--alpha", "1", "--phi", "1.5707963267948966",
+     "--u-start", "13", "--u-stop", "14", "--u-steps", "3"],
+], ids=["eval", "sweep"])
+def test_large_mandel_q_passes_the_rounding_guard(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    mandel = (strict_json(out)["mandel_q"] if args[0] == "eval"
+              else float(out.splitlines()[-1].split(",")[1]))
+    # 50-digit evaluation of the closed form: 8417378512537.7353
+    assert mandel == pytest.approx(8417378512537.7353, rel=1e-13)
+
+
 @pytest.mark.parametrize("args", [
     ["critical", "--r", "400"],
     ["eval", "--r", "1e-300", "--alpha", "1e10", "--u", "1"],
