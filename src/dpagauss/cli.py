@@ -280,9 +280,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = (u, mandel, quad, n, var)
         _check_finite(keys, values)
         floats = ",".join("nan" if x is None else _fmt(x) for x in values)
+        p_density = nonclassicality.p_representation_exists(nbar, r, u)
         flags = ",".join("1" if b else "0" for b in (
-            squeezed_u, nonclassicality.p_representation_exists(nbar, r, u),
-            nonclassicality.field_nonclassical(nbar, r, u)))
+            squeezed_u, p_density, not p_density))
         lines.append(f"{floats},{flags}\n")
     _write(args, "".join(lines))
     return 0

@@ -28,12 +28,12 @@ class VacuumError(ValueError):
 
 
 def _guarded_q(nbar: float, ch2, abs2, n, var):
-    """Q = (var - n) / n behind the vacuum and rounding guards, at
-    cosh 2(u + r) = ch2 and |A|^2 = abs2; scalars or arrays."""
+    """Q = (var - n) / n, scalars or arrays, behind the Mandel guards."""
     bound = math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2 * abs2
-    # bound >= n max(1, |Q|), with n |Q| = |var - n|; a scalar gives a bool
-    lost = (n <= 0) | ((bound >= n) & (bound >= abs(var - n)))
-    if lost if isinstance(lost, bool) else lost.any():
+    # bound >= n max(1, |Q|) = max(n, |var - n|) and n = 0 need bound >= n
+    lost = bound >= n
+    if (lost if isinstance(lost, bool) else np.count_nonzero(lost)) \
+            and np.any(lost & (bound >= abs(var - n)) | (n <= 0)):
         raise VacuumError(_VACUUM) if np.any(n <= 0) else ValueError(
             "Mandel parameter lost to rounding past Q_ROUNDING_TOL")
     return (var - n) / n
