@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, nonclassicality, statistics, wigner
-from .model import (EvolvedState, ModelParams, displacement_amplitude,
-                    evolved_state)
+from .model import ModelParams, evolved_state
 
 USAGE_ERROR = 1
 GATE_ERROR = 2
@@ -206,9 +205,10 @@ def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
 
 
 def _check_finite(names, values) -> None:
-    """Raise ``UsageError`` naming the float values that are not finite."""
+    """Raise ``UsageError`` naming the floats or arrays that are not finite."""
     non_finite = [name for name, value in zip(names, values)
-                  if isinstance(value, float) and not math.isfinite(value)]
+                  if isinstance(value, (float, np.ndarray))
+                  and not np.isfinite(value).all()]
     if non_finite:
         raise UsageError(f"{', '.join(sorted(non_finite))} not finite in "
                          "double precision for these inputs")
@@ -251,39 +251,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("u_steps must be >= 2")
     if not (args.u_stop > args.u_start >= 0):
         raise UsageError("need u_stop > u_start >= 0")
-    params = _params(args)
-    # the model's guards, before any row: r = 0 or u + r past the guard
-    evolved_state(params, args.u_stop)
     step = (args.u_stop - args.u_start) / (args.u_steps - 1)
+    us = args.u_start + np.arange(args.u_steps) * step
+    nbar, r, theta, lam = args.nbar, args.r, args.theta, args.lam
+    state = evolved_state(_params(args), us)
+    quads = statistics.quad_variance(nbar, r, theta, lam, us)
+    squeezed = nonclassicality.squeezing_criterion(nbar, r, theta, lam, us)
+    means = statistics.mean_photon(state)
+    variances = statistics.photon_variance(state)
+    mandels = statistics.mandel_q(state)
+    p_density = nonclassicality.p_representation_exists(nbar, r, us)
+    keys = ("u", "mandel_q", "quad_variance", "mean_photon", "photon_variance")
+    # nan marks the vacuum rows, where Q is undefined
+    _check_finite(keys, (us, mandels[means > 0], quads, means, variances))
     lines = [_csv_header(args, extra=(f"u_start={_fmt(args.u_start)} "
                                       f"u_stop={_fmt(args.u_stop)} "
                                       f"u_steps={args.u_steps}"))]
-    keys = ("u", "mandel_q", "quad_variance", "mean_photon", "photon_variance")
     lines.append(f"{','.join(keys)},squeezing_criterion,"
                  "p_representation_exists,field_nonclassical\n")
-    nbar, r, theta, lam = args.nbar, args.r, args.theta, args.lam
-    # numpy-valued formulas over all rows at once, with the per-row bits
-    us = args.u_start + np.arange(args.u_steps) * step
-    amps = displacement_amplitude(params, us)
-    quads = statistics.quad_variance(nbar, r, theta, lam, us)
-    squeezed = nonclassicality.squeezing_criterion(nbar, r, theta, lam, us)
-    for u, amp, quad, squeezed_u in zip(us.tolist(), amps.tolist(),
-                                        quads.tolist(), squeezed.tolist()):
-        state = EvolvedState(amp, u + r, theta, nbar)
-        n = statistics.mean_photon(state)
-        var = statistics.photon_variance(state)
-        try:
-            mandel = statistics._guarded_q(nbar, math.cosh(2.0 * (u + r)),
-                                           abs(amp) ** 2, n, var)
-        except statistics.VacuumError:
-            mandel = None
-        values = (u, mandel, quad, n, var)
-        _check_finite(keys, values)
-        floats = ",".join("nan" if x is None else _fmt(x) for x in values)
-        p_density = nonclassicality.p_representation_exists(nbar, r, u)
-        flags = ",".join("1" if b else "0" for b in (
-            squeezed_u, p_density, not p_density))
-        lines.append(f"{floats},{flags}\n")
+    columns = [map(_fmt, column.tolist())
+               for column in (us, mandels, quads, means, variances)]
+    columns += [map(str, flags.astype(int).tolist())
+                for flags in (squeezed, p_density, ~p_density)]
+    lines.extend(",".join(row) + "\n" for row in zip(*columns))
     _write(args, "".join(lines))
     return 0
 
@@ -378,10 +368,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     except ArithmeticError as exc:
         # the guards admit inputs at which a closed form overflows or
-        # divides by an underflowed value: name the innermost formula
+        # divides by an underflowed value: name the innermost public formula
         formula = "a closed form"
         for frame, _ in traceback.walk_tb(exc.__traceback__):
-            if frame.f_globals.get("__package__") == __package__:
+            if frame.f_globals.get("__package__") == __package__ \
+                    and frame.f_code.co_name[0].isalpha():
                 formula = frame.f_code.co_name
         sys.stderr.write(f"usage error: {formula} overflows double "
                          "precision for these inputs\n")

@@ -6,7 +6,7 @@ Three criteria are implemented side by side and never merged:
 * existence of a regular coherent-state quasiprobability, which fails (the
   field is nonclassical) exactly when (2 nbar + 1) e^{-2(u+r)} < 1;
 * the sign of the Mandel parameter, which unlike the first two depends on the
-  displacement magnitude.
+  displacement magnitude.  The other two broadcast over an ndarray of u.
 
 A negative Mandel parameter is sufficient but not necessary for field
 nonclassicality, so a classically behaved Mandel curve coexists happily with
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import _check_u
+from .model import _check_u, _libm
 from .statistics import mandel_q_curve, mandel_q_zero, quad_variance
 
 # the critical solve and the classification scan the same window [0, U_MAX]
@@ -82,23 +82,20 @@ class CriticalPointResult:
     mechanism: Mechanism
 
 
-def classicality_factor(nbar: float, r: float, u: float) -> float:
+def classicality_factor(nbar: float, r: float, u):
     """(2 nbar + 1) e^{-2(u + r)}; >= 1 iff a regular P density exists."""
-    return (2.0 * nbar + 1.0) * math.exp(-2.0 * (u + r))
+    return (2.0 * nbar + 1.0) * _libm(math.exp, -2.0 * (u + r))
 
 
-def p_representation_exists(nbar: float, r: float, u: float) -> bool:
+def p_representation_exists(nbar: float, r: float, u):
     """True iff the coherent-state quasiprobability is a regular density."""
-    # a scalar test, not model._check_u: its np.asarray costs about 19 us a
-    # row, which took the 2,401-row sweep from 36 to 81 ms
-    if u < 0:
-        raise ValueError("u must be >= 0")
+    _check_u(u)
     return classicality_factor(nbar, r, u) >= 1.0
 
 
-def field_nonclassical(nbar: float, r: float, u: float) -> bool:
+def field_nonclassical(nbar: float, r: float, u):
     """Negation of ``p_representation_exists``; monotone nondecreasing in u."""
-    return not p_representation_exists(nbar, r, u)
+    return p_representation_exists(nbar, r, u) ^ True  # bool or bool array
 
 
 def squeezing_criterion(nbar: float, r: float, theta: float, lam: float,

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .model import (EvolvedState, ModelParams, _check_u, _tanh_half,
+from .model import (EvolvedState, ModelParams, _check_u, _libm, _tanh_half,
                     displacement_amplitude)
 
 _VACUUM = ("Mandel parameter undefined for the vacuum (mean photon number "
@@ -32,7 +32,7 @@ def _guarded_q(nbar: float, ch2, abs2, n, var):
     bound = math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2 * abs2
     # bound >= n max(1, |Q|) = max(n, |var - n|) and n = 0 need bound >= n
     lost = bound >= n
-    if (lost if isinstance(lost, bool) else np.count_nonzero(lost)) \
+    if np.count_nonzero(lost) \
             and np.any(lost & (bound >= abs(var - n)) | (n <= 0)):
         raise VacuumError(_VACUUM) if np.any(n <= 0) else ValueError(
             "Mandel parameter lost to rounding past Q_ROUNDING_TOL")
@@ -104,13 +104,15 @@ def snr_max(params: ModelParams, u: float) -> float:
             / ((2.0 * params.nbar + 1.0) * math.exp(-2.0 * (u + r))))
 
 
-def mean_photon(state: EvolvedState) -> float:
+@np.errstate(over="ignore", invalid="ignore")
+def mean_photon(state: EvolvedState):
     """Mean photon number (nbar + 1/2) cosh[2(u+r)] + |A|^2 - 1/2."""
-    return ((state.nbar + 0.5) * math.cosh(2.0 * state.eff_squeeze)
-            + abs(state.displacement) ** 2 - 0.5)
+    return ((state.nbar + 0.5) * _libm(math.cosh, 2.0 * state.eff_squeeze)
+            + _libm(pow, _libm(abs, state.displacement), 2) - 0.5)
 
 
-def photon_variance(state: EvolvedState) -> float:
+@np.errstate(over="ignore", invalid="ignore")
+def photon_variance(state: EvolvedState):
     """Photon-number variance.
 
     (nbar + 1/2)^2 cosh[4(u+r)]
@@ -118,28 +120,33 @@ def photon_variance(state: EvolvedState) -> float:
                        - sinh[2(u+r)] * 2 Re(e^{-i theta} A^2) ) - 1/4
 
     The e^{i theta} A*^2 + e^{-i theta} A^2 combination is computed as
-    2 Re(e^{-i theta} A^2) to keep it exactly real.
+    2 Re(e^{-i theta} A^2), exactly real, rounded as Python's complex product.
     """
-    rho = state.eff_squeeze
-    amp = state.displacement
-    phase = complex(math.cos(state.squeeze_phase), -math.sin(state.squeeze_phase))
-    pair_term = 2.0 * (phase * amp * amp).real
-    return ((state.nbar + 0.5) ** 2 * math.cosh(4.0 * rho)
-            + (state.nbar + 0.5) * (2.0 * math.cosh(2.0 * rho) * abs(amp) ** 2
-                                    - math.sinh(2.0 * rho) * pair_term)
-            - 0.25)
+    nb_half, rho, amp = state.nbar + 0.5, state.eff_squeeze, state.displacement
+    c, s = math.cos(state.squeeze_phase), -math.sin(state.squeeze_phase)
+    pair_term = 2.0 * ((c * amp.real - s * amp.imag) * amp.real
+                       - (c * amp.imag + s * amp.real) * amp.imag)
+    return (nb_half ** 2 * _libm(math.cosh, 4.0 * rho)
+            + nb_half * (2.0 * _libm(math.cosh, 2.0 * rho)
+                         * _libm(pow, _libm(abs, amp), 2)
+                         - _libm(math.sinh, 2.0 * rho) * pair_term) - 0.25)
 
 
-def mandel_q(state: EvolvedState) -> float:
+@np.errstate(over="ignore", invalid="ignore")
+def mandel_q(state: EvolvedState):
     """Mandel parameter (var_n - mean_n) / mean_n; bounded below by -1.
 
     Negative values certify sub-Poissonian (nonclassical) statistics.
     Raises ``VacuumError`` for the vacuum (mean_n = 0), and ``ValueError``
-    where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
+    where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.  Over an
+    array state, vacuum elements are nan instead (a nan mean_n passes the
+    guard and gives Q = nan without a 0/0).
     """
-    return _guarded_q(state.nbar, math.cosh(2.0 * state.eff_squeeze),
-                      abs(state.displacement) ** 2, mean_photon(state),
-                      photon_variance(state))
+    ch2 = _libm(math.cosh, 2.0 * state.eff_squeeze)
+    abs2 = _libm(pow, _libm(abs, state.displacement), 2)
+    n, var = mean_photon(state), photon_variance(state)
+    return _guarded_q(state.nbar, ch2, abs2,
+                      np.where(n > 0, n, np.nan) if np.ndim(n) else n, var)
 
 
 def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EvolvedState, _hyperbolic_coeffs
+from .model import EvolvedState, _hyperbolic_coeffs, _libm
 from .statistics import quad_mean, quad_variance_state
 
 
@@ -142,12 +142,7 @@ def wigner_quadrature(state: EvolvedState, lam: float, x, p):
     dp = np.asarray(p, dtype=float) - k.mean_p
     form = k.eps_xx * dx * dx + k.eps_pp * dp * dp + k.eps_xp * dx * dp
     det = (2.0 * state.nbar + 1.0) ** 2
-    # libm exp per element: numpy's SIMD exp differs from it in the last
-    # bit, enough to change 6,452 of the 160,801 values of a 401 x 401 CLI
-    # grid (x86-64, numpy 2.4) and so the bytes of its CSV
-    expo = np.array([math.exp(v) for v in (-form / det).ravel().tolist()])
-    w = (1.0 / math.pi) / math.sqrt(det) * expo.reshape(form.shape)
-    return float(w) if w.ndim == 0 else w
+    return (1.0 / math.pi) / math.sqrt(det) * _libm(math.exp, -form / det)
 
 
 def marginal_quadrature_pdf(state: EvolvedState, lam: float, x: float) -> float:

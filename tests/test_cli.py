@@ -393,21 +393,36 @@ def test_long_misaligned_sweep_equals_per_row_scalar_calls(capsys):
 
 
 def test_sweep_evaluates_the_state_once_not_per_row(capsys, monkeypatch):
-    # the sweep's rows share one array call: a per-row evolved_state or
-    # displacement_amplitude would show here as thousands of calls
-    calls = {}
-    for name in ("evolved_state", "displacement_amplitude"):
-        original = getattr(model, name)
+    # the sweep's rows share one array call per formula: a per-row call
+    # would show here as thousands of calls
+    counted_in = {"evolved_state": (model, cli),
+                  "displacement_amplitude": (model, cli),
+                  "mean_photon": (statistics,),
+                  "photon_variance": (statistics,),
+                  "p_representation_exists": (nonclassicality,)}
+    calls = dict.fromkeys(counted_in, 0)
+    for name, modules in counted_in.items():
+        original = getattr(modules[0], name)
 
         def counted(*args, _name=name, _fn=original):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls[_name] += 1
             return _fn(*args)
 
-        for module in (model, cli):
+        for module in modules:
             monkeypatch.setattr(module, name, counted, raising=False)
     long_sweep(capsys)
-    assert 1 <= calls["evolved_state"] <= 2
-    assert 1 <= calls["displacement_amplitude"] <= 2
+    assert all(1 <= count <= 2 for count in calls.values()), calls
+
+
+def test_sweep_writes_nan_for_the_vacuum_rows(capsys):
+    # cosh 2(u + r) rounds to 1 at the first two times, so the squeezed
+    # vacuum has no photons there and Q is undefined; the third has Q = 1
+    code, out, err = run_cli(["sweep", "--r", "1e-9", "--u-stop", "1e-8",
+                              "--u-steps", "3"], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [row[1] for row in rows] == ["nan", "nan", "1"]
+    assert [row[3] for row in rows][:2] == ["0", "0"]
 
 
 def test_sweep_negative_start_curve(tmp_path):

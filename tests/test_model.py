@@ -273,6 +273,19 @@ def test_evolved_state_guard_rails():
         evolved_state(ModelParams(alpha_mag=1.0, squeeze_mag=1.0), 800.0)
 
 
+def test_evolved_state_guards_an_array_of_times():
+    params = ModelParams(alpha_mag=1.0, squeeze_mag=0.5)
+    # the message names the largest u + r, not the whole array
+    with pytest.raises(ValueError, match=r"u \+ r = 400.5 exceeds"):
+        evolved_state(params, np.array([0.0, 1.0, 400.0]))
+    with pytest.raises(ValueError, match="u must be >= 0"):
+        evolved_state(params, np.array([1.0, -1.0]))
+    static = ModelParams(alpha_mag=0.3, nbar=0.2)
+    assert evolved_state(static, np.zeros(3)).eff_squeeze.tolist() == [0.0] * 3
+    with pytest.raises(ValueError, match="combined limit"):
+        evolved_state(static, np.array([0.0, 0.1]))
+
+
 def test_char_fn_state_accepts_arbitrary_reference_states():
     state = EvolvedState(displacement=0.5 + 0.2j, eff_squeeze=0.0, nbar=0.3)
     assert char_fn_state(state, 0.0) == 1.0

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from dpagauss import (
     EvolvedState,
     ModelParams,
+    classicality_factor,
     evolved_state,
     mandel_q,
     mandel_q_curve,
     mandel_q_zero,
     mean_photon,
+    p_representation_exists,
     photon_variance,
     quad_mean,
     quad_variance,
@@ -20,6 +22,7 @@ from dpagauss import (
     snr_max,
     variance_product,
 )
+from dpagauss.statistics import VacuumError
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 nbars = st.floats(min_value=0.0, max_value=2.0)
@@ -186,3 +189,57 @@ def test_mandel_curve_matches_pointwise_and_diverges():
         for r in (0.05, 0.3, 1.0):
             for alpha_mag in (0.0, 0.5, 3.0, 12.0):
                 assert mandel_q_curve(nbar, r, alpha_mag, 10.0) > 0.0
+
+
+def scalar_or_error(formula, state):
+    try:
+        return formula(state)
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(nbar=st.floats(min_value=0.0, max_value=1e3),
+       r=st.floats(min_value=1e-6, max_value=3.0),
+       alpha_mag=st.floats(min_value=0.0, max_value=1e3),
+       theta=st.floats(min_value=-1e6, max_value=1e6),
+       phi=st.floats(min_value=-1e6, max_value=1e6),
+       us=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1,
+                   max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_array_state_equals_per_element_scalar_calls(nbar, r, alpha_mag,
+                                                     theta, phi, us):
+    # bit for bit, not approximately: the sweep prints 17 digits
+    params = ModelParams(alpha_mag=alpha_mag, alpha_phase=phi, squeeze_mag=r,
+                         squeeze_phase=theta, nbar=nbar)
+    state = evolved_state(params, np.array(us))
+    states = [evolved_state(params, u) for u in us]
+    for formula in (mean_photon, photon_variance):
+        assert formula(state).tolist() == [formula(s) for s in states]
+    for criterion in (classicality_factor, p_representation_exists):
+        assert criterion(nbar, r, np.array(us)).tolist() == [
+            criterion(nbar, r, u) for u in us]
+    # Q where it is defined; rounding that loses Q fails the whole array
+    expected = [scalar_or_error(mandel_q, s) for s in states]
+    if ValueError in expected:
+        with pytest.raises(ValueError, match="lost to rounding"):
+            mandel_q(state)
+    else:
+        qs = mandel_q(state).tolist()
+        assert [q for q, want in zip(qs, expected)
+                if want is not VacuumError] == [
+            want for want in expected if want is not VacuumError]
+        assert all(math.isnan(q) for q, want in zip(qs, expected)
+                   if want is VacuumError)
+
+
+def test_array_mandel_q_marks_the_vacuum_with_nan():
+    # cosh 2(u + r) rounds to 1 until u + r of about 1.05e-8, so the first
+    # two squeezed-vacuum times have no photons
+    state = evolved_state(ModelParams(alpha_mag=0.0, squeeze_mag=1e-9),
+                          np.array([0.0, 5e-9, 1e-8]))
+    assert mean_photon(state).tolist()[:2] == [0.0, 0.0]
+    qs = mandel_q(state)
+    assert np.isnan(qs[:2]).all() and qs[2] == 1.0
+    with pytest.raises(VacuumError):
+        mandel_q(evolved_state(ModelParams(alpha_mag=0.0, squeeze_mag=1e-9),
+                               5e-9))
