@@ -132,7 +132,7 @@ def _libm(fn, x, *args):
     """fn(x, *args), per element for an ndarray: numpy's cosh, sinh, exp,
     complex abs and x ** 2 differ from libm's in the last bit (numpy 2.4,
     x86-64: its exp changed 6,452 of 160,801 values of a 401² Wigner grid)."""
-    if np.ndim(x) == 0:
+    if not isinstance(x, np.ndarray):
         return fn(x, *args)
     return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)),
                        float, x.size).reshape(x.shape)

@@ -139,14 +139,14 @@ def mandel_q(state: EvolvedState):
     Negative values certify sub-Poissonian (nonclassical) statistics.
     Raises ``VacuumError`` for the vacuum (mean_n = 0), and ``ValueError``
     where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.  Over an
-    array state, vacuum elements are nan instead (a nan mean_n passes the
-    guard and gives Q = nan without a 0/0).
+    array state, vacuum elements are nan instead.
     """
     ch2 = _libm(math.cosh, 2.0 * state.eff_squeeze)
     abs2 = _libm(pow, _libm(abs, state.displacement), 2)
     n, var = mean_photon(state), photon_variance(state)
-    return _guarded_q(state.nbar, ch2, abs2,
-                      np.where(n > 0, n, np.nan) if np.ndim(n) else n, var)
+    if isinstance(n, np.ndarray):  # nan passes the guard and gives Q = nan
+        n = np.where(n > 0, n, np.nan)
+    return _guarded_q(state.nbar, ch2, abs2, n, var)
 
 
 def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
