@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -116,6 +117,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dpagauss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,7 +261,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     squeezed = nonclassicality.squeezing_criterion(nbar, r, theta, lam, us)
     means = statistics.mean_photon(state)
     variances = statistics.photon_variance(state)
-    mandels = statistics.mandel_q(state)
+    mandels = statistics._mandel_q(state, means, variances)
     p_density = nonclassicality.p_representation_exists(nbar, r, us)
     keys = ("u", "mandel_q", "quad_variance", "mean_photon", "photon_variance")
     # nan marks the vacuum rows, where Q is undefined
@@ -269,11 +271,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                       f"u_steps={args.u_steps}"))]
     lines.append(f"{','.join(keys)},squeezing_criterion,"
                  "p_representation_exists,field_nonclassical\n")
-    columns = [map(_fmt, column.tolist())
-               for column in (us, mandels, quads, means, variances)]
-    columns += [map(str, flags.astype(int).tolist())
-                for flags in (squeezed, p_density, ~p_density)]
-    lines.extend(",".join(row) + "\n" for row in zip(*columns))
+    # one template: %.17g prints as _fmt does, %d prints 1.0 as 1
+    table = np.column_stack((us, mandels, quads, means, variances, squeezed,
+                             p_density, ~p_density))
+    lines.append(("%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n" * args.u_steps)
+                 % tuple(table.ravel().tolist()))
     _write(args, "".join(lines))
     return 0
 
@@ -324,14 +326,13 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
     steps = np.arange(n)
     xs = coeffs.mean_x - half_x + 2.0 * half_x * steps / (n - 1)
     ps = coeffs.mean_p - half_p + 2.0 * half_p * steps / (n - 1)
-    p_texts = [_fmt(p) for p in ps.tolist()]
+    # one template per x row, \0 standing for the x text
+    row = "".join(f"\0,{_fmt(p)},%.17g\n" for p in ps.tolist())
     # one call per x row: a whole-grid call would hold every value of the
     # grid as a Python float at once
     for x in xs.tolist():
-        x_text = _fmt(x)
         ws = wigner.wigner_quadrature(state, args.lam, x, ps)
-        lines.extend(f"{x_text},{p_text},{_fmt(w)}\n"
-                     for p_text, w in zip(p_texts, ws.tolist()))
+        lines.append(row.replace("\0", _fmt(x)) % tuple(ws.tolist()))
     _write(args, "".join(lines))
     return 0
 

@@ -24,8 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import _check_u, _libm
-from .statistics import mandel_q_curve, mandel_q_zero, quad_variance
+from .model import ModelParams, _amplitude_curve, _check_u, _libm
+from .statistics import (_mandel_curve, mandel_q_curve, mandel_q_zero,
+                         quad_variance)
 
 # the critical solve and the classification scan the same window [0, U_MAX]
 U_MAX = 10.0
@@ -139,9 +140,11 @@ def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
 def _scan(nbar: float, r: float, alpha_mag: float, points: int
           ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
     """Mandel curve u -> Q(u), and its values at ``points`` u in [0, U_MAX]."""
+    curve = _mandel_curve(nbar, r, _amplitude_curve(
+        ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)))
 
     def q_of(u: float) -> float:
-        return float(mandel_q_curve(nbar, r, alpha_mag, u))
+        return float(curve(np.asarray(u, dtype=float)))
 
     us = np.linspace(0.0, U_MAX, points)
     return q_of, us, mandel_q_curve(nbar, r, alpha_mag, us)

@@ -132,7 +132,6 @@ def photon_variance(state: EvolvedState):
                          - _libm(math.sinh, 2.0 * rho) * pair_term) - 0.25)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def mandel_q(state: EvolvedState):
     """Mandel parameter (var_n - mean_n) / mean_n; bounded below by -1.
 
@@ -141,9 +140,16 @@ def mandel_q(state: EvolvedState):
     where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.  Over an
     array state, vacuum elements are nan instead.
     """
+    return _mandel_q(state)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _mandel_q(state: EvolvedState, n=None, var=None):
+    """``mandel_q``, from mean_n and var_n where the caller has them."""
     ch2 = _libm(math.cosh, 2.0 * state.eff_squeeze)
     abs2 = _libm(pow, _libm(abs, state.displacement), 2)
-    n, var = mean_photon(state), photon_variance(state)
+    if n is None:
+        n, var = mean_photon(state), photon_variance(state)
     if isinstance(n, np.ndarray):  # nan passes the guard and gives Q = nan
         n = np.where(n > 0, n, np.nan)
     return _guarded_q(state.nbar, ch2, abs2, n, var)
@@ -165,7 +171,6 @@ def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
     return num / den
 
 
-@np.errstate(over="raise", invalid="raise")
 def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     """Vectorized Mandel parameter over an array of times u, phi = theta/2 = 0.
 
@@ -174,16 +179,26 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     u + r of about 177.6), and the errors of ``mandel_q`` for the vacuum and
     where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
     """
-    params = ModelParams(alpha_mag=alpha_mag, alpha_phase=0.0, squeeze_mag=r,
-                         squeeze_phase=0.0, nbar=nbar)
-    us = np.asarray(us, dtype=float)
-    amp = displacement_amplitude(params, us)
-    rho = us + r
-    abs2 = np.abs(amp) ** 2
-    ch2 = np.cosh(2.0 * rho)
-    n = (nbar + 0.5) * ch2 + abs2 - 0.5
-    pair_term = 2.0 * (amp * amp).real
-    var = ((nbar + 0.5) ** 2 * np.cosh(4.0 * rho)
-           + (nbar + 0.5) * (2.0 * ch2 * abs2
-                             - np.sinh(2.0 * rho) * pair_term) - 0.25)
-    return _guarded_q(nbar, ch2, abs2, n, var)
+    params = ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)
+    curve = _mandel_curve(nbar, r, lambda u: displacement_amplitude(params, u))
+    return curve(np.asarray(us, dtype=float))
+
+
+def _mandel_curve(nbar: float, r: float, amplitude):
+    """Q(u) of ``mandel_q_curve`` for an ndarray u, given u -> A(tau)."""
+
+    # named for the CLI, whose overflow message names the innermost frame
+    @np.errstate(over="raise", invalid="raise")
+    def mandel_q_curve(us: np.ndarray) -> np.ndarray:
+        amp = amplitude(us)
+        rho = us + r
+        abs2 = np.abs(amp) ** 2
+        ch2 = np.cosh(2.0 * rho)
+        n = (nbar + 0.5) * ch2 + abs2 - 0.5
+        pair_term = 2.0 * (amp * amp).real
+        var = ((nbar + 0.5) ** 2 * np.cosh(4.0 * rho)
+               + (nbar + 0.5) * (2.0 * ch2 * abs2
+                                 - np.sinh(2.0 * rho) * pair_term) - 0.25)
+        return _guarded_q(nbar, ch2, abs2, n, var)
+
+    return mandel_q_curve

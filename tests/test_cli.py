@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import warnings
@@ -251,7 +252,18 @@ def test_critical_gives_a_record_a_usage_error_or_no_transition(nbar, r,
      "ef72e047a040555de56b7d304b9512883e21205cf3b22a10ea25331ab229d557"),
     (["critical", "--nbar", "0.1", "--r", "0.2"],
      "3142b20b0b397115bb99a45ee3e822e712f8bd22cca1fb3fbd39c9cf87825c4e"),
-], ids=["sweep", "wigner-grid", "eval", "critical"])
+    # the vacuum rows print nan for Q
+    (["sweep", "--r", "1e-9", "--u-stop", "1e-8", "--u-steps", "3"],
+     "01eb94d148bdf036103fa87a92b5f3b9eb34959c935fdcf07192d31ee6bb2cde"),
+    (["wigner-grid", "--nbar", "0", "--r", "0.5", "--theta", "1",
+      "--lambda", "0.3", "--grid-steps", "2"],
+     "69720bff9c5ba44698648be1aebd2fda42f3936711769d1f0e5d179b6731cc11"),
+    # theta - 2 phi != 0
+    (["sweep", "--nbar", "3", "--r", "0.7", "--alpha", "2", "--theta", "0.4",
+      "--phi", "2", "--u-stop", "5", "--u-steps", "7"],
+     "b297237d69235c5ac618ccd40ac4efc75ad88c4388eb452869bd0993136a1fde"),
+], ids=["sweep", "wigner-grid", "eval", "critical", "sweep-vacuum",
+        "wigner-grid-small", "sweep-misaligned"])
 def test_stdout_is_byte_identical(args, digest, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
@@ -355,6 +367,46 @@ def test_sweep_deterministic_and_positive_for_small_alpha(tmp_path, capsys):
 LONG_SWEEP = {"nbar": 0.3, "r": 0.25, "alpha": 1.1, "theta": 0.7,
               "phi": 0.2, "lambda": 0.35, "u-start": 0.05, "u-stop": 4.05,
               "u-steps": 2401}
+
+
+doubles = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@given(x=st.one_of(st.floats(), doubles))
+@example(x=math.nan)
+@example(x=-math.nan)
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=5e-324)  # the smallest subnormal
+@example(x=-2.225073858507201e-308)  # the largest subnormal
+@example(x=1.7976931348623157e308)  # the largest double
+@settings(max_examples=2000)
+def test_table_template_prints_what_fmt_prints(x):
+    # sweep and wigner-grid format their tables with %.17g templates
+    assert "%.17g" % x == cli._fmt(x)
+
+
+def test_table_template_prints_flags_as_integers():
+    assert ["%d" % f for f in (0.0, 1.0)] == [str(int(f)) for f in (0.0, 1.0)]
+
+
+def test_one_process_prints_what_separate_processes_print(capsys):
+    # the parser is built once per process and serves every later call
+    argvs = (["eval", "--r", "0.5", "--alpha", "1", "--u", "0.2"],
+             ["sweep", "--r", "0.5", "--u-stop", "0.5", "--u-steps", "3"],
+             ["eval", "--u-steps", "3"],
+             ["wigner-grid", "--r", "0.5", "--grid-steps", "2"])
+    separate = [subprocess.run(
+        [sys.executable, "-m", "dpagauss.cli", *argv], env=fresh_env(),
+        capture_output=True, text=True, timeout=120) for argv in argvs]
+    in_process = [run_cli(argv, capsys) for argv in argvs]
+    assert in_process == [(proc.returncode, proc.stdout, proc.stderr)
+                          for proc in separate]
+    assert in_process[2][0] == 1 and in_process[2][2].startswith("usage error")
+    assert cli._build_parser() is cli._build_parser()
 
 
 def long_sweep(capsys):

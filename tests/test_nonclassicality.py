@@ -1,8 +1,11 @@
+import functools
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dpagauss.nonclassicality as ncl
 from dpagauss import (
@@ -21,6 +24,7 @@ from dpagauss import (
     q0_sign,
     squeezing_criterion,
 )
+from dpagauss.model import MAX_EFF_SQUEEZE
 
 nbars = st.floats(min_value=0.0, max_value=2.0)
 squeezes = st.floats(min_value=1e-3, max_value=1.5)
@@ -190,7 +194,13 @@ def test_no_transition_reported_when_curve_stays_positive(monkeypatch):
     def fake_curve(nbar, r, alpha_mag, us):
         return np.ones_like(np.asarray(us, dtype=float)) + alpha_mag
 
-    monkeypatch.setattr(ncl, "mandel_q_curve", fake_curve)
+    # _scan gives the solver both the curve's grid values and its objective
+    def fake_scan(nbar, r, alpha_mag, points):
+        us = np.linspace(0.0, ncl.U_MAX, points)
+        return (functools.partial(fake_curve, nbar, r, alpha_mag), us,
+                fake_curve(nbar, r, alpha_mag, us))
+
+    monkeypatch.setattr(ncl, "_scan", fake_scan)
     with pytest.raises(ncl.NoTransitionError):
         find_critical_alpha(0.2, 0.1)
 
@@ -200,3 +210,31 @@ def test_critical_solver_rejects_zero_squeeze():
         find_critical_alpha(0.5, 0.0)
     with pytest.raises(ValueError):
         critical_alpha_q0_root(0.2, 0.1)
+
+
+def _outcome(f):
+    """The bits of f()'s float, or the type and text of its error."""
+    try:
+        return struct.pack("<d", f())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(nbar=st.floats(min_value=0.0, allow_infinity=False),
+       r=st.floats(min_value=1e-300, max_value=MAX_EFF_SQUEEZE),
+       alpha=st.floats(min_value=0.0, allow_infinity=False),
+       u=st.floats(min_value=0.0, max_value=MAX_EFF_SQUEEZE))
+# a one-element array differs here in the last bits: its |A|^2 squares by
+# multiplication, the scalar call's by libm pow
+@example(nbar=1.9249434105009788, r=0.0022089010371264236,
+         alpha=0.7130213134553276, u=1.9514522768530518)
+@example(nbar=1.0, r=100.0, alpha=1.0, u=200.0)  # cosh 4(u + r) overflows
+@settings(max_examples=300, deadline=None)
+def test_scan_objective_is_the_scalar_mandel_q_curve(nbar, r, alpha, u):
+    # the minimizer's objective reuses the curve's constants; it must keep
+    # the bits and the errors of the scalar call it replaces
+    assume(u + r <= MAX_EFF_SQUEEZE)
+    with mock.patch.object(ncl, "mandel_q_curve", lambda *args: None):
+        q_of, _, _ = ncl._scan(nbar, r, alpha, 2)
+    assert _outcome(lambda: q_of(u)) == _outcome(
+        lambda: float(mandel_q_curve(nbar, r, alpha, u)))
