@@ -9,14 +9,10 @@ from .model import (
     EvolvedState,
     HamiltonianCoeffs,
     ModelParams,
-    anomalous_coeff,
-    char_fn,
-    char_fn_state,
     displacement_amplitude,
     evolved_state,
     hamiltonian_coeffs,
     limit_r_zero_displacement,
-    symmetric_coeff,
 )
 from .nonclassicality import (
     BehaviorKind,
@@ -24,7 +20,6 @@ from .nonclassicality import (
     CriticalPointResult,
     Mechanism,
     NoTransitionError,
-    Q0Sign,
     classicality_factor,
     classify_behavior,
     critical_alpha_q0_root,
@@ -32,13 +27,11 @@ from .nonclassicality import (
     field_nonclassical,
     find_critical_alpha,
     p_representation_exists,
-    q0_sign,
     squeezing_criterion,
 )
 from .statistics import (
     mandel_q,
     mandel_q_curve,
-    mandel_q_zero,
     mean_photon,
     photon_variance,
     quad_mean,
@@ -51,7 +44,6 @@ from .statistics import (
 from .wigner import (
     QuadFormCoeffs,
     WignerCoeffs,
-    marginal_quadrature_pdf,
     quad_form_coeffs,
     wigner_beta,
     wigner_coeffs,

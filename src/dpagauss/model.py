@@ -9,8 +9,7 @@ displaced-squeezed thermal state after a preparation time t.  The state at
 any later time t + tau stays Gaussian and is fully described by a complex
 displacement amplitude A(tau), an effective squeeze magnitude u + r with
 u = Omega*tau = (r/t)*tau, the squeeze angle theta, and nbar.  This module
-evaluates those coefficients and the normally ordered characteristic
-function built from them.
+evaluates those coefficients.
 
 Conventions: hbar = 1; Hamiltonian coefficients are reported in units of
 1/prep_time.  The primary time coordinate is the dimensionless u = Omega*tau.
@@ -79,11 +78,6 @@ class ModelParams:
         """Complex displacement alpha = |alpha| * exp(i*phi)."""
         return self.alpha_mag * complex(math.cos(self.alpha_phase),
                                         math.sin(self.alpha_phase))
-
-    @property
-    def omega(self) -> float:
-        """Pump rate Omega = r / t."""
-        return self.squeeze_mag / self.prep_time
 
 
 @dataclass(frozen=True)
@@ -207,31 +201,6 @@ def limit_r_zero_displacement(params: ModelParams, s: float) -> complex:
     return params.alpha * (1.0 + s)
 
 
-def _hyperbolic_coeffs(eff_squeeze: float, theta: float) -> tuple[complex, float]:
-    """(anomalous, symmetric) coefficients for squeeze magnitude u + r."""
-    two_rho = 2.0 * eff_squeeze
-    t_coeff = 0.5 * complex(math.cos(theta), math.sin(theta)) * math.sinh(two_rho)
-    s_coeff = math.cosh(two_rho)
-    return t_coeff, s_coeff
-
-
-def anomalous_coeff(params: ModelParams, u: float) -> complex:
-    """Phase-sensitive pair coefficient (1/2) e^{i theta} sinh[2(u + r)].
-
-    Multiplies eta*^2 in the quadratic exponent of the characteristic
-    function; the centered pair moment of the state is <da da> =
-    -(2 nbar + 1) times this value.
-    """
-    _check_u(u)
-    return _hyperbolic_coeffs(u + params.squeeze_mag, params.squeeze_phase)[0]
-
-
-def symmetric_coeff(params: ModelParams, u: float) -> float:
-    """Symmetric coefficient cosh[2(u + r)] multiplying |eta|^2; always >= 1."""
-    _check_u(u)
-    return _hyperbolic_coeffs(u + params.squeeze_mag, params.squeeze_phase)[1]
-
-
 def evolved_state(params: ModelParams, u) -> EvolvedState:
     """Evolved Gaussian state descriptor (A(tau), u + r, theta, nbar).
 
@@ -250,32 +219,6 @@ def evolved_state(params: ModelParams, u) -> EvolvedState:
         disp = displacement_amplitude(params, u)
     return EvolvedState(displacement=disp, eff_squeeze=u + params.squeeze_mag,
                         squeeze_phase=params.squeeze_phase, nbar=params.nbar)
-
-
-def char_fn_state(state: EvolvedState, eta: complex) -> complex:
-    """Normally ordered characteristic function of an evolved state.
-
-    chi(eta) = exp(|eta|^2/2) exp(eta A* - eta* A)
-               * exp(-(nbar + 1/2)(eta^2 T* + eta*^2 T + |eta|^2 S))
-
-    with T and S the anomalous and symmetric hyperbolic coefficients of the
-    state.  chi(0) = 1 for every state (normalization of the density
-    operator).
-    """
-    t_coeff, s_coeff = _hyperbolic_coeffs(state.eff_squeeze, state.squeeze_phase)
-    amp = state.displacement
-    eta = complex(eta)
-    exponent = (0.5 * abs(eta) ** 2
-                + eta * amp.conjugate() - eta.conjugate() * amp
-                - (state.nbar + 0.5) * (eta ** 2 * t_coeff.conjugate()
-                                        + eta.conjugate() ** 2 * t_coeff
-                                        + abs(eta) ** 2 * s_coeff))
-    return complex(np.exp(exponent))
-
-
-def char_fn(params: ModelParams, u: float, eta: complex) -> complex:
-    """Normally ordered characteristic function at dimensionless time u."""
-    return char_fn_state(evolved_state(params, u), eta)
 
 
 def hamiltonian_coeffs(params: ModelParams) -> HamiltonianCoeffs:

@@ -25,8 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import ModelParams, _amplitude_curve, _check_u, _libm
-from .statistics import (_mandel_curve, mandel_q_curve, mandel_q_zero,
-                         quad_variance)
+from .statistics import _mandel_curve, mandel_q_curve, quad_variance
 
 # the critical solve and the classification scan the same window [0, U_MAX]
 U_MAX = 10.0
@@ -34,7 +33,6 @@ SCAN_POINTS = 512
 CLASSIFY_GRID = 2048
 ALPHA_TOL = 1e-9  # the bisection over |alpha| stops at this bracket width
 ALPHA_CAP = 1e3  # min Q > 0 up to this |alpha|: NoTransitionError
-Q0_ATOL = 1e-5  # |Q(0)| at or below this reports Q0Sign.ZERO
 
 # |Q| below this at the curve minimum counts as a tangency; the figure-level
 # rounding of critical displacements shifts the minimum by about 1e-4.
@@ -58,12 +56,6 @@ class BehaviorKind(enum.Enum):
 class Mechanism(enum.Enum):
     INTERIOR_TANGENCY = "interior_tangency"
     BOUNDARY_Q0_ZERO = "boundary_q0_zero"
-
-
-class Q0Sign(enum.Enum):
-    POSITIVE = "positive"
-    ZERO = "zero"
-    NEGATIVE = "negative"
 
 
 @dataclass(frozen=True)
@@ -117,18 +109,6 @@ def crossover_time(nbar: float, r: float) -> Optional[float]:
     if factor < 1.0:
         return None
     return 0.5 * math.log(factor)
-
-
-def q0_sign(nbar: float, r: float, alpha_mag: float) -> Q0Sign:
-    """Sign of the Mandel parameter at u = 0 (aligned convention).
-
-    Whenever (2 nbar + 1) e^{-2r} >= 1 the sign is positive for every
-    displacement magnitude; values within ``Q0_ATOL`` of zero report ZERO.
-    """
-    q0 = mandel_q_zero(nbar, r, alpha_mag)
-    if abs(q0) <= Q0_ATOL:
-        return Q0Sign.ZERO
-    return Q0Sign.POSITIVE if q0 > 0 else Q0Sign.NEGATIVE
 
 
 def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
@@ -221,10 +201,12 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
     strictly decreasing across the bracket; the bracket signs are verified
     explicitly and a violation raises rather than returning a bogus root.
     The upper bracket grows by doubling and failing to find m < 0 below
-    ``ALPHA_CAP`` raises ``NoTransitionError``; a root too close to zero to
-    resolve at ``ALPHA_TOL`` raises ``ValueError``.  A minimizer within 1e-6
-    of u = 0 is reported as the boundary mechanism (the zero of the Mandel
-    parameter at u = 0), otherwise as an interior tangency.
+    ``ALPHA_CAP`` raises ``NoTransitionError``.  A root too close to zero to
+    resolve at ``ALPHA_TOL``, or a final bracket across which min Q jumps
+    (min Q at alpha_c above ``TANGENCY_ATOL``), raises ``ValueError``.  A
+    minimizer within 1e-6 of u = 0 is reported as the boundary mechanism
+    (the zero of the Mandel parameter at u = 0), otherwise as an interior
+    tangency.
     """
     if r <= 0:
         raise ValueError("find_critical_alpha requires r > 0; the r = 0 "
@@ -259,7 +241,13 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
         raise ValueError(f"critical displacement below {hi:.3g} is not "
                          f"resolved at ALPHA_TOL = {ALPHA_TOL:g}")
     alpha_c = 0.5 * (lo + hi)
-    _, u_star = min_of(alpha_c)
+    m_c, u_star = min_of(alpha_c)
+    if m_c > TANGENCY_ATOL:
+        # min Q jumped across the final bracket instead of reaching zero
+        raise ValueError(f"critical displacement near {alpha_c:.3g} is not "
+                         f"resolved at ALPHA_TOL = {ALPHA_TOL:g}: min Q "
+                         f"there is {m_c:.3g}, above TANGENCY_ATOL = "
+                         f"{TANGENCY_ATOL:g}")
     if u_star <= BOUNDARY_U_TOL:
         return CriticalPointResult(alpha_c=alpha_c, tangency_u=None,
                                    mechanism=Mechanism.BOUNDARY_Q0_ZERO)

@@ -155,22 +155,6 @@ def _mandel_q(state: EvolvedState, n=None, var=None):
     return _guarded_q(state.nbar, ch2, abs2, n, var)
 
 
-def mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
-    """Mandel parameter at u = 0 in the aligned convention phi = theta/2.
-
-    ( (nbar+1/2)^2 cosh 4r + ((2 nbar + 1) e^{-2r} - 1) |alpha|^2
-      - (nbar+1/2) cosh 2r + 1/4 )
-    / ( (nbar+1/2) cosh 2r + |alpha|^2 - 1/2 )
-    """
-    den = (nbar + 0.5) * math.cosh(2.0 * r) + alpha_mag ** 2 - 0.5
-    if den <= 0:
-        raise VacuumError(_VACUUM)
-    num = ((nbar + 0.5) ** 2 * math.cosh(4.0 * r)
-           + ((2.0 * nbar + 1.0) * math.exp(-2.0 * r) - 1.0) * alpha_mag ** 2
-           - (nbar + 0.5) * math.cosh(2.0 * r) + 0.25)
-    return num / den
-
-
 def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     """Vectorized Mandel parameter over an array of times u, phi = theta/2 = 0.
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EvolvedState, _hyperbolic_coeffs, _libm
-from .statistics import quad_mean, quad_variance_state
+from .model import EvolvedState, _libm
+from .statistics import quad_mean
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class QuadFormCoeffs:
     eps_xp: float
     mean_x: float
     mean_p: float
-    lam: float
 
 
 def _split_cosh_pm(rho: float, angle: float) -> tuple[float, float]:
@@ -74,20 +73,21 @@ def wigner_coeffs(state: EvolvedState, beta: complex) -> WignerCoeffs:
     """Gaussian-exponent coefficients at phase-space point beta.
 
     a^2 = (nbar+1/2)(T + T* + S), b^2 = -(nbar+1/2)(T + T* - S) and
-    c = -2i(nbar+1/2)(T* - T) with T, S the hyperbolic coefficients of the
-    state; c is stored as a real number since T* - T is purely imaginary,
-    reducing to c = -2 (nbar+1/2) sin(theta) sinh[2(u+r)].  d and f are the
-    centered imaginary and real parts of beta:
+    c = -2i(nbar+1/2)(T* - T) with T = (1/2) e^{i theta} sinh[2(u+r)] and
+    S = cosh[2(u+r)]; c is stored as a real number since T* - T is purely
+    imaginary, reducing to c = -2 (nbar+1/2) sin(theta) sinh[2(u+r)].  d and
+    f are the centered imaginary and real parts of beta:
     d = 2 Im(beta - A), f = -2 Re(beta - A).
     """
     nb_half = state.nbar + 0.5
-    plus, minus = _split_cosh_pm(state.eff_squeeze, state.squeeze_phase)
-    t_coeff, _ = _hyperbolic_coeffs(state.eff_squeeze, state.squeeze_phase)
+    rho, theta = state.eff_squeeze, state.squeeze_phase
+    plus, minus = _split_cosh_pm(rho, theta)
     beta = complex(beta)
     diff = beta - state.displacement
     return WignerCoeffs(a_sq=nb_half * plus,
                         b_sq=nb_half * minus,
-                        c_coef=-4.0 * nb_half * t_coeff.imag,
+                        c_coef=-4.0 * nb_half * (0.5 * math.sin(theta)
+                                                 * math.sinh(2.0 * rho)),
                         d_coef=2.0 * diff.imag,
                         f_coef=-2.0 * diff.real)
 
@@ -124,8 +124,7 @@ def quad_form_coeffs(state: EvolvedState, lam: float) -> QuadFormCoeffs:
         eps_pp=2.0 * nb_half * minus,
         eps_xp=4.0 * nb_half * math.sin(angle) * math.sinh(2.0 * state.eff_squeeze),
         mean_x=quad_mean(state, lam),
-        mean_p=quad_mean(state, lam + 0.5 * math.pi),
-        lam=lam)
+        mean_p=quad_mean(state, lam + 0.5 * math.pi))
 
 
 def wigner_quadrature(state: EvolvedState, lam: float, x, p):
@@ -144,13 +143,3 @@ def wigner_quadrature(state: EvolvedState, lam: float, x, p):
     det = (2.0 * state.nbar + 1.0) ** 2
     return (1.0 / math.pi) / math.sqrt(det) * _libm(math.exp, -form / det)
 
-
-def marginal_quadrature_pdf(state: EvolvedState, lam: float, x: float) -> float:
-    """Probability density of a single quadrature x_lam.
-
-    Normal with mean <x_lam> and variance Var(x_lam); equals the p-integral
-    of ``wigner_quadrature``.
-    """
-    mean = quad_mean(state, lam)
-    var = quad_variance_state(state, lam)
-    return math.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)

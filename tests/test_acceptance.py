@@ -26,7 +26,6 @@ from dpagauss import (
     field_nonclassical,
     mandel_q,
     mandel_q_curve,
-    mandel_q_zero,
     snr_max,
     squeezing_criterion,
     variance_product,
@@ -73,7 +72,7 @@ def test_criterion_2_critical_points():
 
 
 def test_criterion_3_mandel_zero_root():
-    assert abs(mandel_q_zero(0.1, 0.2, 0.6507)) <= 1e-3
+    assert abs(float(mandel_q_curve(0.1, 0.2, 0.6507, 0.0))) <= 1e-3
     _report(3, "u = 0 Mandel parameter vanishes at |alpha| = 0.6507")
 
 

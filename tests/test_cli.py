@@ -113,6 +113,9 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
     (["critical", "--nbar", "0", "--r", "5e-9"], "undefined for the vacuum"),
     # coth(r/2) = 2e30 puts alpha_c far below the bisection tolerance
     (["critical", "--nbar", "1", "--r", "1e-30"], "not resolved at ALPHA_TOL"),
+    # min Q jumps across the final bracket: it is 3.3e-3 at the bisected
+    # alpha_c, whose record had no zeros
+    (["critical", "--nbar", "10", "--r", "1e-10"], "above TANGENCY_ATOL"),
     # Var n's displacement term cancels to rounding noise near u = 9.4
     (["critical", "--nbar", "75351050109549", "--r", "1.310771115913621e-31"],
      "lost to rounding"),
@@ -125,7 +128,8 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
 ], ids=["eval-u200", "critical-r400", "eval-nbar1e200", "sweep-u200",
         "sweep-nbar1e300", "eval-infinite-variance", "sweep-infinite-variance",
         "critical-vacuum-0/0", "critical-vacuum-x/0", "critical-unresolved",
-        "critical-rounding", "eval-rounding", "sweep-rounding"])
+        "critical-min-q-jump", "critical-rounding", "eval-rounding",
+        "sweep-rounding"])
 def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
@@ -233,6 +237,19 @@ def test_critical_gives_a_record_a_usage_error_or_no_transition(nbar, r,
     else:
         assert code == 2
         assert list(strict_json(out.getvalue())) == ["error"]
+
+
+@given(nbar=st.floats(min_value=0.0, max_value=2.0),
+       r=st.floats(min_value=1e-3, max_value=1.5))
+@settings(max_examples=30, deadline=None)
+def test_critical_record_has_zeros(nbar, r):
+    # alpha_c is where min Q touches zero, so its curve has a zero
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["critical", f"--nbar={nbar!r}", f"--r={r!r}"])
+    assert code in (0, 1)
+    if code == 0:
+        assert strict_json(out.getvalue())["zeros"]
 
 
 # sha256 of stdout as first written by the per-point implementations of

@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg as sla
 
 import dpagauss.fock as fock
-import dpagauss.model as model
 import dpagauss.verify as verify
+import dpagauss.wigner as wigner
 from dpagauss import ModelParams, evolved_state, wigner_beta
 
 
@@ -182,10 +182,10 @@ def test_numeric_wigner_vacuum_and_thermal(monkeypatch):
     def closed_form(*args):
         raise AssertionError("the oracle read a closed form")
 
-    monkeypatch.setattr(model, "_hyperbolic_coeffs", closed_form)
-    monkeypatch.setattr(model, "char_fn_state", closed_form)
-    monkeypatch.setattr(fock, "_hyperbolic_coeffs", closed_form,
-                        raising=False)
+    for name in ("wigner_beta", "wigner_coeffs", "_split_cosh_pm",
+                 "wigner_quadrature"):
+        monkeypatch.setattr(wigner, name, closed_form)
+        monkeypatch.setattr(fock, name, closed_form, raising=False)
     vac = ModelParams(alpha_mag=0.0)
     assert abs(fock.numeric_wigner(vac, 0.0, 0j)[0] - 2.0 / math.pi) \
         <= 1e-12

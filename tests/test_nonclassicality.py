@@ -11,17 +11,17 @@ import dpagauss.nonclassicality as ncl
 from dpagauss import (
     BehaviorKind,
     Mechanism,
-    Q0Sign,
+    ModelParams,
     classicality_factor,
     classify_behavior,
     critical_alpha_q0_root,
     crossover_time,
+    evolved_state,
     field_nonclassical,
     find_critical_alpha,
+    mandel_q,
     mandel_q_curve,
-    mandel_q_zero,
     p_representation_exists,
-    q0_sign,
     squeezing_criterion,
 )
 from dpagauss.model import MAX_EFF_SQUEEZE
@@ -93,12 +93,15 @@ def test_crossover_time():
 
 
 def test_q0_sign_cases():
+    def q0(nbar, r, alpha_mag):
+        return float(mandel_q_curve(nbar, r, alpha_mag, 0.0))
+
     for alpha_mag in (0.0, 0.3, 2.0, 50.0):
-        assert q0_sign(0.2, 0.1, alpha_mag) is Q0Sign.POSITIVE
-    assert q0_sign(1.0, 1.0, 9.7140) is Q0Sign.ZERO
-    assert q0_sign(1.0, 1.0, 12.0) is Q0Sign.NEGATIVE
+        assert q0(0.2, 0.1, alpha_mag) > 1e-5
+    assert abs(q0(1.0, 1.0, 9.7140)) <= 1e-5
+    assert q0(1.0, 1.0, 12.0) < -1e-5
     with pytest.raises(ValueError):
-        q0_sign(0.0, 0.0, 0.0)
+        mandel_q(evolved_state(ModelParams(alpha_mag=0.0), 0.0))
 
 
 @given(nbars, squeezes, st.floats(0.0, 20.0))
@@ -107,7 +110,7 @@ def test_q0_positive_whenever_p_density_exists(nbar, r, alpha_mag):
     # a classical initial field forces a positive start for every
     # displacement magnitude
     if classicality_factor(nbar, r, 0.0) >= 1.0:
-        assert mandel_q_zero(nbar, r, alpha_mag) > 0
+        assert mandel_q_curve(nbar, r, alpha_mag, 0.0) > 0
 
 
 def test_classify_benchmark_curves():

@@ -11,7 +11,6 @@ from dpagauss import (
     evolved_state,
     mandel_q,
     mandel_q_curve,
-    mandel_q_zero,
     mean_photon,
     p_representation_exists,
     photon_variance,
@@ -37,6 +36,20 @@ def coherent(alpha: complex) -> EvolvedState:
 
 def thermal(nbar: float) -> EvolvedState:
     return EvolvedState(displacement=0j, eff_squeeze=0.0, nbar=nbar)
+
+
+def _mandel_q_zero(nbar: float, r: float, alpha_mag: float) -> float:
+    """Reference closed form of the Mandel parameter at u = 0, phi = theta/2:
+
+    ( (nbar+1/2)^2 cosh 4r + ((2 nbar + 1) e^{-2r} - 1) |alpha|^2
+      - (nbar+1/2) cosh 2r + 1/4 )
+    / ( (nbar+1/2) cosh 2r + |alpha|^2 - 1/2 )
+    """
+    den = (nbar + 0.5) * math.cosh(2.0 * r) + alpha_mag ** 2 - 0.5
+    num = ((nbar + 0.5) ** 2 * math.cosh(4.0 * r)
+           + ((2.0 * nbar + 1.0) * math.exp(-2.0 * r) - 1.0) * alpha_mag ** 2
+           - (nbar + 0.5) * math.cosh(2.0 * r) + 0.25)
+    return num / den
 
 
 def test_quad_mean_basics():
@@ -138,7 +151,7 @@ def test_mandel_limits():
     with pytest.raises(ValueError):
         mandel_q(coherent(0j))
     with pytest.raises(ValueError):
-        mandel_q_zero(0.0, 0.0, 0.0)
+        mandel_q(evolved_state(ModelParams(alpha_mag=0.0), 0.0))
 
 
 def test_mandel_frozen_value():
@@ -146,14 +159,15 @@ def test_mandel_frozen_value():
     params = ModelParams(alpha_mag=0.3, squeeze_mag=0.1, nbar=0.2)
     state = evolved_state(params, 0.0)
     assert mandel_q(state) == pytest.approx(0.2592983270430015, rel=1e-12)
-    assert mandel_q_zero(0.2, 0.1, 0.3) == pytest.approx(0.2592983270430015,
-                                                         rel=1e-12)
+    assert float(mandel_q_curve(0.2, 0.1, 0.3, 0.0)) == pytest.approx(
+        0.2592983270430015, rel=1e-12)
 
 
 def test_mandel_q_zero_benchmark_roots():
-    assert abs(mandel_q_zero(0.1, 0.2, 0.6507)) <= 1e-3
-    assert abs(mandel_q_zero(1.0, 1.0, 9.7140)) <= 1e-3
-    assert mandel_q_zero(0.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert abs(float(mandel_q_curve(0.1, 0.2, 0.6507, 0.0))) <= 1e-3
+    assert abs(float(mandel_q_curve(1.0, 1.0, 9.7140, 0.0))) <= 1e-3
+    coherent_state = evolved_state(ModelParams(alpha_mag=1.0), 0.0)
+    assert mandel_q(coherent_state) == pytest.approx(0.0, abs=1e-15)
 
 
 @given(nbars, squeezes, st.floats(min_value=0.05, max_value=5.0))
@@ -165,7 +179,7 @@ def test_mandel_at_zero_matches_closed_form(nbar, r, alpha_mag):
                          squeeze_mag=r, squeeze_phase=0.9, nbar=nbar)
     state = evolved_state(params, 0.0)
     assert mandel_q(state) == pytest.approx(
-        mandel_q_zero(nbar, r, alpha_mag), rel=1e-12)
+        _mandel_q_zero(nbar, r, alpha_mag), rel=1e-12)
 
 
 @given(nbars, squeezes, mags, times, angles)

@@ -8,7 +8,6 @@ from dpagauss import (
     EvolvedState,
     ModelParams,
     evolved_state,
-    marginal_quadrature_pdf,
     mean_photon,
     photon_variance,
     quad_form_coeffs,
@@ -76,6 +75,26 @@ def test_coeffs_center_at_displacement():
     k = wigner_coeffs(state, state.displacement)
     assert k.d_coef == 0.0
     assert k.f_coef == 0.0
+
+
+def test_coeffs_hyperbolic_values():
+    # at nbar = 0, a^2 + b^2 = cosh 2(u + r) and a^2 - b^2 - i c =
+    # e^{i theta} sinh 2(u + r); references sinh(1)/2 and cosh(2) from a
+    # high-precision evaluator
+    def hyperbolic(rho, theta):
+        k = wigner_coeffs(EvolvedState(displacement=0j, eff_squeeze=rho,
+                                       squeeze_phase=theta), 0j)
+        return complex(k.a_sq - k.b_sq, -k.c_coef) / 2.0, k.a_sq + k.b_sq
+
+    assert hyperbolic(0.5, 0.0)[0] == pytest.approx(0.5876005968219007,
+                                                    abs=1e-14)
+    assert hyperbolic(0.5, math.pi)[0] == pytest.approx(-0.5876005968219007,
+                                                        abs=1e-12)
+    assert hyperbolic(0.5, 0.5 * math.pi)[0] == pytest.approx(
+        0.5876005968219007j, abs=1e-14)
+    assert hyperbolic(0.0, 0.0) == (0, 1.0)
+    assert hyperbolic(1.0, 0.0)[1] == pytest.approx(3.7621956910836314,
+                                                    abs=1e-14)
 
 
 def test_coeff_identity_at_random_points():
@@ -256,27 +275,26 @@ def test_aligned_case_factorizes():
             product, rel=1e-12)
 
 
+def marginal(state, lam, x, nodes=200, half_sigmas=9.0):
+    """Density of x_lam: the p-integral of ``wigner_quadrature``."""
+    sig_p = math.sqrt(quad_variance_state(state, lam + 0.5 * math.pi))
+    mean_p = quad_mean(state, lam + 0.5 * math.pi)
+    ps, wp = np.polynomial.legendre.leggauss(nodes)
+    return (wp * half_sigmas * sig_p * wigner_quadrature(
+        state, lam, x, mean_p + half_sigmas * sig_p * ps)).sum()
+
+
 def test_marginal_is_normal_and_matches_joint():
     state = EvolvedState(displacement=0.6 - 0.2j, eff_squeeze=0.5,
                          squeeze_phase=0.9, nbar=0.25)
     lam = 0.4
-    # unit mass
-    xs, wx = np.polynomial.legendre.leggauss(200)
+    # normal with the closed-form mean and variance of x_lam
     sig = math.sqrt(quad_variance_state(state, lam))
     mean = quad_mean(state, lam)
-    grid = mean + 9.0 * sig * xs
-    mass = (wx * 9.0 * sig * np.array(
-        [marginal_quadrature_pdf(state, lam, x) for x in grid])).sum()
-    assert mass == pytest.approx(1.0, abs=1e-9)
-    # pointwise match with the p-integral of the joint density
-    sig_p = math.sqrt(quad_variance_state(state, lam + 0.5 * math.pi))
-    mean_p = quad_mean(state, lam + 0.5 * math.pi)
-    ps = mean_p + 9.0 * sig_p * xs
     for x in (mean, mean + 0.7 * sig, mean - 1.9 * sig):
-        joint = (wx * 9.0 * sig_p
-                 * wigner_quadrature(state, lam, x, ps)).sum()
-        assert joint == pytest.approx(marginal_quadrature_pdf(state, lam, x),
-                                      abs=1e-8)
+        normal = (math.exp(-0.5 * ((x - mean) / sig) ** 2)
+                  / (math.sqrt(2.0 * math.pi) * sig))
+        assert marginal(state, lam, x) == pytest.approx(normal, abs=1e-8)
 
 
 def test_marginal_coherent_reference():
@@ -284,7 +302,7 @@ def test_marginal_coherent_reference():
     assert quad_mean(state, 0.0) == pytest.approx(math.sqrt(2.0) * 0.9,
                                                   abs=1e-14)
     assert quad_variance_state(state, 0.0) == 0.5
-    peak = marginal_quadrature_pdf(state, 0.0, math.sqrt(2.0) * 0.9)
+    peak = marginal(state, 0.0, math.sqrt(2.0) * 0.9)
     assert peak == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
 
 
