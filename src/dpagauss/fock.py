@@ -21,13 +21,19 @@ propagator per generator:
 
 The eigensolve is full (LAPACK stevd) for dense input blocks such as the
 identity behind ``squeeze_op``.  When the input is supported only on the
-first ``height`` rows of a chain of at least 1024 + 64 * height levels, as
+first ``height`` rows of a chain of at least 512 + 16 * height levels, as
 for the squeezed thermal ladder, it solves only the eigenpairs in a window
-|lambda| <= L: bisection to full relative accuracy (stebz), then inverse
-iteration (stein) over blocks of 32 consecutive eigenvalues, O(N) per
-eigenpair.  The off-diagonals of a squeeze chain grow along it, so an
+|lambda| <= L.  A chain has a zero diagonal, so P T P = -T for
+P = diag((-1)^j) and each pair (w, v) gives (-w, P v): bisection to full
+relative accuracy (stebz) runs on (0, L] alone, inverse iteration (stein)
+over blocks of 32 consecutive eigenvalues, O(N) per eigenpair, and the
+negative half is the mirror of the positive one.  An odd chain adds its
+one eigenvalue 0, whose vector stein finds with the positive ones.  A
+chain whose squared off-diagonals underflow (|xi| below about 1e-154)
+splits into blocks that can each carry a 0, and is solved on all of
+[-L, L].  The off-diagonals of a squeeze chain grow along it, so an
 eigenvector is evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L
-grows by half until the eigenvectors at the window edge carry at most
+grows by half until the eigenvector at the window edge carries at most
 1e-16 on the support, and the dropped eigenpairs cannot reach the input.
 The rule reads the chain alone, never a closed-form moment.  Each windowed
 solve logs one DEBUG record on the ``dpagauss.fock`` logger.
@@ -71,9 +77,9 @@ MAX_DIM = 40000
 
 # windowed eigensolve: used on chains of at least _WINDOW_MIN_LEVELS +
 # _WINDOW_LEVELS_PER_ROW * height levels, where it beats the full solve
-# (measured crossover about 500 + 60 * height levels on one BLAS thread)
-_WINDOW_MIN_LEVELS = 1024
-_WINDOW_LEVELS_PER_ROW = 64
+# (measured crossover about 250 + 20 * height levels on one BLAS thread)
+_WINDOW_MIN_LEVELS = 512
+_WINDOW_LEVELS_PER_ROW = 16
 # first window: twice the off-diagonal at twice the support height, plus
 # this many first off-diagonals; a window too small grows by _WINDOW_GROWTH
 _WINDOW_MARGIN = 60.0
@@ -105,30 +111,58 @@ def expm_antihermitian(gen: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _eigh_window(off: np.ndarray,
-                 span: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the zero-diagonal chain ``off`` with |lambda| <= span.
-
-    Bisection finds the eigenvalues; inverse iteration runs over blocks of
-    ``_STEIN_BLOCK`` consecutive ones, so stein reorthogonalizes within a
-    block only, not across the whole window.
-    """
-    diag = np.zeros(len(off) + 1)
+def _bisect(diag: np.ndarray, off: np.ndarray, low: float, high: float
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues in (low, high] of the chain, by stebz, with their
+    block indices and the block ends."""
     count, w, iblock, isplit, info = lapack.dstebz(
-        diag, off, 1, -span, span, 0, 0, _BISECTION_ABSTOL, "B")
+        diag, off, 1, low, high, 0, 0, _BISECTION_ABSTOL, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
-    w = w[:count]
-    v = np.empty((len(diag), count), order="F")
-    for lo in range(0, count, _STEIN_BLOCK):
-        hi = min(lo + _STEIN_BLOCK, count)
+    return w[:count], iblock, isplit
+
+
+def _eigh_window(off: np.ndarray, span: float
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of the zero-diagonal chain ``off`` with |lambda| <= span,
+    ascending (within each block of a split chain), and how many of them
+    inverse iteration solved.
+
+    P T P = -T for P = diag((-1)^j), so each pair (w, v) with w > 0 also
+    gives (-w, P v).  Bisection therefore runs on (0, span] only, and the
+    negative half is the mirror of the positive one.  An unsplit odd chain
+    adds its one eigenvalue 0, whose vector inverse iteration finds with the
+    rest.  A chain that splits, because its squared off-diagonals underflow,
+    can have several zero eigenvalues, so it is solved on the whole window.
+    Inverse iteration runs over blocks of ``_STEIN_BLOCK`` consecutive
+    eigenvalues, so stein reorthogonalizes within a block only, not across
+    the whole window.
+    """
+    dim = len(off) + 1
+    diag = np.zeros(dim)
+    w, iblock, isplit = _bisect(diag, off, 0.0, span)
+    if isplit[0] < dim:
+        w, iblock, isplit = _bisect(diag, off, -span, span)
+        mirrored = 0
+    else:
+        mirrored = len(w)
+        if dim % 2:
+            w = np.concatenate(([0.0], w))
+            iblock[:len(w)] = 1  # an unsplit chain is one block
+    # the solved eigenpairs fill the last columns, their mirror images the
+    # first ones in reverse
+    v = np.empty((dim, mirrored + len(w)), order="F")
+    for lo in range(0, len(w), _STEIN_BLOCK):
+        hi = min(lo + _STEIN_BLOCK, len(w))
         # stein reads the block indices of its eigenvalues from the front
-        v[:, lo:hi], info = lapack.dstein(diag, off, w[lo:hi],
-                                          np.roll(iblock, -lo), isplit)
+        v[:, mirrored + lo:mirrored + hi], info = lapack.dstein(
+            diag, off, w[lo:hi], np.roll(iblock, -lo), isplit)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"dstein: {info} eigenvectors failed to converge")
-    return w, v
+    v[:, :mirrored] = v[:, ::-1][:, :mirrored]
+    v[1::2, :mirrored] *= -1.0
+    return np.concatenate((-w[::-1][:mirrored], w)), v, len(w)
 
 
 def _eigh_reaching(off: np.ndarray,
@@ -148,9 +182,9 @@ def _eigh_reaching(off: np.ndarray,
     span = 2.0 * mag[min(2 * height, dim - 2)] + _WINDOW_MARGIN * mag[0]
     growths = 0
     while span < radius:
-        w, v = _eigh_window(off, span)
+        w, v, solved = _eigh_window(off, span)
         # the spectrum is symmetric: the two outermost share their moduli
-        edge = float(np.abs(v[:height, [w.argmin(), w.argmax()]]).max())
+        edge = float(np.abs(v[:height, w.argmax()]).max())
         if edge <= _WINDOW_EDGE_TOL:
             break
         span *= _WINDOW_GROWTH
@@ -158,10 +192,11 @@ def _eigh_reaching(off: np.ndarray,
     else:
         # the window covers the spectrum: the full solve is cheaper
         w, v = sla.eigh_tridiagonal(np.zeros(dim), off)
-        edge = 0.0
+        edge, solved = 0.0, 0
     _log.debug("windowed eigensolve: chain %d, support height %d, kept %d "
-               "eigenpairs, window %.6g, edge component %.3g, growths %d",
-               dim, height, len(w), span, edge, growths)
+               "eigenpairs, window %.6g, edge component %.3g, growths %d, "
+               "solved %d by inverse iteration",
+               dim, height, len(w), span, edge, growths, solved)
     return w, v
 
 
@@ -489,9 +524,10 @@ def suggest_dim(state: EvolvedState) -> int:
                              quad_variance_state)
 
     mean = mean_photon(state)
-    spread = math.sqrt(max(photon_variance(state), 1.0))
+    var = photon_variance(state)
+    spread = math.sqrt(max(var, 1.0))
     nu = occupation_tail_scale(state.nbar, state.eff_squeeze)
-    m2_scale = max(1.0, photon_variance(state) + mean ** 2)
+    m2_scale = max(1.0, var + mean ** 2)
     # slice prefactor calibrated against measured N vs N+20 differences
     dim = mean + spread + 10.0 * nu
     for _ in range(4):

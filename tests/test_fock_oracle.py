@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 import dpagauss.fock as fock
 import dpagauss.verify as verify
@@ -389,15 +390,16 @@ def test_phase_zero_oracle_runs_in_real_arithmetic(monkeypatch):
     assert len(moments) == 4 and seen == [np.float64] * 4
 
 
-# a thermal ladder whose parity chains (3,000 levels, 24 rows of support)
-# are long enough for the windowed eigensolve
+# thermal ladders whose parity chains (24 rows of support) are long enough
+# for the windowed eigensolve: 3,000 levels each, or one odd chain of 3,001
+# levels, which carries the eigenvalue 0
 WINDOW_XI = 3.0 * np.exp(0.3j)
-WINDOW_DIM = 6000
 
 
-@pytest.fixture(scope="module")
-def full_spectrum_ladder():
-    """S(xi)|k> for k < 48 from a full eigensolve of each parity chain.
+@pytest.fixture(scope="module", params=[6000, 6001])
+def full_spectrum_ladder(request):
+    """The dimension and S(xi)|k> for k < 48 from a full eigensolve of each
+    parity chain.
 
     The chain generator is R (|c| J) R^* with c = -xi/2,
     R = diag(e^{i m arg c}) and J real antisymmetric, and
@@ -406,10 +408,11 @@ def full_spectrum_ladder():
     Re(i^(m-l) sum_p V[m, p] V[l, p] e^{-i w_p}): the cos w_p sum for even
     m - l and the sin w_p sum for odd m - l, with sign (-1)^floor((m-l)/2).
     """
-    out = np.zeros((WINDOW_DIM, 48), dtype=complex)
+    dim = request.param
+    out = np.zeros((dim, 48), dtype=complex)
     coeff = -0.5 * WINDOW_XI
     for start in (0, 1):
-        idx = np.arange(start, WINDOW_DIM, 2)
+        idx = np.arange(start, dim, 2)
         low = idx[:-1].astype(float)
         off = abs(coeff) * np.sqrt((low + 1.0) * (low + 2.0))
         w, v = sla.eigh_tridiagonal(np.zeros(len(idx)), off)
@@ -422,7 +425,7 @@ def full_spectrum_ladder():
             odd = v @ (np.sin(w) * v[lead])
             real = sign * np.where(gap & 1, odd, even)
             out[idx, col] = rot * real * rot[lead].conj()
-    return out
+    return dim, out
 
 
 def window_records(caplog):
@@ -432,33 +435,71 @@ def window_records(caplog):
 
 def test_windowed_squeeze_ladder_matches_full_spectrum(full_spectrum_ladder,
                                                        caplog, capsys):
+    dim, full = full_spectrum_ladder
     # silent by default: no record and no output without logging set up
     fock.squeezed_fock_ladder(1, 1.0, 2200)
     assert window_records(caplog) == []
     assert capsys.readouterr() == ("", "")
 
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
-    ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, WINDOW_DIM)
-    assert np.abs(ladder - full_spectrum_ladder).max() <= 1e-12
+    ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
+    assert np.abs(ladder - full).max() <= 1e-12
     assert np.abs(np.linalg.norm(ladder, axis=0) - 1.0).max() <= 1e-13
     # one record per parity chain: chain length, support height, eigenpairs
-    # kept, final window, edge component, growths
+    # kept, final window, edge component, growths, and the eigenpairs that
+    # inverse iteration solved: the non-negative half of those kept
     records = window_records(caplog)
-    assert [args[:2] for args in records] == [(3000, 24), (3000, 24)]
-    for _, _, kept, span, edge, growths in records:
-        assert 0 < kept < 3000 and span > 0.0
+    chains = [(dim + 1) // 2, dim // 2]
+    assert [args[:2] for args in records] == [(n, 24) for n in chains]
+    for n, (_, _, kept, span, edge, growths, solved) in zip(chains,
+                                                            records):
+        assert 0 < kept < n and span > 0.0
         assert edge <= 1e-16 and growths == 0
+        assert kept == 2 * solved - n % 2
 
 
 def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
                                                    monkeypatch, caplog):
+    dim, full = full_spectrum_ladder
     monkeypatch.setattr(fock, "_WINDOW_MARGIN", 0.0)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
-    ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, WINDOW_DIM)
-    assert np.abs(ladder - full_spectrum_ladder).max() <= 1e-12
+    ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
+    assert np.abs(ladder - full).max() <= 1e-12
     records = window_records(caplog)
     assert len(records) == 2
     assert all(args[4] <= 1e-16 and args[5] >= 1 for args in records)
+
+
+@pytest.mark.parametrize("levels", [3000, 3001], ids=["even", "odd"])
+def test_window_eigenpairs_mirror_the_two_sided_solve(levels):
+    # the even-level squeeze chain at |xi| = 3
+    low = np.arange(0, 2 * levels - 2, 2, dtype=float)
+    off = 1.5 * np.sqrt((low + 1.0) * (low + 2.0))
+    span = 200.0
+    diag = np.zeros(levels)
+    count, w_ref, iblock, isplit, info = lapack.dstebz(
+        diag, off, 1, -span, span, 0, 0, 2.0 * np.finfo(float).tiny, "B")
+    assert info == 0
+    w_ref = w_ref[:count]
+    v_ref = np.column_stack([
+        lapack.dstein(diag, off, w_ref[lo:lo + 32],
+                      np.roll(iblock, -lo), isplit)[0]
+        for lo in range(0, count, 32)])
+
+    w, v, solved = fock._eigh_window(off, span)
+    assert np.array_equal(w[w > 0.0], w_ref[w_ref > 0.0])
+    assert np.array_equal(w, -w[::-1])
+    assert np.count_nonzero(w == 0.0) == levels % 2
+    assert len(w) == count and solved == (count + 1) // 2
+    signs = np.sign(np.sum(v_ref * v, axis=0))
+    assert np.abs(v_ref * signs - v).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [6000, 6001])
+def test_split_squeeze_chain_is_the_identity(dim):
+    # |xi| < 1e-154: the squared off-diagonals underflow and the chain splits
+    eye = np.eye(dim, 48)
+    assert np.abs(fock.apply_squeeze(1e-160, eye) - eye).max() <= 1e-14
 
 
 def record_slab_dims(monkeypatch):
