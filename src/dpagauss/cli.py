@@ -367,6 +367,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR
+    except MemoryError as exc:
+        # numpy names the allocation, such as a sweep of 1e11 rows
+        sys.stderr.write(f"usage error: out of memory: {exc}\n")
+        return USAGE_ERROR
     except ArithmeticError as exc:
         # the guards admit inputs at which a closed form overflows or
         # divides by an underflowed value: name the innermost public formula

@@ -28,15 +28,20 @@ P = diag((-1)^j) and each pair (w, v) gives (-w, P v): bisection to full
 relative accuracy (stebz) runs on (0, L] alone, inverse iteration (stein)
 over blocks of 32 consecutive eigenvalues, O(N) per eigenpair, and the
 negative half is the mirror of the positive one.  An odd chain adds its
-one eigenvalue 0, whose vector stein finds with the positive ones.  A
-chain whose squared off-diagonals underflow (|xi| below about 1e-154)
-splits into blocks that can each carry a 0, and is solved on all of
-[-L, L].  The off-diagonals of a squeeze chain grow along it, so an
-eigenvector is evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L
-grows by half until the eigenvector at the window edge carries at most
-1e-16 on the support, and the dropped eigenpairs cannot reach the input.
-The rule reads the chain alone, never a closed-form moment.  Each windowed
-solve logs one DEBUG record on the ``dpagauss.fock`` logger.
+one eigenvalue 0, whose vector stein finds with the positive ones.  The
+off-diagonals of a squeeze chain grow along it, so an eigenvector is
+evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L grows by half
+until the eigenvector at the window edge carries at most 1e-16 on the
+support, and the dropped eigenpairs cannot reach the input.  The rule
+reads the chain alone, never a closed-form moment.  Each windowed solve
+logs one DEBUG record on the ``dpagauss.fock`` logger.
+
+Both generators' off-diagonals grow along the chain, so one underflow rule
+serves both propagators: a chain whose first squared off-diagonal is below
+the smallest normal double (|xi| or |alpha| below about 1e-154) has
+exp(K) = I in double precision and returns its block.  That is also the
+only chain that stebz would split, so every eigensolved chain is one
+block.
 
 The operative truncation gates are the occupation mass near the truncation
 edge and the agreement between two truncations N and N + 20, applied by
@@ -111,58 +116,41 @@ def expm_antihermitian(gen: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, low: float, high: float
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eigenvalues in (low, high] of the chain, by stebz, with their
-    block indices and the block ends."""
-    count, w, iblock, isplit, info = lapack.dstebz(
-        diag, off, 1, low, high, 0, 0, _BISECTION_ABSTOL, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
-    return w[:count], iblock, isplit
-
-
 def _eigh_window(off: np.ndarray, span: float
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Eigenpairs of the zero-diagonal chain ``off`` with |lambda| <= span,
-    ascending (within each block of a split chain), and how many of them
-    inverse iteration solved.
+    ascending, and how many of them inverse iteration solved.
 
     P T P = -T for P = diag((-1)^j), so each pair (w, v) with w > 0 also
     gives (-w, P v).  Bisection therefore runs on (0, span] only, and the
-    negative half is the mirror of the positive one.  An unsplit odd chain
-    adds its one eigenvalue 0, whose vector inverse iteration finds with the
-    rest.  A chain that splits, because its squared off-diagonals underflow,
-    can have several zero eigenvalues, so it is solved on the whole window.
-    Inverse iteration runs over blocks of ``_STEIN_BLOCK`` consecutive
-    eigenvalues, so stein reorthogonalizes within a block only, not across
-    the whole window.
+    negative half is the mirror of the positive one.  An odd chain adds its
+    one eigenvalue 0, whose vector inverse iteration finds with the rest.
+    The chain is one block: its squared off-diagonals do not underflow (see
+    ``_expm_chain``).  Inverse iteration runs over blocks of
+    ``_STEIN_BLOCK`` consecutive eigenvalues, so stein reorthogonalizes
+    within a block only, not across the whole window.
     """
     dim = len(off) + 1
     diag = np.zeros(dim)
-    w, iblock, isplit = _bisect(diag, off, 0.0, span)
-    if isplit[0] < dim:
-        w, iblock, isplit = _bisect(diag, off, -span, span)
-        mirrored = 0
-    else:
-        mirrored = len(w)
-        if dim % 2:
-            w = np.concatenate(([0.0], w))
-            iblock[:len(w)] = 1  # an unsplit chain is one block
+    count, w, _, isplit, info = lapack.dstebz(
+        diag, off, 1, 0.0, span, 0, 0, _BISECTION_ABSTOL, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
+    w = np.concatenate((np.zeros(dim % 2), w[:count]))
+    one_block = np.ones(dim, dtype=np.int32)
     # the solved eigenpairs fill the last columns, their mirror images the
     # first ones in reverse
-    v = np.empty((dim, mirrored + len(w)), order="F")
+    v = np.empty((dim, count + len(w)), order="F")
     for lo in range(0, len(w), _STEIN_BLOCK):
         hi = min(lo + _STEIN_BLOCK, len(w))
-        # stein reads the block indices of its eigenvalues from the front
-        v[:, mirrored + lo:mirrored + hi], info = lapack.dstein(
-            diag, off, w[lo:hi], np.roll(iblock, -lo), isplit)
+        v[:, count + lo:count + hi], info = lapack.dstein(
+            diag, off, w[lo:hi], one_block, isplit)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"dstein: {info} eigenvectors failed to converge")
-    v[:, :mirrored] = v[:, ::-1][:, :mirrored]
-    v[1::2, :mirrored] *= -1.0
-    return np.concatenate((-w[::-1][:mirrored], w)), v, len(w)
+    v[:, :count] = v[:, ::-1][:, :count]
+    v[1::2, :count] *= -1.0
+    return np.concatenate((-w[::-1][:count], w)), v, len(w)
 
 
 def _eigh_reaching(off: np.ndarray,
@@ -224,7 +212,10 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
     if np.iscomplexobj(x):
         return _expm_chain(sub, x.view(float), chebyshev).view(complex)
     x = x.astype(float, copy=True)
-    if not np.any(sub):
+    # both generators' off-diagonals grow along the chain, so when the first
+    # one squared underflows, ||K|| <= 2 max|sub| < 3e-154 dim and
+    # exp(K) = I in double precision; stebz would split such a chain
+    if not sub.size or sub[0] ** 2 < np.finfo(float).tiny:
         return x
     if chebyshev:
         mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
@@ -287,7 +278,7 @@ def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
     The generator couples neighboring levels only, with coefficient
     alpha sqrt(n+1), so its spectral radius grows like 2 |alpha| sqrt(dim)
     and the expansion degree with it.  Real alpha on a real block gives a
-    real result; alpha = 0 returns a copy of the block.
+    real result; |alpha| below about 1.5e-154 returns a copy of the block.
     """
     root = np.sqrt(np.arange(1, vecs.shape[0], dtype=float))
     return _apply_chain(complex(alpha), root, vecs, True)
@@ -325,8 +316,6 @@ def squeeze_op(xi: complex, dim: int) -> np.ndarray:
 
 def thermal_tail_weight(nbar: float, dim: int) -> float:
     """Probability mass of the Bose-Einstein distribution beyond the cutoff."""
-    if nbar == 0:
-        return 0.0
     return (nbar / (nbar + 1.0)) ** dim
 
 
@@ -337,10 +326,6 @@ def thermal_weights(nbar: float, dim: int) -> np.ndarray:
         raise TruncationError(
             f"thermal tail weight {tail:.2e} at dim {dim} exceeds "
             f"{THERMAL_TAIL_TOL:.0e}; use a larger truncation")
-    if nbar == 0:
-        w = np.zeros(dim)
-        w[0] = 1.0
-        return w
     w = (nbar / (nbar + 1.0)) ** np.arange(dim)
     return w / w.sum()
 
@@ -503,8 +488,6 @@ def occupation_tail_scale(nbar: float, eff_squeeze: float) -> float:
         if gap == 0.0:
             continue  # coherent-like quadrature: super-exponential, no pole
         rate = min(rate, math.log((v + 0.5) / gap))
-    if not math.isfinite(rate):
-        return 2.0
     return max(2.0, 1.0 / rate)
 
 

@@ -321,9 +321,11 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
     (["eval", "--r", "1", "--u", "800"], "exceeds the overflow guard"),
     (["sweep", "--r", "1", "--u-stop", "800", "--u-steps", "3"],
      "exceeds the overflow guard"),
+    (["wigner-grid", "--r", "0.1", "--grid-halfwidth-sigmas", "0"],
+     "grid_halfwidth_sigmas must be > 0"),
 ], ids=["sweep-r0", "sweep-beyond-guard", "wigner-grid-r0",
         "wigner-grid-beyond-guard", "eval-negative-u", "critical-r0",
-        "eval-u800", "sweep-u800"])
+        "eval-u800", "sweep-u800", "wigner-grid-halfwidth-0"])
 def test_model_time_guards_are_usage_errors(args, named, capsys,
                                             monkeypatch):
     rows = []
@@ -334,6 +336,21 @@ def test_model_time_guards_are_usage_errors(args, named, capsys,
     assert named in err
     # a sweep fails before its first row
     assert rows == []
+
+
+def test_memory_error_is_one_usage_error_line(capsys, monkeypatch):
+    # what numpy raises for a sweep of 1e11 rows, without allocating it
+    def allocate(args):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "cmd_sweep", allocate)
+    code, out, err = run_cli(["sweep", "--r", "1", "--u-stop", "1",
+                              "--u-steps", "100000000000"], capsys)
+    assert_one_usage_error_line(code, out, err)
+    assert err == ("usage error: out of memory: Unable to allocate 745. GiB "
+                   "for an array with shape (100000000000,) and data type "
+                   "float64\n")
 
 
 def test_workers_below_one_is_usage_error(capsys):
@@ -350,8 +367,9 @@ def test_workers_below_one_is_usage_error(capsys):
     ("sweep", {"r": 0.1, "u_steps": 2.5}, "u_steps"),
     ("verify", {"nbars": 0.5}, "nbars"),
     ("verify", {"wigner_points": [[0.2, 0.1, 0.3, 0.5]]}, "wigner_points"),
+    ("verify", {"nbars": [0.5, "0.2"]}, "nbars"),
 ], ids=["typo", "other-subcommand", "not-a-number", "bool", "int-flag",
-        "grid-scalar", "wigner-point-width"])
+        "grid-scalar", "wigner-point-width", "grid-string"])
 def test_config_defects_are_usage_errors(tmp_path, capsys, command, values,
                                          named):
     config = tmp_path / "config.json"
@@ -628,7 +646,9 @@ def test_verify_small_grid_exit_codes(tmp_path, capsys, monkeypatch):
         "nbars": [0.0, 0.5], "rs": [0.1], "alphas": [0.0, 0.8],
         "us": [0.0, 0.4],
         "evolution_grid": [[0.5, 0.3, 0.5, 0.2]],
-        "wigner_points": [[0.2, 0.1, 0.3, 0.5, 0.45]],
+        # beta as a number and as [re, im]
+        "wigner_points": [[0.2, 0.1, 0.3, 0.5, 0.45],
+                          [0.2, 0.1, 0.3, 0.5, [0.45, -0.1]]],
     }))
     code, out, _ = run_cli(["verify", "--config", str(config),
                             "--workers", "1"], capsys)
@@ -636,6 +656,10 @@ def test_verify_small_grid_exit_codes(tmp_path, capsys, monkeypatch):
     payload = strict_json(out)
     assert payload["pass"] is True
     assert all(e["rel_err"] <= 1e-6 for e in payload["entries"])
+    assert [(e["params"]["beta_re"], e["params"]["beta_im"])
+            for e in payload["entries"]
+            if e["quantity"] == "wigner_density"] == [(0.45, 0.0),
+                                                      (0.45, -0.1)]
 
     # a gate no comparison can meet: exit 2 with a strict-JSON report
     monkeypatch.setattr(verify, "MOMENT_GATE", 0.0)

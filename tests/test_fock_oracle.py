@@ -17,6 +17,9 @@ from dpagauss import ModelParams, evolved_state, wigner_beta
 def test_thermal_state_properties():
     rho = fock.thermal_state(0.0, 12)
     assert rho[0, 0] == 1.0 and np.abs(rho).sum() == 1.0
+    # the vacuum's limits come from the general expressions
+    assert fock.thermal_tail_weight(0.0, 12) == 0.0
+    assert fock.occupation_tail_scale(0.0, 0.0) == 2.0
 
     rho = fock.thermal_state(1.0, 60)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -132,6 +135,8 @@ def test_hamiltonian_evolution_trivial():
     params = ModelParams(alpha_mag=0.0, squeeze_mag=0.0, nbar=0.8)
     rho = fock.evolve_via_hamiltonian(params, 2.5, 80)
     assert np.abs(rho - fock.thermal_state(0.8, 80)).max() < 1e-13
+    with pytest.raises(ValueError, match="total_time must be >= 0"):
+        fock.evolve_via_hamiltonian(params, -1.0, 80)
 
 
 @pytest.mark.parametrize("alpha_mag,phi,r,theta,nbar", [
@@ -496,10 +501,43 @@ def test_window_eigenpairs_mirror_the_two_sided_solve(levels):
 
 
 @pytest.mark.parametrize("dim", [6000, 6001])
-def test_split_squeeze_chain_is_the_identity(dim):
-    # |xi| < 1e-154: the squared off-diagonals underflow and the chain splits
+def test_split_squeeze_chain_is_the_identity(dim, monkeypatch):
+    # the first squared off-diagonal underflows (|xi| or |alpha| below about
+    # 1.5e-154), where stebz would split the squeeze chain: both propagators
+    # return the block itself
+    def refuse(*args):
+        raise AssertionError("a chain below the underflow rule ran a "
+                             "propagator")
+
+    monkeypatch.setattr(fock, "_eigh_reaching", refuse)
+    monkeypatch.setattr(fock, "jv", refuse)
     eye = np.eye(dim, 48)
-    assert np.abs(fock.apply_squeeze(1e-160, eye) - eye).max() <= 1e-14
+    for coeff in (1e-300, 1e-160, 1e-155):
+        for apply in (fock.apply_squeeze, fock.apply_displacement):
+            assert np.array_equal(apply(coeff, eye), eye)
+
+
+@pytest.mark.parametrize("coeff", [1e-153, 1e-150])
+def test_chain_above_the_underflow_rule_runs_its_propagator(coeff,
+                                                            monkeypatch):
+    calls = []
+
+    def recording(name):
+        original = getattr(fock, name)
+
+        def record(*args):
+            calls.append(name)
+            return original(*args)
+        return record
+
+    for name in ("_eigh_reaching", "jv"):
+        monkeypatch.setattr(fock, name, recording(name))
+    eye = np.eye(6000, 48)
+    assert np.abs(fock.apply_squeeze(coeff, eye) - eye).max() <= 1e-14
+    # one eigensolve per parity chain, then one Chebyshev expansion
+    assert calls == ["_eigh_reaching"] * 2
+    assert np.abs(fock.apply_displacement(coeff, eye) - eye).max() <= 1e-14
+    assert calls == ["_eigh_reaching"] * 2 + ["jv"]
 
 
 def record_slab_dims(monkeypatch):

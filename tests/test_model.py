@@ -30,6 +30,11 @@ def test_params_validation():
         ModelParams(alpha_mag=0.0, nbar=-0.5)
     with pytest.raises(ValueError):
         ModelParams(alpha_mag=0.0, prep_time=0.0)
+    for name in ("alpha_mag", "alpha_phase", "squeeze_mag", "squeeze_phase",
+                 "nbar", "prep_time"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ModelParams(**{"alpha_mag": 0.0, name: value})
 
 
 @given(mags, angles, squeezes, angles)

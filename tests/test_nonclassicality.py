@@ -208,6 +208,29 @@ def test_no_transition_reported_when_curve_stays_positive(monkeypatch):
         find_critical_alpha(0.2, 0.1)
 
 
+def test_dip_narrower_than_the_grid_has_two_crossings(monkeypatch):
+    # a Gaussian dip to Q = -1 between two points of the classification
+    # grid, at which it is still 0.88: no grid sign change
+    step = ncl.U_MAX / (ncl.CLASSIFY_GRID - 1)
+    center, width = 1000.5 * step, 0.3 * step
+
+    def fake_curve(us):
+        return 1.0 - 2.0 * np.exp(-((np.asarray(us) - center) / width) ** 2)
+
+    def fake_scan(nbar, r, alpha_mag, points):
+        us = np.linspace(0.0, ncl.U_MAX, points)
+        return lambda u: float(fake_curve(u)), us, fake_curve(us)
+
+    monkeypatch.setattr(ncl, "_scan", fake_scan)
+    assert fake_scan(0, 0, 0, ncl.CLASSIFY_GRID)[2].min() > 0.8
+    result = classify_behavior(0.2, 0.1, 0.3)
+    assert result.kind is BehaviorKind.MIXED_TWO_CROSSINGS
+    left, right = result.zeros
+    half = width * math.sqrt(math.log(2.0))
+    assert left == pytest.approx(center - half, abs=1e-12)
+    assert right == pytest.approx(center + half, abs=1e-12)
+
+
 def test_critical_solver_rejects_zero_squeeze():
     with pytest.raises(ValueError):
         find_critical_alpha(0.5, 0.0)
