@@ -41,13 +41,6 @@ from .statistics import (
     snr_max,
     variance_product,
 )
-from .wigner import (
-    QuadFormCoeffs,
-    WignerCoeffs,
-    quad_form_coeffs,
-    wigner_beta,
-    wigner_coeffs,
-    wigner_quadrature,
-)
+from .wigner import wigner_beta, wigner_quadrature
 
 __all__ = [name for name in dir() if not name.startswith("_")]

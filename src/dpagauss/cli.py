@@ -311,7 +311,6 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
     if args.grid_halfwidth_sigmas <= 0:
         raise UsageError("grid_halfwidth_sigmas must be > 0")
     state = evolved_state(_params(args), args.u)
-    coeffs = wigner.quad_form_coeffs(state, args.lam)
     sig_x = math.sqrt(statistics.quad_variance_state(state, args.lam))
     sig_p = math.sqrt(statistics.quad_variance_state(
         state, args.lam + 0.5 * math.pi))
@@ -324,8 +323,10 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
                                       f"{_fmt(args.grid_halfwidth_sigmas)}"))]
     lines.append("x,p,w\n")
     steps = np.arange(n)
-    xs = coeffs.mean_x - half_x + 2.0 * half_x * steps / (n - 1)
-    ps = coeffs.mean_p - half_p + 2.0 * half_p * steps / (n - 1)
+    mean_x = statistics.quad_mean(state, args.lam)
+    mean_p = statistics.quad_mean(state, args.lam + 0.5 * math.pi)
+    xs = mean_x - half_x + 2.0 * half_x * steps / (n - 1)
+    ps = mean_p - half_p + 2.0 * half_p * steps / (n - 1)
     # one template per x row, \0 standing for the x text
     row = "".join(f"\0,{_fmt(p)},%.17g\n" for p in ps.tolist())
     # one call per x row: a whole-grid call would hold every value of the

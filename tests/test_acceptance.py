@@ -30,7 +30,6 @@ from dpagauss import (
     squeezing_criterion,
     variance_product,
     wigner_beta,
-    wigner_coeffs,
 )
 from dpagauss.statistics import quad_variance
 
@@ -141,12 +140,12 @@ def test_criterion_6_wigner_integrity():
             numeric, _ = fock.numeric_wigner(params, u, beta)
             assert abs(closed - numeric) / max(abs(closed), 1e-6) <= 1e-6
 
-    # exponent-coefficient identity and positivity
+    # exponent-coefficient identity, read from the peak
+    # W(A) = (2/pi) (4 a^2 b^2 - c^2)^{-1/2}, and positivity
     for _ in range(1000):
         state = random_state(rng)
         beta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        k = wigner_coeffs(state, beta)
-        det = 4.0 * k.a_sq * k.b_sq - k.c_coef ** 2
+        det = (2.0 / (math.pi * wigner_beta(state, state.displacement))) ** 2
         assert det == pytest.approx(4.0 * (state.nbar + 0.5) ** 2, rel=1e-12)
         assert wigner_beta(state, beta) > 0.0
     _report(6, "normalization, Fock-space parity agreement at 100 points, "

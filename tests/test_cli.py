@@ -125,11 +125,15 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
     (["sweep", "--nbar", "7.5e13", "--r", "1.3e-31", "--alpha", "0.25",
       "--u-start", "9.3", "--u-stop", "9.4", "--u-steps", "2"],
      "lost to rounding"),
+    # the form's cross term cancels its diagonal off the squeeze axis: the
+    # exponent rounds below 0 and printed W up to 1.24e55 over a peak of 1/pi
+    (["wigner-grid", "--r", "1", "--u", "9", "--lambda", "0.3",
+      "--grid-steps", "41"], "wigner_quadrature lost to rounding"),
 ], ids=["eval-u200", "critical-r400", "eval-nbar1e200", "sweep-u200",
         "sweep-nbar1e300", "eval-infinite-variance", "sweep-infinite-variance",
         "critical-vacuum-0/0", "critical-vacuum-x/0", "critical-unresolved",
         "critical-min-q-jump", "critical-rounding", "eval-rounding",
-        "sweep-rounding"])
+        "sweep-rounding", "wigner-grid-above-peak"])
 def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
@@ -137,6 +141,17 @@ def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     # the formula, not the errno tuple or text of the float exception
     assert named in err
     assert "(34," not in err and "range error" not in err
+
+
+def test_wigner_grid_short_of_the_rounding_limit_stays_under_its_peak(
+        capsys):
+    # one step of u before the grid above, every exponent still rounds >= 0
+    code, out, err = run_cli(["wigner-grid", "--r", "1", "--u", "8",
+                              "--lambda", "0.3", "--grid-steps", "41"],
+                             capsys)
+    assert code == 0 and err == ""
+    ws = [float(line.split(",")[2]) for line in out.splitlines()[2:]]
+    assert len(ws) == 41 * 41 and max(ws) <= 1.0 / math.pi
 
 
 # phi = pi/2, theta = 0: the displacement term of Var n adds up, so Q of

@@ -1,4 +1,7 @@
+import importlib.util
+import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -206,13 +209,37 @@ def test_public_surface():
     assert sorted(dpagauss.__all__) == [
         "BehaviorKind", "Classification", "CriticalPointResult",
         "EvolvedState", "HamiltonianCoeffs", "Mechanism", "ModelParams",
-        "NoTransitionError", "QuadFormCoeffs", "WignerCoeffs",
-        "classicality_factor", "classify_behavior", "critical_alpha_q0_root",
-        "crossover_time", "displacement_amplitude", "evolved_state",
-        "field_nonclassical", "find_critical_alpha", "hamiltonian_coeffs",
-        "limit_r_zero_displacement", "mandel_q", "mandel_q_curve",
-        "mean_photon", "model", "nonclassicality", "p_representation_exists",
-        "photon_variance", "quad_form_coeffs", "quad_mean", "quad_variance",
-        "quad_variance_state", "snr", "snr_max", "squeezing_criterion",
-        "statistics", "variance_product", "wigner", "wigner_beta",
-        "wigner_coeffs", "wigner_quadrature"]
+        "NoTransitionError", "classicality_factor", "classify_behavior",
+        "critical_alpha_q0_root", "crossover_time", "displacement_amplitude",
+        "evolved_state", "field_nonclassical", "find_critical_alpha",
+        "hamiltonian_coeffs", "limit_r_zero_displacement", "mandel_q",
+        "mandel_q_curve", "mean_photon", "model", "nonclassicality",
+        "p_representation_exists", "photon_variance", "quad_mean",
+        "quad_variance", "quad_variance_state", "snr", "snr_max",
+        "squeezing_criterion", "statistics", "variance_product", "wigner",
+        "wigner_beta", "wigner_quadrature"]
+
+
+def test_benchmark_tracer_names_functions_of_the_package():
+    # the traced benchmark fails on a name the package no longer defines,
+    # so a deletion must update perfbench/tracing.py in the same change
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def defined_in(layer, attr):
+        """The module defining the public function dpagauss.<layer>.<attr>."""
+        obj = getattr(importlib.import_module(f"dpagauss.{layer}"), attr,
+                      None)
+        assert inspect.isfunction(obj) and not attr.startswith("_"), attr
+        return obj.__module__
+
+    for calls in tracing.EXPECTED_CALLS.values():
+        for name in calls:
+            layer, attr = name.split(".")
+            # install wraps only the functions a layer defines itself
+            assert defined_in(layer, attr) == f"dpagauss.{layer}", name
+    for layer, attr in tracing.BINDING_SITES:
+        assert defined_in(layer, attr).startswith("dpagauss."), (layer, attr)

@@ -10,13 +10,12 @@ from dpagauss import (
     evolved_state,
     mean_photon,
     photon_variance,
-    quad_form_coeffs,
     quad_mean,
     quad_variance_state,
     wigner_beta,
-    wigner_coeffs,
     wigner_quadrature,
 )
+from dpagauss.wigner import _split_cosh_pm
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 
@@ -63,28 +62,51 @@ def adaptive_wigner_norm(state, tol=1e-9):
     return prev
 
 
+def beta_exponent(state, delta):
+    """(a^2 f^2 + b^2 d^2 + c f d) / (4 a^2 b^2 - c^2) at beta = A + delta,
+    read back from W(beta) = exp(-exponent) / (pi (nbar + 1/2))."""
+    nb_half = state.nbar + 0.5
+    return -math.log(math.pi * nb_half
+                     * wigner_beta(state, state.displacement + delta))
+
+
+def quad_form(state, lam, dx, dp):
+    """E at offsets (dx, dp) from the quadrature means, read back from
+    W(x, p) = exp(-E / (2 nbar + 1)^2) / (pi (2 nbar + 1))."""
+    width = 2.0 * state.nbar + 1.0
+    w = wigner_quadrature(state, lam, quad_mean(state, lam) + dx,
+                          quad_mean(state, lam + 0.5 * math.pi) + dp)
+    return -width ** 2 * math.log(math.pi * width * w)
+
+
+def quad_form_matrix(state, lam):
+    """[[eps_xx, eps_xp / 2], [eps_xp / 2, eps_pp]] read from the density."""
+    xx, pp = quad_form(state, lam, 1.0, 0.0), quad_form(state, lam, 0.0, 1.0)
+    xp = 0.5 * (quad_form(state, lam, 1.0, 1.0)
+                - quad_form(state, lam, 1.0, -1.0))
+    return np.array([[xx, 0.5 * xp], [0.5 * xp, pp]])
+
+
 def test_coeffs_real_cross_term_vanishes_for_real_squeeze():
+    # c = 0: the exponent is even in Im(beta - A), exactly
     state = EvolvedState(displacement=0.3 + 0j, eff_squeeze=0.7,
                          squeeze_phase=0.0, nbar=0.4)
-    assert wigner_coeffs(state, 0.1 + 0.1j).c_coef == 0.0
-
-
-def test_coeffs_center_at_displacement():
-    state = EvolvedState(displacement=0.4 - 0.2j, eff_squeeze=0.3,
-                         squeeze_phase=1.1, nbar=0.2)
-    k = wigner_coeffs(state, state.displacement)
-    assert k.d_coef == 0.0
-    assert k.f_coef == 0.0
+    assert wigner_beta(state, 0.1 + 0.1j) == wigner_beta(state, 0.1 - 0.1j)
+    tilted = EvolvedState(displacement=0.3 + 0j, eff_squeeze=0.7,
+                          squeeze_phase=0.5, nbar=0.4)
+    assert wigner_beta(tilted, 0.1 + 0.1j) != wigner_beta(tilted, 0.1 - 0.1j)
 
 
 def test_coeffs_hyperbolic_values():
     # at nbar = 0, a^2 + b^2 = cosh 2(u + r) and a^2 - b^2 - i c =
-    # e^{i theta} sinh 2(u + r); references sinh(1)/2 and cosh(2) from a
-    # high-precision evaluator
+    # e^{i theta} sinh 2(u + r), with a^2, b^2 = _split_cosh_pm(rho, theta)/2
+    # and -c = sin(theta) sinh 2(u + r), the a^2 - b^2 of theta - pi/2;
+    # references sinh(1)/2 and cosh(2) from a high-precision evaluator
     def hyperbolic(rho, theta):
-        k = wigner_coeffs(EvolvedState(displacement=0j, eff_squeeze=rho,
-                                       squeeze_phase=theta), 0j)
-        return complex(k.a_sq - k.b_sq, -k.c_coef) / 2.0, k.a_sq + k.b_sq
+        plus, minus = _split_cosh_pm(rho, theta)
+        cross_plus, cross_minus = _split_cosh_pm(rho, theta - 0.5 * math.pi)
+        return (complex(plus - minus, cross_plus - cross_minus) / 4.0,
+                (plus + minus) / 2.0)
 
     assert hyperbolic(0.5, 0.0)[0] == pytest.approx(0.5876005968219007,
                                                     abs=1e-14)
@@ -97,17 +119,6 @@ def test_coeffs_hyperbolic_values():
                                                     abs=1e-14)
 
 
-def test_coeff_identity_at_random_points():
-    rng = np.random.default_rng(20240811)
-    for _ in range(1000):
-        state = random_state(rng)
-        k = wigner_coeffs(state, complex(rng.uniform(-3, 3),
-                                         rng.uniform(-3, 3)))
-        det = 4.0 * k.a_sq * k.b_sq - k.c_coef ** 2
-        assert det == pytest.approx(4.0 * (state.nbar + 0.5) ** 2, rel=1e-12)
-        assert k.a_sq > 0 and k.b_sq > 0
-
-
 def test_peak_values():
     nbar = 0.35
     state = EvolvedState(displacement=0.7 + 0.4j, eff_squeeze=0.6,
@@ -116,6 +127,18 @@ def test_peak_values():
         1.0 / (math.pi * (nbar + 0.5)), rel=1e-13)
     vac = EvolvedState(displacement=0j, eff_squeeze=0.0, nbar=0.0)
     assert wigner_beta(vac, 0j) == pytest.approx(2.0 / math.pi, rel=1e-14)
+    # W(A) = (2/pi) (4 a^2 b^2 - c^2)^{-1/2}: d = f = 0 at beta = A, and
+    # 4 a^2 b^2 - c^2 = 4 (nbar + 1/2)^2 for every state; a^2, b^2 > 0
+    # make W fall off along Re and Im of beta - A
+    rng = np.random.default_rng(20240811)
+    for _ in range(1000):
+        state = random_state(rng)
+        step = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        peak = wigner_beta(state, state.displacement)
+        det = (2.0 / (math.pi * peak)) ** 2
+        assert det == pytest.approx(4.0 * (state.nbar + 0.5) ** 2, rel=1e-12)
+        assert wigner_beta(state, state.displacement + step.real) < peak
+        assert wigner_beta(state, state.displacement + 1j * step.imag) < peak
 
 
 def test_displaced_thermal_reference_gaussian():
@@ -164,16 +187,18 @@ def test_beta_form_normalization():
 def test_quad_form_cross_term_vanishes_at_alignment():
     state = EvolvedState(displacement=0.2 + 0.5j, eff_squeeze=0.9,
                          squeeze_phase=1.3, nbar=0.6)
-    k = quad_form_coeffs(state, 0.65)
-    assert k.eps_xp == pytest.approx(0.0, abs=1e-12)
+    assert quad_form_matrix(state, 0.65)[0, 1] == pytest.approx(0.0,
+                                                                abs=1e-12)
 
 
 def test_quad_form_isotropic_without_squeezing():
-    state = EvolvedState(displacement=0.2j, eff_squeeze=0.0, nbar=0.4)
-    k = quad_form_coeffs(state, 0.3)
-    assert k.eps_xx == pytest.approx(2.0 * 0.9, rel=1e-14)
-    assert k.eps_pp == pytest.approx(2.0 * 0.9, rel=1e-14)
-    assert k.eps_xp == 0.0
+    # E does not depend on A; at A = 0 the means are 0, so the offsets
+    # (1, +-1) reach the density exactly and a zero cross term cancels
+    state = EvolvedState(displacement=0j, eff_squeeze=0.0, nbar=0.4)
+    mat = quad_form_matrix(state, 0.3)
+    assert mat[0, 0] == pytest.approx(2.0 * 0.9, rel=1e-14)
+    assert mat[1, 1] == pytest.approx(2.0 * 0.9, rel=1e-14)
+    assert mat[0, 1] == 0.0
 
 
 def test_quad_form_eigenstructure():
@@ -181,10 +206,7 @@ def test_quad_form_eigenstructure():
     for _ in range(200):
         state = random_state(rng)
         lam = rng.uniform(-math.pi, math.pi)
-        k = quad_form_coeffs(state, lam)
-        mat = np.array([[k.eps_xx, 0.5 * k.eps_xp],
-                        [0.5 * k.eps_xp, k.eps_pp]])
-        evals = np.linalg.eigvalsh(mat)
+        evals = np.linalg.eigvalsh(quad_form_matrix(state, lam))
         nb_half = state.nbar + 0.5
         assert evals[0] * evals[1] == pytest.approx((2.0 * nb_half) ** 2,
                                                     rel=1e-10)
@@ -195,15 +217,16 @@ def test_quad_form_eigenstructure():
 def test_centered_exponent_eigenvalues_match_width_parameters():
     # pinned against the aligned product form: the Gaussian denominators of
     # W(beta) in the centered Re/Im variables are (nbar+1/2) e^{-+2(u+r)},
-    # i.e. the reciprocals of the eigenvalues of E / (4 (nbar+1/2)^2)
+    # i.e. the reciprocals of the eigenvalues of the exponent's matrix
+    # [[4 a^2, -2 c], [-2 c, 4 b^2]] / (4 (nbar+1/2)^2)
     rng = np.random.default_rng(13)
     for _ in range(200):
         state = random_state(rng)
-        k = wigner_coeffs(state, 0j)
-        mat = np.array([[4.0 * k.a_sq, -2.0 * k.c_coef],
-                        [-2.0 * k.c_coef, 4.0 * k.b_sq]])
+        re, im = beta_exponent(state, 1.0), beta_exponent(state, 1j)
+        cross = 0.25 * (beta_exponent(state, 1.0 + 1j)
+                        - beta_exponent(state, 1.0 - 1j))
         nb_half = state.nbar + 0.5
-        evals = np.sort(np.linalg.eigvalsh(mat / (4.0 * nb_half ** 2)))
+        evals = np.sort(np.linalg.eigvalsh([[re, cross], [cross, im]]))
         widths = np.sort(1.0 / evals)
         expected = np.sort([nb_half * math.exp(2.0 * state.eff_squeeze),
                             nb_half * math.exp(-2.0 * state.eff_squeeze)])
@@ -215,12 +238,13 @@ def test_quadrature_peak_and_jacobian_consistency():
     for _ in range(200):
         state = random_state(rng)
         lam = rng.uniform(-math.pi, math.pi)
-        k = quad_form_coeffs(state, lam)
-        peak = wigner_quadrature(state, lam, k.mean_x, k.mean_p)
+        mean_x = quad_mean(state, lam)
+        mean_p = quad_mean(state, lam + 0.5 * math.pi)
+        peak = wigner_quadrature(state, lam, mean_x, mean_p)
         assert peak == pytest.approx(
             1.0 / (math.pi * (2.0 * state.nbar + 1.0)), rel=1e-13)
-        x = k.mean_x + rng.uniform(-2, 2)
-        p = k.mean_p + rng.uniform(-2, 2)
+        x = mean_x + rng.uniform(-2, 2)
+        p = mean_p + rng.uniform(-2, 2)
         beta = (complex(math.cos(lam), math.sin(lam))
                 * complex(x, p) / math.sqrt(2.0))
         assert wigner_quadrature(state, lam, x, p) == pytest.approx(
@@ -231,10 +255,17 @@ def test_quadrature_broadcast_matches_scalar_formula_bit_for_bit():
     # the CLI grid evaluates one x row per call and must reproduce the
     # per-point libm arithmetic exactly, not just to a tolerance
     def reference(state, lam, x, p):
-        k = quad_form_coeffs(state, lam)
-        dx = x - k.mean_x
-        dp = p - k.mean_p
-        form = k.eps_xx * dx * dx + k.eps_pp * dp * dp + k.eps_xp * dx * dp
+        nb_half, rho = state.nbar + 0.5, state.eff_squeeze
+        angle = state.squeeze_phase - 2.0 * lam
+        c2 = math.cos(0.5 * angle) ** 2
+        s2 = math.sin(0.5 * angle) ** 2
+        ep, em = math.exp(2.0 * rho), math.exp(-2.0 * rho)
+        eps_xx = 2.0 * nb_half * (c2 * ep + s2 * em)
+        eps_pp = 2.0 * nb_half * (c2 * em + s2 * ep)
+        eps_xp = 4.0 * nb_half * math.sin(angle) * math.sinh(2.0 * rho)
+        dx = x - quad_mean(state, lam)
+        dp = p - quad_mean(state, lam + 0.5 * math.pi)
+        form = eps_xx * dx * dx + eps_pp * dp * dp + eps_xp * dx * dp
         det = (2.0 * state.nbar + 1.0) ** 2
         return (1.0 / math.pi) / math.sqrt(det) * math.exp(-form / det)
 
@@ -242,9 +273,9 @@ def test_quadrature_broadcast_matches_scalar_formula_bit_for_bit():
     for _ in range(30):
         state = random_state(rng)
         lam = rng.uniform(-math.pi, math.pi)
-        k = quad_form_coeffs(state, lam)
-        xs = (k.mean_x + rng.uniform(-4, 4, 7)).tolist()
-        ps = (k.mean_p + rng.uniform(-4, 4, 9)).tolist()
+        xs = (quad_mean(state, lam) + rng.uniform(-4, 4, 7)).tolist()
+        ps = (quad_mean(state, lam + 0.5 * math.pi)
+              + rng.uniform(-4, 4, 9)).tolist()
         expected = [[reference(state, lam, x, p) for p in ps] for x in xs]
         scalar = [[wigner_quadrature(state, lam, x, p) for p in ps]
                   for x in xs]
@@ -264,11 +295,12 @@ def test_aligned_case_factorizes():
     lam = 0.55
     state = EvolvedState(displacement=0.4 + 0.9j, eff_squeeze=rho,
                          squeeze_phase=theta, nbar=nbar)
-    k = quad_form_coeffs(state, lam)
+    mean_x = quad_mean(state, lam)
+    mean_p = quad_mean(state, lam + 0.5 * math.pi)
     wide = (2.0 * nbar + 1.0) * math.exp(2.0 * rho)
     narrow = (2.0 * nbar + 1.0) * math.exp(-2.0 * rho)
     for dx, dp in ((0.3, -0.2), (-1.1, 0.4), (0.0, 0.9)):
-        x, p = k.mean_x + dx, k.mean_p + dp
+        x, p = mean_x + dx, mean_p + dp
         product = (math.exp(-dx * dx / narrow) * math.exp(-dp * dp / wide)
                    / (math.pi * (2.0 * nbar + 1.0)))
         assert wigner_quadrature(state, lam, x, p) == pytest.approx(
