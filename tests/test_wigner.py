@@ -119,15 +119,21 @@ def test_coeffs_hyperbolic_values():
                                                     abs=1e-14)
 
 
-def test_peak_values():
-    nbar = 0.35
-    state = EvolvedState(displacement=0.7 + 0.4j, eff_squeeze=0.6,
-                         squeeze_phase=0.4, nbar=nbar)
-    assert wigner_beta(state, state.displacement) == pytest.approx(
-        1.0 / (math.pi * (nbar + 0.5)), rel=1e-13)
-    vac = EvolvedState(displacement=0j, eff_squeeze=0.0, nbar=0.0)
-    assert wigner_beta(vac, 0j) == pytest.approx(2.0 / math.pi, rel=1e-14)
-    # W(A) = (2/pi) (4 a^2 b^2 - c^2)^{-1/2}: d = f = 0 at beta = A, and
+def test_coeffs_center_at_displacement():
+    # d = f = 0 at beta = A: the exponent vanishes there, and W falls off
+    # from A in every direction
+    state = EvolvedState(displacement=0.4 - 0.2j, eff_squeeze=0.3,
+                         squeeze_phase=1.1, nbar=0.2)
+    assert beta_exponent(state, 0j) == pytest.approx(0.0, abs=1e-15)
+    peak = wigner_beta(state, state.displacement)
+    for k in range(8):
+        step = 1e-3 * complex(math.cos(k * math.pi / 4),
+                              math.sin(k * math.pi / 4))
+        assert wigner_beta(state, state.displacement + step) < peak
+
+
+def test_coeff_identity_at_random_points():
+    # W(A) = (2/pi) (4 a^2 b^2 - c^2)^{-1/2}, and
     # 4 a^2 b^2 - c^2 = 4 (nbar + 1/2)^2 for every state; a^2, b^2 > 0
     # make W fall off along Re and Im of beta - A
     rng = np.random.default_rng(20240811)
@@ -139,6 +145,16 @@ def test_peak_values():
         assert det == pytest.approx(4.0 * (state.nbar + 0.5) ** 2, rel=1e-12)
         assert wigner_beta(state, state.displacement + step.real) < peak
         assert wigner_beta(state, state.displacement + 1j * step.imag) < peak
+
+
+def test_peak_values():
+    nbar = 0.35
+    state = EvolvedState(displacement=0.7 + 0.4j, eff_squeeze=0.6,
+                         squeeze_phase=0.4, nbar=nbar)
+    assert wigner_beta(state, state.displacement) == pytest.approx(
+        1.0 / (math.pi * (nbar + 0.5)), rel=1e-13)
+    vac = EvolvedState(displacement=0j, eff_squeeze=0.0, nbar=0.0)
+    assert wigner_beta(vac, 0j) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
 
 def test_displaced_thermal_reference_gaussian():
