@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import _check_u, _libm
+from .model import ModelParams, _amplitude_curve, _check_u, _libm
 from .statistics import _mandel_curve, mandel_q_curve, quad_variance
 
 # the critical solve and the classification scan the same window [0, U_MAX]
@@ -120,7 +120,8 @@ def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
 def _scan(nbar: float, r: float, alpha_mag: float, points: int
           ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
     """Mandel curve u -> Q(u), and its values at ``points`` u in [0, U_MAX]."""
-    curve = _mandel_curve(nbar, r, alpha_mag)
+    curve = _mandel_curve(nbar, r, _amplitude_curve(
+        ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)))
 
     def q_of(u: float) -> float:
         return float(curve(np.asarray(u, dtype=float)))

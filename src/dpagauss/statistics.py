@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .model import (EvolvedState, ModelParams, _amplitude_curve, _check_u,
-                    _libm, _tanh_half)
+from .model import (EvolvedState, ModelParams, _check_u, _libm, _tanh_half,
+                    displacement_amplitude)
 
 _VACUUM = ("Mandel parameter undefined for the vacuum (mean photon number "
            "is zero)")
@@ -163,15 +163,13 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     u + r of about 177.6), and the errors of ``mandel_q`` for the vacuum and
     where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
     """
-    _check_u(us)
-    return _mandel_curve(nbar, r, alpha_mag)(np.asarray(us, dtype=float))
+    params = ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)
+    curve = _mandel_curve(nbar, r, lambda u: displacement_amplitude(params, u))
+    return curve(np.asarray(us, dtype=float))
 
 
-def _mandel_curve(nbar: float, r: float, alpha_mag: float):
-    """Q(u) of ``mandel_q_curve`` for an ndarray u >= 0, with the
-    amplitude's constants computed once."""
-    amplitude = _amplitude_curve(
-        ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar))
+def _mandel_curve(nbar: float, r: float, amplitude):
+    """Q(u) of ``mandel_q_curve`` for an ndarray u, given u -> A(tau)."""
 
     # named for the CLI, whose overflow message names the innermost frame
     @np.errstate(over="raise", invalid="raise")

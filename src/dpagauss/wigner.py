@@ -16,8 +16,12 @@ import numpy as np
 from .model import EvolvedState, _libm
 from .statistics import quad_mean
 
-_ABOVE_PEAK = ("{} lost to rounding: its exponent rounds below 0, which "
-               "would put W above its peak")
+_ABOVE_PEAK = ("{} lost to rounding: its {} rounds below {}, which would "
+               "put W above its peak")
+
+# the determinant 4 a^2 b^2 - c^2 of wigner_beta is 4 (nbar + 1/2)^2 exactly;
+# one rounded this fraction below would put W(A) half of it above the peak
+_DET_RTOL = 1e-9
 
 
 def _split_cosh_pm(rho: float, angle: float) -> tuple[float, float]:
@@ -49,7 +53,8 @@ def wigner_beta(state: EvolvedState, beta: complex) -> float:
 
     Peaks at beta = A with value 1/(pi (nbar + 1/2)).  May underflow to zero
     many standard deviations from the peak.  Raises ``ValueError`` where the
-    exponent rounds below 0, which would put W above its peak.
+    exponent rounds below 0, or the determinant more than ``_DET_RTOL`` of
+    it below 4 (nbar + 1/2)^2, either of which would put W above its peak.
     """
     nb_half = state.nbar + 0.5
     rho, theta = state.eff_squeeze, state.squeeze_phase
@@ -59,9 +64,12 @@ def wigner_beta(state: EvolvedState, beta: complex) -> float:
     c = -4.0 * nb_half * (0.5 * math.sin(theta) * math.sinh(2.0 * rho))
     d, f = 2.0 * diff.imag, -2.0 * diff.real
     det = 4.0 * a_sq * b_sq - c ** 2
+    if det < (1.0 - _DET_RTOL) * 4.0 * nb_half ** 2:
+        raise ValueError(_ABOVE_PEAK.format(
+            "wigner_beta", "determinant", "4 (nbar + 1/2)^2"))
     exponent = (a_sq * f ** 2 + b_sq * d ** 2 + c * f * d) / det
     if exponent < 0:
-        raise ValueError(_ABOVE_PEAK.format("wigner_beta"))
+        raise ValueError(_ABOVE_PEAK.format("wigner_beta", "exponent", 0))
     return (2.0 / math.pi) / math.sqrt(det) * math.exp(-exponent)
 
 
@@ -95,6 +103,6 @@ def wigner_quadrature(state: EvolvedState, lam: float, x, p):
     dp = np.asarray(p, dtype=float) - quad_mean(state, lam + 0.5 * math.pi)
     form = eps_xx * dx * dx + eps_pp * dp * dp + eps_xp * dx * dp
     if np.any(form < 0):
-        raise ValueError(_ABOVE_PEAK.format("wigner_quadrature"))
+        raise ValueError(_ABOVE_PEAK.format("wigner_quadrature", "E", 0))
     det = (2.0 * state.nbar + 1.0) ** 2
     return (1.0 / math.pi) / math.sqrt(det) * _libm(math.exp, -form / det)

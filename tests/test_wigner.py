@@ -157,6 +157,17 @@ def test_peak_values():
     assert wigner_beta(vac, 0j) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("rho", [7.0, 9.0, 9.5])
+def test_tilted_strong_squeeze_refuses_a_peak_above_its_value(rho):
+    # off theta = 0 the determinant 4 a^2 b^2 - c^2 cancels and rounds below
+    # 4 (nbar + 1/2)^2 (to 0.78 of it at rho 9, below 0 at 9.5), which would
+    # lift W(A) above the peak while the exponent there is exactly 0
+    state = EvolvedState(displacement=0.4 + 0.2j, eff_squeeze=rho,
+                         squeeze_phase=0.5 * math.pi, nbar=0.3)
+    with pytest.raises(ValueError, match="wigner_beta lost to rounding"):
+        wigner_beta(state, state.displacement)
+
+
 def test_displaced_thermal_reference_gaussian():
     # zero-squeeze reference: W(beta) = exp(-|beta - alpha|^2/(nbar+1/2))
     #                                   / (pi (nbar+1/2))
@@ -203,14 +214,15 @@ def test_beta_form_normalization():
 def test_quad_form_cross_term_vanishes_at_alignment():
     state = EvolvedState(displacement=0.2 + 0.5j, eff_squeeze=0.9,
                          squeeze_phase=1.3, nbar=0.6)
-    assert quad_form_matrix(state, 0.65)[0, 1] == pytest.approx(0.0,
-                                                                abs=1e-12)
+    eps_xp = 2.0 * quad_form_matrix(state, 0.65)[0, 1]
+    assert eps_xp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quad_form_isotropic_without_squeezing():
-    # E does not depend on A; at A = 0 the means are 0, so the offsets
-    # (1, +-1) reach the density exactly and a zero cross term cancels
-    state = EvolvedState(displacement=0j, eff_squeeze=0.0, nbar=0.4)
+    # at these means (mean_p +- 1) - mean_p is exactly +-1, so the two p
+    # offsets of the cross term reach the density alike and a zero eps_xp
+    # cancels exactly
+    state = EvolvedState(displacement=0.2j, eff_squeeze=0.0, nbar=0.4)
     mat = quad_form_matrix(state, 0.3)
     assert mat[0, 0] == pytest.approx(2.0 * 0.9, rel=1e-14)
     assert mat[1, 1] == pytest.approx(2.0 * 0.9, rel=1e-14)
