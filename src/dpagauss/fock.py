@@ -14,8 +14,10 @@ to a float64 block (a complex block runs as its float view), with one
 propagator per generator:
 
 * every displacement, the Chebyshev expansion of Tal-Ezer and Kosloff
-  (J. Chem. Phys. 81, 3967 (1984)): a real recurrence with one in-place
-  sparse product and one axpy per degree, orthogonal to machine precision;
+  (J. Chem. Phys. 81, 3967 (1984)), orthogonal to machine precision.  K
+  maps even rows to odd ones and back, so the real recurrence runs on the
+  even-row and the odd-row part of the block in turn, with one in-place
+  half-height sparse product and one half-height axpy per degree;
 * every squeeze, a real symmetric tridiagonal eigensolve, exactly
   orthogonal, whose cos and sin terms separate by row parity.
 
@@ -23,25 +25,18 @@ The eigensolve is full (LAPACK stevd) for dense input blocks such as the
 identity behind ``squeeze_op``.  When the input is supported only on the
 first ``height`` rows of a chain of at least 512 + 16 * height levels, as
 for the squeezed thermal ladder, it solves only the eigenpairs in a window
-|lambda| <= L.  A chain has a zero diagonal, so P T P = -T for
-P = diag((-1)^j) and each pair (w, v) gives (-w, P v): bisection to full
-relative accuracy (stebz) runs on (0, L] alone, inverse iteration (stein)
-over blocks of 32 consecutive eigenvalues, O(N) per eigenpair, and the
-negative half is the mirror of the positive one.  An odd chain adds its
-one eigenvalue 0, whose vector stein finds with the positive ones.  The
-off-diagonals of a squeeze chain grow along it, so an eigenvector is
+|lambda| <= L, O(N) each, on the positive half alone (``_eigh_window``).
+The off-diagonals of a squeeze chain grow along it, so an eigenvector is
 evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L grows by half
 until the eigenvector at the window edge carries at most 1e-16 on the
 support, and the dropped eigenpairs cannot reach the input.  The rule
 reads the chain alone, never a closed-form moment.  Each windowed solve
 logs one DEBUG record on the ``dpagauss.fock`` logger.
 
-Both generators' off-diagonals grow along the chain, so one underflow rule
-serves both propagators: a chain whose first squared off-diagonal is below
-the smallest normal double (|xi| or |alpha| below about 1e-154) has
-exp(K) = I in double precision and returns its block.  That is also the
-only chain that stebz would split, so every eigensolved chain is one
-block.
+One underflow rule serves both propagators, whose off-diagonals grow along
+the chain: a chain whose first squared off-diagonal is below the smallest
+normal double (|xi| or |alpha| below about 1e-154) has exp(K) = I in double
+precision and returns its block.  stebz would split no other chain.
 
 The operative truncation gates are the occupation mass near the truncation
 edge and the agreement between two truncations N and N + 20, applied by
@@ -61,7 +56,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import sparse
 from scipy.linalg import lapack
 from scipy.linalg.blas import daxpy
 # Y += A @ X in place for CSR A; the public product always allocates Y
@@ -197,8 +191,12 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
     per real and imaginary part.  With ``chebyshev`` the propagator is the
     Chebyshev expansion of e^{rho z} on the spectrum i[-rho, rho] of K:
     Q_0 = X, Q_1 = (K/rho) X, Q_{k+1} = (2K/rho) Q_k + Q_{k-1}, summed with
-    weights (2 - delta_k0) J_k(rho); one in-place sparse product and one
-    axpy per degree.  Otherwise K = D (-i T) D^* with
+    weights (2 - delta_k0) J_k(rho).  K maps even rows to odd ones and
+    back, so Q_k of a column on the rows of parity p sits on those of
+    parity (k + p) mod 2: the recurrence runs on the even-row and on the
+    odd-row part of X, each without its zero columns, with one ceil(N/2)-row
+    sparse product and axpy per degree; a column with both parities runs in
+    both parts, whose sums add.  Otherwise K = D (-i T) D^* with
     D = diag(i^j) and T the symmetric chain with off-diagonals ``sub``, and
     with T = V diag(w) V^T and sigma_j = (-1)^(j//2) the real parts
     separate by row parity:
@@ -211,12 +209,11 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
     x = np.ascontiguousarray(block)
     if np.iscomplexobj(x):
         return _expm_chain(sub, x.view(float), chebyshev).view(complex)
-    x = x.astype(float, copy=True)
     # both generators' off-diagonals grow along the chain, so when the first
     # one squared underflows, ||K|| <= 2 max|sub| < 3e-154 dim and
     # exp(K) = I in double precision; stebz would split such a chain
     if not sub.size or sub[0] ** 2 < np.finfo(float).tiny:
-        return x
+        return x.astype(float)
     if chebyshev:
         mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
         # Gershgorin: every eigenvalue of K lies in i[-radius, radius]
@@ -224,22 +221,42 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
         degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
         weights = jv(np.arange(degree + 1), radius)
         weights[1:] *= 2.0
-        band = sub * (2.0 / radius)
-        two_k = sparse.diags([band, -band], [-1, 1], format="csr")
-        dim, cols = x.shape
-        prev = x
-        cur = two_k @ prev
-        cur *= 0.5
-        total = weights[0] * prev
-        total += weights[1] * cur
-        flat = total.reshape(-1)
-        for k in range(2, degree + 1):
-            _csr_matvecs(dim, dim, cols, two_k.indptr, two_k.indices,
-                         two_k.data, cur.reshape(-1), prev.reshape(-1))
-            prev, cur = cur, prev
-            if abs(weights[k]) > 1e-18:
-                daxpy(cur.reshape(-1), flat, a=weights[k])
-        return total
+        band = np.concatenate(([0.0], sub * (2.0 / radius), [0.0]))
+        dim, half = len(x), (len(x) + 1) // 2
+        # onto[t]: CSR arrays of 2K/rho from the rows of parity 1 - t onto
+        # those of parity t (level j at half row j // 2), lower neighbour
+        # first as in a full CSR row; only the zeros padding band drop out
+        onto = []
+        for rows in (np.arange(0, dim, 2), np.arange(1, dim, 2)):
+            data = np.stack((band[rows], -band[rows + 1]), axis=1)
+            idx = np.stack(((rows - 1) // 2, (rows + 1) // 2), axis=1)
+            ptr = np.append(0, np.cumsum(np.count_nonzero(data, axis=1)))
+            onto.append((len(rows), ptr.astype(np.int32),
+                         idx[data != 0].astype(np.int32), data[data != 0]))
+        out = np.zeros(x.shape)
+        for parity in (0, 1):
+            cols = np.flatnonzero(np.any(x[parity::2] != 0, axis=0))
+            if not cols.size:
+                continue
+            ops = [(n_row, half, cols.size, *csr) for n_row, *csr in onto]
+            # flat (half, cols) arrays, zero below the part's own rows
+            part = x[parity::2, cols].reshape(-1)
+            prev = np.zeros(half * cols.size)
+            prev[:part.size] = part
+            cur = np.zeros_like(prev)
+            _csr_matvecs(*ops[1 - parity], prev, cur)
+            cur *= 0.5
+            totals = [weights[0] * prev, weights[1] * cur]
+            for k in range(2, degree + 1):
+                _csr_matvecs(*ops[(parity + k) % 2], cur, prev)
+                prev, cur = cur, prev
+                if abs(weights[k]) > 1e-18:
+                    daxpy(cur, totals[k % 2], a=weights[k])
+            for start, total in zip((parity, 1 - parity), totals):
+                target = out[start::2]
+                target[:, cols] += total.reshape(half, -1)[:len(target)]
+        return out
+    x = x.astype(float, copy=True)
     rows = np.flatnonzero(np.any(x != 0, axis=1))
     height = int(rows[-1]) + 1 if rows.size else 1
     w, v = _eigh_reaching(sub, height)
@@ -416,23 +433,6 @@ class FockMoments:
         second = ((self.mean_aa * np.exp(-2j * lam)).real
                   + self.mean_n + 0.5)
         return second - self.quad_mean(lam) ** 2
-
-
-def moments_from_rho(rho: np.ndarray) -> FockMoments:
-    """Moments of a dense density matrix."""
-    dim = rho.shape[0]
-    occ = np.diagonal(rho).real
-    levels = np.arange(dim)
-    root = np.sqrt(np.arange(1, dim, dtype=float))
-    # Tr[rho a] picks the first superdiagonal of rho; Tr[rho a a] the second.
-    first = np.diagonal(rho, offset=-1)
-    mean_a = complex((first * root).sum())
-    second = np.diagonal(rho, offset=-2)
-    mean_aa = complex((second * root[:-1] * root[1:]).sum()) \
-        if dim > 2 else 0j
-    return FockMoments(mean_a=mean_a, mean_aa=mean_aa,
-                       mean_n=float((occ * levels).sum()),
-                       mean_n2=float((occ * levels ** 2).sum()))
 
 
 def _ensemble_weights(nbar: float, dim: int) -> np.ndarray:

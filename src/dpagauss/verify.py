@@ -5,8 +5,8 @@ compared quantity, the closed form, the oracle value, their relative error
 and the truncation used.  The report is a plain list of dicts so the CLI can
 serialize it to JSON unchanged.
 
-Cells sharing (nbar, r, u) reuse one squeezed thermal ensemble; only the
-displacement differs with alpha, and applying it is cheap.
+Cells sharing (r, u) reuse one squeezed Fock ladder and displace it once
+per alpha; those displacements are the oracle's largest cost.
 """
 
 from __future__ import annotations

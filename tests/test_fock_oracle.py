@@ -6,7 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 from scipy.linalg import lapack
+from scipy.linalg.blas import daxpy
+from scipy.special import jv
 
 import dpagauss.fock as fock
 import dpagauss.verify as verify
@@ -103,11 +106,28 @@ def test_build_rho_evolved_structure():
     assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
+def moments_from_rho(rho):
+    """Moments of a dense density matrix."""
+    dim = rho.shape[0]
+    occ = np.diagonal(rho).real
+    levels = np.arange(dim)
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    # Tr[rho a] picks the first superdiagonal of rho; Tr[rho a a] the second.
+    first = np.diagonal(rho, offset=-1)
+    mean_a = complex((first * root).sum())
+    second = np.diagonal(rho, offset=-2)
+    mean_aa = complex((second * root[:-1] * root[1:]).sum()) \
+        if dim > 2 else 0j
+    return fock.FockMoments(mean_a=mean_a, mean_aa=mean_aa,
+                            mean_n=float((occ * levels).sum()),
+                            mean_n2=float((occ * levels ** 2).sum()))
+
+
 def test_vector_and_dense_moments_agree():
     # the slab driver fixes theta = phi = 0
     nbar, r, alpha, u = 0.5, 0.3, 0.5, 0.4
     params = verify._cell_params(nbar, r, alpha)
-    dense = fock.moments_from_rho(fock.build_rho_evolved(params, u, 140))
+    dense = moments_from_rho(fock.build_rho_evolved(params, u, 140))
     vec = verify._slab_moments(r, u, (nbar,), (alpha,), 140)[(nbar, alpha)]
     assert dense.mean_a == pytest.approx(vec.mean_a, abs=1e-12)
     assert dense.mean_aa == pytest.approx(vec.mean_aa, abs=1e-12)
@@ -374,6 +394,85 @@ def test_chain_kernel_matches_dense_exponential(coeff):
                                    chebyshev)
         assert np.abs(result - dense).max() <= 1e-12
         assert np.iscomplexobj(result) == (np.imag(coeff) != 0.0)
+
+
+def dense_displacement(alpha, dim):
+    a = fock.annihilation(dim)
+    return sla.expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 299, 300])
+def test_split_chebyshev_mixed_parity_blocks_match_dense_exponential(dim):
+    # columns with both parities run in the even-row and the odd-row part,
+    # whose sums add; the third column is all zero and stays zero
+    rng = np.random.default_rng(dim)
+    blocks = (rng.uniform(-1.0, 1.0, (dim, 7)),
+              rng.uniform(-1.0, 1.0, (dim, 7))
+              + 1j * rng.uniform(-1.0, 1.0, (dim, 7)))
+    for block in blocks:
+        block[:, 2] = 0.0
+    for alpha in (-0.9, 1.3 - 0.8j, 2.5j):
+        dense = dense_displacement(alpha, dim)
+        for block in blocks:
+            fast = fock.apply_displacement(alpha, block)
+            assert np.abs(fast - dense @ block).max() <= 1e-12
+            assert not fast[:, 2].any()
+
+
+def test_split_chebyshev_products_are_half_height(monkeypatch):
+    # S|k> has the parity of k, so each part of the 48-column ladder is 24
+    # columns of one parity, and every product maps 300 rows onto 300
+    calls = []
+    original = fock._csr_matvecs
+
+    def recording(n_row, n_col, n_vecs, *args):
+        calls.append((n_row, n_col, n_vecs))
+        return original(n_row, n_col, n_vecs, *args)
+
+    ladder = fock.squeezed_fock_ladder(48, 0.5, 600)
+    monkeypatch.setattr(fock, "_csr_matvecs", recording)
+    displaced = fock.apply_displacement(2.0, ladder)
+    assert calls and {call[2] for call in calls} == {24}
+    assert max(max(n_row, n_col) for n_row, n_col, _ in calls) <= 300
+    root = np.sqrt(np.arange(1, 600, dtype=float))
+    exact = fock._apply_chain(2.0, root, ladder, False)
+    assert np.abs(displaced - exact).max() <= 1e-12
+
+
+def full_height_chebyshev(sub, block):
+    """The Chebyshev recurrence of ``fock._expm_chain`` on full-height
+    arrays, with the same in-place CSR product and axpy per degree."""
+    mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
+    radius = 1.000001 * float(np.max(mag[:-1] + mag[1:]))
+    degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
+    weights = jv(np.arange(degree + 1), radius)
+    weights[1:] *= 2.0
+    band = sub * (2.0 / radius)
+    two_k = sparse.diags([band, -band], [-1, 1], format="csr")
+    dim, cols = block.shape
+    prev = block.astype(float, copy=True)
+    cur = two_k @ prev
+    cur *= 0.5
+    total = weights[0] * prev
+    total += weights[1] * cur
+    for k in range(2, degree + 1):
+        fock._csr_matvecs(dim, dim, cols, two_k.indptr, two_k.indices,
+                          two_k.data, cur.reshape(-1), prev.reshape(-1))
+        prev, cur = cur, prev
+        if abs(weights[k]) > 1e-18:
+            daxpy(cur.reshape(-1), total.reshape(-1), a=weights[k])
+    return total
+
+
+@pytest.mark.parametrize("dim", [2, 5, 299, 600])
+def test_split_chebyshev_sums_in_the_full_height_order(dim):
+    # on columns of one parity the half-height parts add the same terms in
+    # the same order as the full recurrence, so a ladder keeps its bits
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    ladder = fock.squeezed_fock_ladder(min(dim, 16), 0.5, dim)
+    for alpha in (2.0, -0.7):
+        full = full_height_chebyshev(alpha * root, ladder)
+        assert np.array_equal(fock.apply_displacement(alpha, ladder), full)
 
 
 def test_phase_zero_oracle_runs_in_real_arithmetic(monkeypatch):
