@@ -294,8 +294,17 @@ def test_critical_record_has_zeros(nbar, r):
     (["sweep", "--nbar", "3", "--r", "0.7", "--alpha", "2", "--theta", "0.4",
       "--phi", "2", "--u-stop", "5", "--u-steps", "7"],
      "b297237d69235c5ac618ccd40ac4efc75ad88c4388eb452869bd0993136a1fde"),
+    # theta = 2 lam: the offsets are already on the squeeze axes
+    (["wigner-grid", "--nbar", "0.3", "--r", "0.2", "--alpha", "0.5",
+      "--u", "0.4", "--grid-steps", "41"],
+     "f2062978c36109531106bb4f2ffd202926f92b9fb4417156bc13a407801a5684"),
+    (["wigner-grid", "--nbar", "0.3", "--r", "0.2", "--alpha", "0.5",
+      "--phi", "0.2", "--theta", "0.6", "--lambda", "0.3", "--u", "2.5",
+      "--grid-steps", "41"],
+     "e40110105279c1d4fd8e34779b5c80ea9e22c8d31feec6c255441f6dc76bc977"),
 ], ids=["sweep", "wigner-grid", "eval", "critical", "sweep-vacuum",
-        "wigner-grid-small", "sweep-misaligned"])
+        "wigner-grid-small", "sweep-misaligned", "wigner-grid-aligned",
+        "wigner-grid-aligned-tilted"])
 def test_stdout_is_byte_identical(args, digest, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0

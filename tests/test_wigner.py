@@ -157,6 +157,18 @@ def test_peak_values():
     assert wigner_beta(vac, 0j) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
 
+def test_verify_wigner_points_keep_their_bits():
+    # verify's default cells have theta = 0, where W(beta) is a sum of two
+    # squares already on the squeeze axes; these are the values first written
+    from dpagauss.verify import DEFAULT_WIGNER_POINTS
+
+    values = [wigner_beta(evolved_state(ModelParams(
+        alpha_mag=alpha, squeeze_mag=r, nbar=nbar), u), beta)
+        for nbar, r, alpha, u, beta in DEFAULT_WIGNER_POINTS]
+    assert values == [0.4785791533575261, 0.005042657670893782,
+                      0.11979725085259468]
+
+
 @pytest.mark.parametrize("rho", [7.0, 9.0, 9.5])
 def test_tilted_strong_squeeze_refuses_a_peak_above_its_value(rho):
     # off theta = 0 the determinant 4 a^2 b^2 - c^2 cancels and rounds below
