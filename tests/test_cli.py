@@ -18,6 +18,8 @@ from dpagauss import cli, fock, model, nonclassicality, statistics, verify
 from dpagauss.cli import main
 from dpagauss.model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
 
+import mp_reference
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -125,15 +127,14 @@ def test_eval_rejects_time_beyond_squeeze_guard(capsys):
     (["sweep", "--nbar", "7.5e13", "--r", "1.3e-31", "--alpha", "0.25",
       "--u-start", "9.3", "--u-stop", "9.4", "--u-steps", "2"],
      "lost to rounding"),
-    # the form's cross term cancels its diagonal off the squeeze axis: the
-    # exponent rounds below 0 and printed W up to 1.24e55 over a peak of 1/pi
-    (["wigner-grid", "--r", "1", "--u", "9", "--lambda", "0.3",
-      "--grid-steps", "41"], "wigner_quadrature lost to rounding"),
+    # offsets of e^{u+r} standard deviations square past the double range
+    (["wigner-grid", "--r", "1", "--u", "200", "--lambda", "0.3",
+      "--grid-steps", "41"], "wigner_quadrature overflows"),
 ], ids=["eval-u200", "critical-r400", "eval-nbar1e200", "sweep-u200",
         "sweep-nbar1e300", "eval-infinite-variance", "sweep-infinite-variance",
         "critical-vacuum-0/0", "critical-vacuum-x/0", "critical-unresolved",
         "critical-min-q-jump", "critical-rounding", "eval-rounding",
-        "sweep-rounding", "wigner-grid-above-peak"])
+        "sweep-rounding", "wigner-grid-u200"])
 def test_unrepresentable_results_are_usage_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
@@ -145,13 +146,39 @@ def test_unrepresentable_results_are_usage_errors(args, named, capsys):
 
 def test_wigner_grid_short_of_the_rounding_limit_stays_under_its_peak(
         capsys):
-    # one step of u before the grid above, every exponent still rounds >= 0
+    # u + r = 9 off the squeeze axis, where a cross-term exponent rounded
+    # below 0 one step of u later
     code, out, err = run_cli(["wigner-grid", "--r", "1", "--u", "8",
                               "--lambda", "0.3", "--grid-steps", "41"],
                              capsys)
     assert code == 0 and err == ""
     ws = [float(line.split(",")[2]) for line in out.splitlines()[2:]]
     assert len(ws) == 41 * 41 and max(ws) <= 1.0 / math.pi
+
+
+@pytest.mark.parametrize("u, steps", [("8", "41"), ("9", "41"),
+                                      ("10", "9")])
+def test_wigner_grid_off_the_squeeze_axis_matches_the_reference(u, steps,
+                                                                capsys):
+    # lam = 0.3 off theta/2 = 0: a cross-term exponent printed W off by a
+    # factor of 12.2 at u 8 and rounded below 0 at u 9 and 10
+    code, out, err = run_cli(["wigner-grid", "--r", "1", "--u", u,
+                              "--lambda", "0.3", "--grid-steps", steps],
+                             capsys)
+    assert code == 0 and err == ""
+    state = evolved_state(ModelParams(alpha_mag=0.0, squeeze_mag=1.0),
+                          float(u))
+    peak = 1.0 / math.pi
+    rows = [tuple(map(float, line.split(",")))
+            for line in out.splitlines()[2:]]
+    assert len(rows) == int(steps) ** 2
+    for x, p, w in rows:
+        want = mp_reference.wigner_quadrature(state, 0.3, x, p)
+        if want < sys.float_info.min:
+            assert w < 2.0 * sys.float_info.min
+        else:
+            assert abs(w - want) <= mp_reference.relative_bound(
+                state, want, peak) * want
 
 
 # phi = pi/2, theta = 0: the displacement term of Var n adds up, so Q of
@@ -278,7 +305,7 @@ def test_critical_record_has_zeros(nbar, r):
     (["wigner-grid", "--nbar", "0.3", "--r", "0.2", "--alpha", "0.5",
       "--theta", "0.8", "--phi", "0.3", "--lambda", "0.1", "--u", "0.4",
       "--grid-steps", "41"],
-     "a10c0948c5b78759f5db63f94fe9adea3182c4cbda1e577997e77c04519a54c1"),
+     "2e2aac3f0468dffd06db19c403e261572ad88096049b90cb5fde133e724f5b98"),
     (["eval", "--nbar", "0.2", "--r", "0.1", "--alpha", "0.3494",
       "--theta", "0.8", "--phi", "0.3", "--lambda", "0.1", "--u", "0.3857"],
      "ef72e047a040555de56b7d304b9512883e21205cf3b22a10ea25331ab229d557"),
@@ -289,7 +316,7 @@ def test_critical_record_has_zeros(nbar, r):
      "01eb94d148bdf036103fa87a92b5f3b9eb34959c935fdcf07192d31ee6bb2cde"),
     (["wigner-grid", "--nbar", "0", "--r", "0.5", "--theta", "1",
       "--lambda", "0.3", "--grid-steps", "2"],
-     "69720bff9c5ba44698648be1aebd2fda42f3936711769d1f0e5d179b6731cc11"),
+     "dc69959e3607edea1b70436922c0b572b582ce7e05324b72e954c7ae44850544"),
     # theta - 2 phi != 0
     (["sweep", "--nbar", "3", "--r", "0.7", "--alpha", "2", "--theta", "0.4",
       "--phi", "2", "--u-stop", "5", "--u-steps", "7"],

@@ -208,7 +208,7 @@ def test_numeric_wigner_vacuum_and_thermal(monkeypatch):
     def closed_form(*args):
         raise AssertionError("the oracle read a closed form")
 
-    for name in ("wigner_beta", "_split_cosh_pm", "wigner_quadrature"):
+    for name in ("wigner_beta", "wigner_quadrature"):
         monkeypatch.setattr(wigner, name, closed_form)
         monkeypatch.setattr(fock, name, closed_form, raising=False)
     vac = ModelParams(alpha_mag=0.0)

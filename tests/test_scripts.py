@@ -41,3 +41,17 @@ def test_critical_points_script(tmp_path):
         [0.3494, 0.4961, 9.714], abs=5e-4)
     assert [rec["mechanism"] for rec in records] == [
         "interior_tangency", "interior_tangency", "boundary_q0_zero"]
+
+
+def test_wigner_error_table_script():
+    proc = run_script("wigner_error_table.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == [
+        f"{name} {kind}: relative error, max and median per band of u + r"
+        for name in ("quadrature", "beta") for kind in ("grid", "axis")]
+    maxima = [float(line.split("max ")[1].split()[0]) for line in lines
+              if line.startswith("  ")]
+    assert len(maxima) == 4 * 12
+    # every band within 1e-13 at u + r < 1, and within 1e-3 up to 12
+    assert max(maxima[::12]) < 1e-13 and max(maxima) < 1e-3

@@ -15,7 +15,8 @@ from dpagauss import (
     wigner_beta,
     wigner_quadrature,
 )
-from dpagauss.wigner import _split_cosh_pm
+
+import mp_reference
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 
@@ -63,8 +64,8 @@ def adaptive_wigner_norm(state, tol=1e-9):
 
 
 def beta_exponent(state, delta):
-    """(a^2 f^2 + b^2 d^2 + c f d) / (4 a^2 b^2 - c^2) at beta = A + delta,
-    read back from W(beta) = exp(-exponent) / (pi (nbar + 1/2))."""
+    """(a^2 f'^2 + b^2 d'^2) / (4 a^2 b^2) at beta = A + delta, read back
+    from W(beta) = exp(-exponent) / (pi (nbar + 1/2))."""
     nb_half = state.nbar + 0.5
     return -math.log(math.pi * nb_half
                      * wigner_beta(state, state.displacement + delta))
@@ -95,28 +96,6 @@ def test_coeffs_real_cross_term_vanishes_for_real_squeeze():
     tilted = EvolvedState(displacement=0.3 + 0j, eff_squeeze=0.7,
                           squeeze_phase=0.5, nbar=0.4)
     assert wigner_beta(tilted, 0.1 + 0.1j) != wigner_beta(tilted, 0.1 - 0.1j)
-
-
-def test_coeffs_hyperbolic_values():
-    # at nbar = 0, a^2 + b^2 = cosh 2(u + r) and a^2 - b^2 - i c =
-    # e^{i theta} sinh 2(u + r), with a^2, b^2 = _split_cosh_pm(rho, theta)/2
-    # and -c = sin(theta) sinh 2(u + r), the a^2 - b^2 of theta - pi/2;
-    # references sinh(1)/2 and cosh(2) from a high-precision evaluator
-    def hyperbolic(rho, theta):
-        plus, minus = _split_cosh_pm(rho, theta)
-        cross_plus, cross_minus = _split_cosh_pm(rho, theta - 0.5 * math.pi)
-        return (complex(plus - minus, cross_plus - cross_minus) / 4.0,
-                (plus + minus) / 2.0)
-
-    assert hyperbolic(0.5, 0.0)[0] == pytest.approx(0.5876005968219007,
-                                                    abs=1e-14)
-    assert hyperbolic(0.5, math.pi)[0] == pytest.approx(-0.5876005968219007,
-                                                        abs=1e-12)
-    assert hyperbolic(0.5, 0.5 * math.pi)[0] == pytest.approx(
-        0.5876005968219007j, abs=1e-14)
-    assert hyperbolic(0.0, 0.0) == (0, 1.0)
-    assert hyperbolic(1.0, 0.0)[1] == pytest.approx(3.7621956910836314,
-                                                    abs=1e-14)
 
 
 def test_coeffs_center_at_displacement():
@@ -170,14 +149,13 @@ def test_verify_wigner_points_keep_their_bits():
 
 
 @pytest.mark.parametrize("rho", [7.0, 9.0, 9.5])
-def test_tilted_strong_squeeze_refuses_a_peak_above_its_value(rho):
-    # off theta = 0 the determinant 4 a^2 b^2 - c^2 cancels and rounds below
-    # 4 (nbar + 1/2)^2 (to 0.78 of it at rho 9, below 0 at 9.5), which would
-    # lift W(A) above the peak while the exponent there is exactly 0
+def test_tilted_strong_squeeze_peaks_at_its_value(rho):
+    # off theta = 0 the determinant of a cross-term exponent, 4 a^2 b^2 - c^2,
+    # cancelled (to 0.78 of 4 (nbar + 1/2)^2 at rho 9, below 0 at 9.5)
     state = EvolvedState(displacement=0.4 + 0.2j, eff_squeeze=rho,
                          squeeze_phase=0.5 * math.pi, nbar=0.3)
-    with pytest.raises(ValueError, match="wigner_beta lost to rounding"):
-        wigner_beta(state, state.displacement)
+    assert wigner_beta(state, state.displacement) == pytest.approx(
+        1.0 / (math.pi * 0.8), rel=1e-12)
 
 
 def test_displaced_thermal_reference_gaussian():
@@ -231,14 +209,13 @@ def test_quad_form_cross_term_vanishes_at_alignment():
 
 
 def test_quad_form_isotropic_without_squeezing():
-    # at these means (mean_p +- 1) - mean_p is exactly +-1, so the two p
-    # offsets of the cross term reach the density alike and a zero eps_xp
-    # cancels exactly
+    # the turn by psi = 0.3 rounds (1, 1) and (1, -1) differently, so the
+    # cross term reads back as one ulp of the diagonal 1.8, not exactly 0
     state = EvolvedState(displacement=0.2j, eff_squeeze=0.0, nbar=0.4)
     mat = quad_form_matrix(state, 0.3)
     assert mat[0, 0] == pytest.approx(2.0 * 0.9, rel=1e-14)
     assert mat[1, 1] == pytest.approx(2.0 * 0.9, rel=1e-14)
-    assert mat[0, 1] == 0.0
+    assert abs(mat[0, 1]) <= 2.220446049250313e-16
 
 
 def test_quad_form_eigenstructure():
@@ -296,16 +273,14 @@ def test_quadrature_broadcast_matches_scalar_formula_bit_for_bit():
     # per-point libm arithmetic exactly, not just to a tolerance
     def reference(state, lam, x, p):
         nb_half, rho = state.nbar + 0.5, state.eff_squeeze
-        angle = state.squeeze_phase - 2.0 * lam
-        c2 = math.cos(0.5 * angle) ** 2
-        s2 = math.sin(0.5 * angle) ** 2
-        ep, em = math.exp(2.0 * rho), math.exp(-2.0 * rho)
-        eps_xx = 2.0 * nb_half * (c2 * ep + s2 * em)
-        eps_pp = 2.0 * nb_half * (c2 * em + s2 * ep)
-        eps_xp = 4.0 * nb_half * math.sin(angle) * math.sinh(2.0 * rho)
+        psi = lam - 0.5 * state.squeeze_phase
+        eps_xx = 2.0 * nb_half * math.exp(2.0 * rho)
+        eps_pp = 2.0 * nb_half * math.exp(-2.0 * rho)
         dx = x - quad_mean(state, lam)
         dp = p - quad_mean(state, lam + 0.5 * math.pi)
-        form = eps_xx * dx * dx + eps_pp * dp * dp + eps_xp * dx * dp
+        xi = math.cos(psi) * dx - math.sin(psi) * dp
+        eta = math.sin(psi) * dx + math.cos(psi) * dp
+        form = eps_xx * xi * xi + eps_pp * eta * eta
         det = (2.0 * state.nbar + 1.0) ** 2
         return (1.0 / math.pi) / math.sqrt(det) * math.exp(-form / det)
 
@@ -327,6 +302,33 @@ def test_quadrature_broadcast_matches_scalar_formula_bit_for_bit():
         assert scalar == expected
         assert grid.tolist() == expected
         assert rows == expected
+
+
+@given(rho=st.floats(0.0, 12.0), theta=angles, lam=angles,
+       nbar=st.floats(0.0, 2.0), re=st.floats(-2.0, 2.0),
+       im=st.floats(-2.0, 2.0), s=st.floats(-1.0, 1.0),
+       t=st.floats(-1.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_both_densities_match_a_60_digit_reference(rho, theta, lam, nbar, re,
+                                                   im, s, t):
+    # out to 6 standard deviations in a wigner-grid column and along the
+    # squeeze axes, at any tilt; the bound is mp_reference.relative_bound
+    state = EvolvedState(displacement=complex(re, im), eff_squeeze=rho,
+                         squeeze_phase=theta, nbar=nbar)
+    mean_x = quad_mean(state, lam)
+    mean_p = quad_mean(state, lam + 0.5 * math.pi)
+    peak = 1.0 / (math.pi * (2.0 * nbar + 1.0))
+    for dx, dp in mp_reference.grid_offsets(state, lam, s, t):
+        x, p = mean_x + dx, mean_p + dp
+        beta = complex(math.cos(lam), math.sin(lam)) * complex(x, p) \
+            / math.sqrt(2.0)
+        for got, want, top in (
+                (wigner_quadrature(state, lam, x, p),
+                 mp_reference.wigner_quadrature(state, lam, x, p), peak),
+                (wigner_beta(state, beta),
+                 mp_reference.wigner_beta(state, beta), 2.0 * peak)):
+            assert abs(got - want) <= mp_reference.relative_bound(
+                state, want, top) * want
 
 
 def test_aligned_case_factorizes():
