@@ -188,12 +188,14 @@ def _params(args: argparse.Namespace) -> ModelParams:
                        prep_time=vars(args).get("prep_time", 1.0))
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
+def _write(args: argparse.Namespace, lines: Sequence[str]) -> None:
+    """Write the finished output line by line, so that a large table is
+    not copied into one joined string and again into its encoding."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
@@ -243,8 +245,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "crossover_u": nonclassicality.crossover_time(args.nbar, args.r),
     }
     _check_finite(report.keys(), report.values())
-    _write(args, json.dumps(report, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+    _write(args, [json.dumps(report, indent=2, sort_keys=True,
+                             allow_nan=False) + "\n"])
     return 0
 
 
@@ -276,7 +278,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              p_density, ~p_density))
     lines.append(("%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n" * args.u_steps)
                  % tuple(table.ravel().tolist()))
-    _write(args, "".join(lines))
+    _write(args, lines)
     return 0
 
 
@@ -289,7 +291,8 @@ def cmd_critical(args: argparse.Namespace) -> int:
     try:
         result = nonclassicality.find_critical_alpha(args.nbar, args.r)
     except nonclassicality.NoTransitionError as exc:
-        _write(args, json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
+        _write(args, [json.dumps({"error": str(exc)}, sort_keys=True)
+                      + "\n"])
         return GATE_ERROR
     record = {
         "nbar": args.nbar,
@@ -300,8 +303,8 @@ def cmd_critical(args: argparse.Namespace) -> int:
         "zeros": list(nonclassicality.classify_behavior(
             args.nbar, args.r, result.alpha_c).zeros),
     }
-    _write(args, json.dumps(record, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+    _write(args, [json.dumps(record, indent=2, sort_keys=True,
+                             allow_nan=False) + "\n"])
     return 0
 
 
@@ -334,7 +337,7 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
     for x in xs.tolist():
         ws = wigner.wigner_quadrature(state, args.lam, x, ps)
         lines.append(row.replace("\0", _fmt(x)) % tuple(ws.tolist()))
-    _write(args, "".join(lines))
+    _write(args, lines)
     return 0
 
 
@@ -350,8 +353,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return GATE_ERROR
     ok = verify.all_passed(report)
     payload = {"pass": ok, "entries": report}
-    _write(args, json.dumps(payload, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+    _write(args, [json.dumps(payload, indent=2, sort_keys=True,
+                             allow_nan=False) + "\n"])
     return 0 if ok else GATE_ERROR
 
 

@@ -111,10 +111,124 @@ def crossover_time(nbar: float, r: float) -> Optional[float]:
     return 0.5 * math.log(factor)
 
 
-def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
-    from scipy.optimize import brentq
+# _refine_zero and _bounded_min repeat scipy's brentq (its C brentq.c) and
+# _minimize_scalar_bounded operation for operation, so every root and
+# minimum keeps scipy's bits without importing it.  After SciPy,
+# BSD-3-Clause: Copyright (c) 2001-2002 Enthought, Inc.; 2003 SciPy
+# Developers.
 
-    return float(brentq(q_of, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+
+def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
+    """Brent's root of ``q_of`` in [lo, hi] (brentq, xtol 1e-15, rtol
+    8.9e-16, 200 iterations)."""
+
+    def f(x: float) -> float:
+        fx = q_of(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(200):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-15 + 8.9e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # no trial step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0:  # C's x / 0 gives a step it rejects
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError("Failed to converge after 200 iterations.")
+
+
+def _bounded_min(f: Callable[[float], float], a: float,
+                 b: float) -> tuple[float, float]:
+    """Brent's bounded minimum (fx, x) of ``f`` on [a, b]
+    (_minimize_scalar_bounded, xatol 1e-12, 500 evaluations)."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(a), float(b)
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + 1e-12 / 3.0
+    tol2 = 2.0 * tol1
+    while num < 500 and abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    # np.sign(d) + (d == 0): zero counts as positive
+                    rat = tol1 if xm - xf >= 0 else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0 else -step)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + 1e-12 / 3.0
+        tol2 = 2.0 * tol1
+    return fx, xf
 
 
 def _scan(nbar: float, r: float, alpha_mag: float, points: int
@@ -133,15 +247,10 @@ def _scan(nbar: float, r: float, alpha_mag: float, points: int
 def _min_q(q_of: Callable[[float], float], us: np.ndarray,
            qs: np.ndarray) -> tuple[float, float]:
     """Global minimum of the Mandel curve: grid argmin plus local refinement."""
-    from scipy.optimize import minimize_scalar
-
     i = int(np.argmin(qs))
-    lo = us[max(i - 1, 0)]
-    hi = us[min(i + 1, len(us) - 1)]
-    res = minimize_scalar(q_of, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    if res.fun <= qs[i]:
-        return float(res.fun), float(res.x)
+    fun, x = _bounded_min(q_of, us[max(i - 1, 0)], us[min(i + 1, len(us) - 1)])
+    if fun <= qs[i]:
+        return float(fun), float(x)
     return float(qs[i]), float(us[i])
 
 

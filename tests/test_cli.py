@@ -332,10 +332,14 @@ def test_critical_record_has_zeros(nbar, r):
 ], ids=["sweep", "wigner-grid", "eval", "critical", "sweep-vacuum",
         "wigner-grid-small", "sweep-misaligned", "wigner-grid-aligned",
         "wigner-grid-aligned-tilted"])
-def test_stdout_is_byte_identical(args, digest, capsys):
+def test_stdout_is_byte_identical(args, digest, capsys, tmp_path):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # --out writes the same bytes to a file
+    path = tmp_path / "out"
+    assert run_cli(args + ["--out", str(path)], capsys) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -747,23 +751,32 @@ def test_verify_gate_failure_is_one_line_and_exit_2(error, tmp_path, capsys,
     assert not report.exists()
 
 
-# importing loads neither scipy nor the Fock oracle; critical still finds
-# scipy.optimize when it solves
+# neither importing nor running a closed-form subcommand loads scipy or the
+# Fock oracle; only verify needs them
 @pytest.mark.parametrize("module", ["dpagauss", "dpagauss.cli"])
 def test_import_loads_no_scipy_and_no_oracle(module, tmp_path):
-    out = tmp_path / "critical.json"
+    out = tmp_path / "out"
     script = f"""
 import importlib, sys
 importlib.import_module({module!r})
-loaded = sorted(name for name in sys.modules
-                if name.split(".")[0] == "scipy"
-                or name in ("dpagauss.fock", "dpagauss.verify"))
-assert not loaded, loaded
+
+
+def assert_unloaded():
+    loaded = sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy"
+                    or name in ("dpagauss.fock", "dpagauss.verify"))
+    assert not loaded, loaded
+
+
+assert_unloaded()
 from dpagauss import cli
-sys.exit(cli.main(["critical", "--nbar", "1", "--r", "1",
-                   "--out", {str(out)!r}]))
+for argv in (["eval"], ["sweep", "--u-steps", "3"],
+             ["critical", "--nbar", "1"], ["wigner-grid", "--grid-steps", "3"]):
+    assert cli.main(argv + ["--r", "1", "--out", {str(out)!r}]) == 0, argv
+    assert_unloaded()
 """
     proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["alpha_c"] > 0
+    # the last run's grid: two header lines and 3 x 3 rows
+    assert len(out.read_text().splitlines()) == 2 + 9

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 import dpagauss.nonclassicality as ncl
 from dpagauss import (
@@ -264,3 +265,103 @@ def test_scan_objective_is_the_scalar_mandel_q_curve(nbar, r, alpha, u):
         q_of, _, _ = ncl._scan(nbar, r, alpha, 2)
     assert _outcome(lambda: q_of(u)) == _outcome(
         lambda: float(mandel_q_curve(nbar, r, alpha, u)))
+
+
+# The critical solver's root and minimum refinements repeat scipy's brentq
+# and bounded minimize_scalar operation for operation.  Both runs must visit
+# the same points: a reordered operation moves the last bits of some step,
+# even where the solver then converges to the same double.
+def _scipy_zero(f, lo, hi):
+    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+
+
+def _scipy_min(f, lo, hi):
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return float(res.fun), float(res.x)
+
+
+def _run(solve, f):
+    """reprs of the points at which ``solve`` evaluates ``f``, and of its
+    result, or the type and text of its error."""
+    points = []
+
+    def recorded(x):
+        points.append(repr(float(x)))
+        return f(x)
+
+    try:
+        return points, repr(solve(recorded))
+    except (ValueError, RuntimeError) as exc:
+        return points, (type(exc), str(exc))
+
+
+def _same_zero(f, lo, hi):
+    return _run(lambda g: ncl._refine_zero(g, lo, hi), f) == _run(
+        lambda g: _scipy_zero(g, lo, hi), f)
+
+
+def _same_min(f, lo, hi):
+    return _run(lambda g: ncl._bounded_min(g, lo, hi), f) == _run(
+        lambda g: _scipy_min(g, lo, hi), f)
+
+
+# smooth functions with a root at z; sin - z may have none in the bracket
+SMOOTH = {
+    "cubic": lambda z, k: lambda x: (x - z) ** 3 + k * k * (x - z),
+    "expm1": lambda z, k: lambda x: math.expm1(k * (x - z)),
+    # slopes whose products underflow: C's brentq divides by zero
+    "tiny-tanh": lambda z, k: lambda x: 1e-300 * math.tanh(k * (x - z)),
+    "sin": lambda z, k: lambda x: math.sin(k * x) - z,
+}
+brackets = dict(shape=st.sampled_from(sorted(SMOOTH)),
+                lo=st.floats(-3.0, 3.0), width=st.floats(1e-9, 5.0),
+                at=st.floats(0.0, 1.0), k=st.floats(-5.0, 5.0))
+
+
+@given(**brackets)
+@example(shape="tiny-tanh", lo=-1.1, width=3.3, at=0.11, k=3.9)
+@settings(max_examples=100, deadline=None)
+def test_refine_zero_is_brentq_bit_for_bit(shape, lo, width, at, k):
+    f = SMOOTH[shape](lo + at * width, k)
+    assert _same_zero(f, lo, lo + width)
+
+
+@given(**brackets)
+@settings(max_examples=50, deadline=None)
+def test_bounded_min_is_minimize_scalar_bit_for_bit(shape, lo, width, at, k):
+    g = SMOOTH[shape](lo + at * width, k)
+    assert _same_min(lambda x: g(x) ** 2, lo, lo + width)
+
+
+mandel_scans = (nbars, squeezes, st.floats(0.0, 6.0),
+                st.sampled_from([ncl.SCAN_POINTS, ncl.CLASSIFY_GRID]))
+
+
+@given(*mandel_scans)
+@settings(max_examples=60, deadline=None)
+def test_refine_zero_is_brentq_on_the_mandel_scan(nbar, r, alpha, points):
+    q_of, us, qs = ncl._scan(nbar, r, alpha, points)
+    for i in np.flatnonzero(np.signbit(qs[:-1]) != np.signbit(qs[1:])):
+        assert _same_zero(q_of, us[i], us[i + 1])
+
+
+@given(*mandel_scans)
+@settings(max_examples=60, deadline=None)
+def test_bounded_min_is_minimize_scalar_on_the_mandel_scan(nbar, r, alpha,
+                                                          points):
+    q_of, us, qs = ncl._scan(nbar, r, alpha, points)
+    i = int(np.argmin(qs))  # the bracket _min_q refines
+    assert _same_min(q_of, us[max(i - 1, 0)], us[min(i + 1, len(us) - 1)])
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0,
+    lambda x: 1e-200,  # the product f(a) f(b) underflows to zero
+    lambda x: math.nan,
+    lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,  # NaN at a step
+], ids=["same-sign", "same-sign-tiny", "nan-at-a", "nan-at-a-step"])
+def test_refine_zero_raises_what_brentq_raises(f):
+    with pytest.raises(ValueError):
+        ncl._refine_zero(f, 0.0, 1.0)
+    assert _same_zero(f, 0.0, 1.0)
