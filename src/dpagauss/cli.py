@@ -22,11 +22,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 import traceback
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .model import ModelParams, evolved_state
 
 USAGE_ERROR = 1
 GATE_ERROR = 2
+_BLOCK_ROWS = 256  # sweep rows formatted per block
 
 # config key -> (flag, type, default, help)
 OPTIONS = {
@@ -188,14 +191,24 @@ def _params(args: argparse.Namespace) -> ModelParams:
                        prep_time=vars(args).get("prep_time", 1.0))
 
 
-def _write(args: argparse.Namespace, lines: Sequence[str]) -> None:
-    """Write the finished output line by line, so that a large table is
-    not copied into one joined string and again into its encoding."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+def _write(args: argparse.Namespace, lines: Iterable[str]) -> None:
+    """Write ``lines`` as they are yielded, to ``--out`` or stdout, so that a
+    table is formatted and written block by block and its whole text never
+    exists at once.  An ``OSError`` from opening or writing the output, a
+    closed pipe included, is a usage error."""
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            # the reader is gone: the flush at exit goes to devnull, so
+            # shutdown reports no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write output: {exc}") from exc
 
 
 def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
@@ -273,12 +286,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                       f"u_steps={args.u_steps}"))]
     lines.append(f"{','.join(keys)},squeezing_criterion,"
                  "p_representation_exists,field_nonclassical\n")
-    # one template: %.17g prints as _fmt does, %d prints 1.0 as 1
-    table = np.column_stack((us, mandels, quads, means, variances, squeezed,
-                             p_density, ~p_density))
-    lines.append(("%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n" * args.u_steps)
-                 % tuple(table.ravel().tolist()))
-    _write(args, lines)
+    columns = (us, mandels, quads, means, variances, squeezed, p_density,
+               ~p_density)
+    # one template per block: %.17g prints as _fmt does, %d prints 1.0 as 1
+    blocks = (np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns])
+              for i in range(0, args.u_steps, _BLOCK_ROWS))
+    _write(args, itertools.chain(lines, (
+        ("%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n" * len(block))
+        % tuple(block.ravel().tolist()) for block in blocks)))
     return 0
 
 
@@ -328,16 +343,16 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
     steps = np.arange(n)
     mean_x = statistics.quad_mean(state, args.lam)
     mean_p = statistics.quad_mean(state, args.lam + 0.5 * math.pi)
-    xs = mean_x - half_x + 2.0 * half_x * steps / (n - 1)
+    xs = (mean_x - half_x + 2.0 * half_x * steps / (n - 1)).tolist()
     ps = mean_p - half_p + 2.0 * half_p * steps / (n - 1)
+    # every W before any text, so that an overflow in any row writes
+    # nothing; one call per x row, so no whole-grid temporaries
+    ws = [wigner.wigner_quadrature(state, args.lam, x, ps) for x in xs]
     # one template per x row, \0 standing for the x text
     row = "".join(f"\0,{_fmt(p)},%.17g\n" for p in ps.tolist())
-    # one call per x row: a whole-grid call would hold every value of the
-    # grid as a Python float at once
-    for x in xs.tolist():
-        ws = wigner.wigner_quadrature(state, args.lam, x, ps)
-        lines.append(row.replace("\0", _fmt(x)) % tuple(ws.tolist()))
-    _write(args, lines)
+    _write(args, itertools.chain(lines, (
+        row.replace("\0", _fmt(x)) % tuple(w.tolist())
+        for x, w in zip(xs, ws))))
     return 0
 
 

@@ -7,6 +7,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpagauss import cli, fock, model, nonclassicality, statistics, verify
+from dpagauss import (cli, fock, model, nonclassicality, statistics, verify,
+                      wigner)
 from dpagauss.cli import main
 from dpagauss.model import MAX_EFF_SQUEEZE, ModelParams, evolved_state
 
@@ -412,6 +414,83 @@ def test_workers_below_one_is_usage_error(capsys):
     code, out, err = run_cli(["verify", "--workers", "0"], capsys)
     assert_one_usage_error_line(code, out, err)
     assert "workers" in err
+
+
+SMALL_OUTPUTS = {
+    "eval": ["eval", "--r", "0.5", "--alpha", "1", "--u", "0.2"],
+    "sweep": ["sweep", "--r", "0.5", "--u-stop", "0.5", "--u-steps", "3"],
+    "wigner-grid": ["wigner-grid", "--r", "0.5", "--grid-steps", "2"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+@pytest.mark.parametrize("command", list(SMALL_OUTPUTS))
+def test_unwritable_out_is_one_usage_error_line(command, target, tmp_path,
+                                                capsys):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+    code, out, err = run_cli(SMALL_OUTPUTS[command] + ["--out", str(path)],
+                             capsys)
+    assert_one_usage_error_line(code, out, err)
+    assert err.startswith("usage error: cannot write output:")
+
+
+def test_closed_pipe_is_one_usage_error_line():
+    # the grid's 10 MB of text is far more than a pipe holds, so the writer
+    # is still writing when the reader goes
+    with subprocess.Popen(
+            [sys.executable, "-m", "dpagauss.cli", "wigner-grid", "--r", "0.2",
+             "--alpha", "0.5", "--grid-steps", "401"], env=fresh_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        assert proc.stdout.readline().startswith("# dpagauss")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("usage error: cannot write output:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_wigner_grid_writes_nothing_when_a_row_overflows(to_file, tmp_path,
+                                                         capsys, monkeypatch):
+    # every W is computed before any text is written
+    calls = []
+    original = wigner.wigner_quadrature
+
+    def third_row_overflows(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise FloatingPointError("overflow encountered in exp")
+        return original(*args)
+
+    monkeypatch.setattr(wigner, "wigner_quadrature", third_row_overflows)
+    path = tmp_path / "grid.csv"
+    args = ["wigner-grid", "--r", "0.2", "--alpha", "0.5", "--grid-steps",
+            "41"] + (["--out", str(path)] if to_file else [])
+    assert_one_usage_error_line(*run_cli(args, capsys))
+    assert len(calls) == 3 and not path.exists()
+
+
+@pytest.mark.parametrize("args, limit_mb", [
+    (["wigner-grid", "--nbar", "0.3", "--r", "0.2", "--alpha", "0.5",
+      "--u", "0.4", "--grid-steps", "401"], 4),
+    (["sweep", "--nbar", "0.2", "--r", "0.1", "--alpha", "0.3494",
+      "--theta", "0.6", "--phi", "0.1", "--u-stop", "1.2",
+      "--u-steps", "100000"], 25),
+], ids=["wigner-grid-401", "sweep-100000"])
+def test_table_memory_stays_bounded(args, limit_mb, tmp_path):
+    # a table's values are held, never its whole text: about 10 MB for
+    # each of these, against 1.3 and 4.0 MB of float64 values
+    path = tmp_path / "f"
+    tracemalloc.start()
+    try:
+        code = main(args + ["--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and path.stat().st_size > 9e6
+    assert peak < limit_mb * 1e6, f"{peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("command, values, named", [
