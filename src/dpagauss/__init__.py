@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .model import (
     EvolvedState,
-    HamiltonianCoeffs,
     ModelParams,
     displacement_amplitude,
     evolved_state,

@@ -47,7 +47,6 @@ OPTIONS = {
     "alpha": ("--alpha", float, 0.0, "displacement magnitude |alpha|"),
     "phi": ("--phi", float, 0.0, "displacement phase in radians"),
     "lam": ("--lambda", float, 0.0, "quadrature angle"),
-    "prep_time": ("--prep-time", float, 1.0, "preparation time t"),
     "u": ("--u", float, 0.0, "dimensionless time u"),
     "u_start": ("--u-start", float, 0.0, "first u"),
     "u_stop": ("--u-stop", float, 1.0, "last u"),
@@ -66,12 +65,12 @@ _SHARED_KEYS = ("out", "workers")
 # subcommand -> (help, the keys of OPTIONS it reads besides _SHARED_KEYS)
 COMMANDS = {
     "eval": ("observables at a single time", (*_MODEL_KEYS, "u")),
-    "sweep": ("CSV sweep over u", (*_MODEL_KEYS, "prep_time", "u_start",
-                                   "u_stop", "u_steps")),
+    "sweep": ("CSV sweep over u", (*_MODEL_KEYS, "u_start", "u_stop",
+                                   "u_steps")),
     "critical": ("critical displacement solve",
                  ("nbar", "r", "theta", "phi")),
     "wigner-grid": ("CSV of W over a quadrature rectangle",
-                    (*_MODEL_KEYS, "prep_time", "u", "grid_steps",
+                    (*_MODEL_KEYS, "u", "grid_steps",
                      "grid_halfwidth_sigmas")),
     "verify": ("closed forms against the Fock oracle", ()),
 }
@@ -183,12 +182,9 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
-    """The model parameters; eval has no --prep-time (none of its outputs
-    depends on it), so it keeps the default."""
     return ModelParams(alpha_mag=args.alpha, alpha_phase=args.phi,
                        squeeze_mag=args.r, squeeze_phase=args.theta,
-                       nbar=args.nbar,
-                       prep_time=vars(args).get("prep_time", 1.0))
+                       nbar=args.nbar)
 
 
 def _write(args: argparse.Namespace, lines: Iterable[str]) -> None:
@@ -212,10 +208,10 @@ def _write(args: argparse.Namespace, lines: Iterable[str]) -> None:
 
 
 def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
+    # times are in units of the preparation time, which prep_time=1 records
     fields = (f"nbar={_fmt(args.nbar)} r={_fmt(args.r)} "
               f"theta={_fmt(args.theta)} alpha={_fmt(args.alpha)} "
-              f"phi={_fmt(args.phi)} prep_time={_fmt(args.prep_time)} "
-              f"lambda={_fmt(args.lam)}")
+              f"phi={_fmt(args.phi)} prep_time=1 lambda={_fmt(args.lam)}")
     return (f"# dpagauss {__version__} {fields}"
             f" convention=theta-2phi-2lambda-alignment-optional"
             f"{' ' + extra if extra else ''}\n")
@@ -343,8 +339,12 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
     steps = np.arange(n)
     mean_x = statistics.quad_mean(state, args.lam)
     mean_p = statistics.quad_mean(state, args.lam + 0.5 * math.pi)
-    xs = (mean_x - half_x + 2.0 * half_x * steps / (n - 1)).tolist()
-    ps = mean_p - half_p + 2.0 * half_p * steps / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        xs = mean_x - half_x + 2.0 * half_x * steps / (n - 1)
+        ps = mean_p - half_p + 2.0 * half_p * steps / (n - 1)
+    if not np.isfinite([xs, ps]).all():
+        raise UsageError("grid_halfwidth_sigmas: grid extent overflows")
+    xs = xs.tolist()
     # every W before any text, so that an overflow in any row writes
     # nothing; one call per x row, so no whole-grid temporaries
     ws = [wigner.wigner_quadrature(state, args.lam, x, ps) for x in xs]

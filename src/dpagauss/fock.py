@@ -363,12 +363,11 @@ def build_rho_evolved(params: ModelParams, u: float, dim: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
-    """Truncated H = c a^dag^2 + c* a^2 + b a + b* a^dag, units of 1/prep_time."""
-    coeffs = hamiltonian_coeffs(params)
+    """Truncated H = c a^dag^2 + c* a^2 + b a + b* a^dag, in units of 1/t."""
+    c, b = hamiltonian_coeffs(params)
     a = annihilation(dim)
     ad = a.conj().T
-    return (coeffs.c_coeff * (ad @ ad) + np.conj(coeffs.c_coeff) * (a @ a)
-            + coeffs.b_coeff * a + np.conj(coeffs.b_coeff) * ad)
+    return c * (ad @ ad) + np.conj(c) * (a @ a) + b * a + np.conj(b) * ad
 
 
 def _check_edge_mass(occupation: np.ndarray) -> None:
@@ -394,9 +393,9 @@ def evolve_via_hamiltonian(params: ModelParams, total_time: float,
                            dim: int) -> np.ndarray:
     """rho(total_time) = exp(-i H T) rho_thermal exp(i H T).
 
-    With total_time = prep_time this reproduces the displaced-squeezed
-    construction; total_time = prep_time + tau reaches the state at
-    u = Omega tau.
+    Time is in units of the preparation time: total_time = 1 reproduces the
+    displaced-squeezed construction, and total_time = 1 + tau = 1 + u/r
+    reaches the state at u = Omega tau.
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")

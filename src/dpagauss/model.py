@@ -11,10 +11,11 @@ displacement amplitude A(tau), an effective squeeze magnitude u + r with
 u = Omega*tau = (r/t)*tau, the squeeze angle theta, and nbar.  This module
 evaluates those coefficients.
 
-Conventions: hbar = 1; Hamiltonian coefficients are reported in units of
-1/prep_time.  The primary time coordinate is the dimensionless u = Omega*tau.
-The r -> 0 case is a combined limit (Omega = r/t -> 0 as well) and is exposed
-through a dedicated operation parameterized by s = tau/t.
+Conventions: hbar = 1, and time is in units of the preparation time t (t
+sets only the unit), so Omega = r and the Hamiltonian coefficients are in
+units of 1/t.  The primary time coordinate is the dimensionless
+u = Omega*tau.  The r -> 0 case is a combined limit (Omega = r/t -> 0 as
+well) and is exposed through a dedicated operation parameterized by s = tau.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ MAX_EFF_SQUEEZE = 300.0
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The five physical inputs plus the preparation time.
+    """The five physical inputs; time is in units of the preparation time.
 
     Attributes
     ----------
@@ -46,9 +47,6 @@ class ModelParams:
         Squeeze angle theta in radians.
     nbar : float
         Thermal occupation of the initial state, >= 0.
-    prep_time : float
-        Time t > 0 taken to generate the Gaussian state; sets the rate
-        Omega = r / t so that Omega * t = r identically.
     """
 
     alpha_mag: float
@@ -56,11 +54,10 @@ class ModelParams:
     squeeze_mag: float = 0.0
     squeeze_phase: float = 0.0
     nbar: float = 0.0
-    prep_time: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha_mag", "alpha_phase", "squeeze_mag",
-                     "squeeze_phase", "nbar", "prep_time"):
+                     "squeeze_phase", "nbar"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got "
                                  f"{getattr(self, name)}")
@@ -70,8 +67,6 @@ class ModelParams:
             raise ValueError(f"squeeze_mag must be >= 0, got {self.squeeze_mag}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
-        if not self.prep_time > 0:
-            raise ValueError(f"prep_time must be > 0, got {self.prep_time}")
 
     @property
     def alpha(self) -> complex:
@@ -99,14 +94,6 @@ class EvolvedState:
         _check_eff_squeeze(self.eff_squeeze)
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
-
-
-@dataclass(frozen=True)
-class HamiltonianCoeffs:
-    """Two-photon pump strength and linear drive, in units of 1/prep_time."""
-
-    c_coeff: complex
-    b_coeff: complex
 
 
 def _check_eff_squeeze(rho) -> None:
@@ -188,11 +175,11 @@ def _amplitude_curve(params: ModelParams):
 
 
 def limit_r_zero_displacement(params: ModelParams, s: float) -> complex:
-    """Displacement in the combined r -> 0 limit, at s = tau / t.
+    """Displacement in the combined r -> 0 limit, at s = tau in units of t.
 
     Taking r -> 0 together with Omega = r/t -> 0 turns the closed form of
     A(tau) into alpha * (1 + s): the center keeps drifting linearly in
-    tau / t even though the squeezing disappears.
+    tau even though the squeezing disappears.
     """
     if params.squeeze_mag != 0:
         raise ValueError("limit_r_zero_displacement requires squeeze_mag = 0")
@@ -221,26 +208,27 @@ def evolved_state(params: ModelParams, u) -> EvolvedState:
                         squeeze_phase=params.squeeze_phase, nbar=params.nbar)
 
 
-def hamiltonian_coeffs(params: ModelParams) -> HamiltonianCoeffs:
-    """Coefficients (c, b) of the generating Hamiltonian, with hbar = 1.
+def hamiltonian_coeffs(params: ModelParams) -> tuple[complex, complex]:
+    """Coefficients (c, b) of the generating Hamiltonian, with hbar = 1, in
+    units of 1/t:
 
-        c = -(i/2) (r/t) e^{i theta}
-        b = -(i/2t) (alpha e^{-i theta} + alpha* coth(r/2)) r
+        c = -(i/2) r e^{i theta}
+        b = -(i/2) r (alpha e^{-i theta} + alpha* coth(r/2))
 
     r = 0 with alpha != 0 is rejected (coth singularity); r = 0 with
     alpha = 0 returns the trivial Hamiltonian b = c = 0.  Like
     ``displacement_amplitude``, raises ``ValueError`` where coth(r/2)
     overflows.
     """
-    r, t = params.squeeze_mag, params.prep_time
+    r = params.squeeze_mag
     if r == 0:
         if params.alpha_mag != 0:
             raise ValueError("hamiltonian_coeffs undefined for r = 0 with "
                              "alpha != 0 (singular coth term)")
-        return HamiltonianCoeffs(c_coeff=0j, b_coeff=0j)
+        return 0j, 0j
     alpha = params.alpha
     theta = params.squeeze_phase
-    c = -0.5j * (r / t) * complex(math.cos(theta), math.sin(theta))
-    b = -0.5j * (r / t) * (alpha * complex(math.cos(theta), -math.sin(theta))
-                           + alpha.conjugate() / _tanh_half(r))
-    return HamiltonianCoeffs(c_coeff=c, b_coeff=b)
+    c = -0.5j * r * complex(math.cos(theta), math.sin(theta))
+    b = -0.5j * r * (alpha * complex(math.cos(theta), -math.sin(theta))
+                     + alpha.conjugate() / _tanh_half(r))
+    return c, b

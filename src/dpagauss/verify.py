@@ -151,8 +151,7 @@ def evolution_cell_report(nbar: float, r: float, alpha: float,
     construction at matching truncations."""
     params = _cell_params(nbar, r, alpha)
     dim = max(fock.suggest_dim(evolved_state(params, u)), 96)
-    tau = u * params.prep_time / r
-    rho_h = fock.evolve_via_hamiltonian(params, params.prep_time + tau, dim)
+    rho_h = fock.evolve_via_hamiltonian(params, 1.0 + u / r, dim)
     rho_g = fock.build_rho_evolved(params, u, dim)
     dist = fock.trace_distance(rho_h, rho_g)
     return _entry("evolution_trace_distance",

@@ -1,5 +1,5 @@
-"""60-digit reference values of closed forms (so far the two Wigner
-densities), for tests and scripts.
+"""60-digit reference values of closed forms (the displacement amplitude,
+the photon statistics and the two Wigner densities), for tests and scripts.
 
 Nothing in ``dpagauss`` imports this module.  Each function takes the same
 double-precision inputs as the closed form it checks and evaluates the
@@ -17,6 +17,13 @@ x = x_lam and p = x_{lam+pi/2} of a squeezed thermal state,
 and W(x, p) = exp(-v^T V^{-1} v / 2) / (2 pi sqrt(det V)) with v the offset
 from the means sqrt(2) Re(A e^{-i lam}) and sqrt(2) Re(A e^{-i(lam+pi/2)}).
 W(beta) is 2 W(x, p) at lam = 0 and (x, p) = sqrt(2) (Re beta, Im beta).
+
+A(tau) is built without its closed form, from the Heisenberg equations of
+the paper's Hamiltonian H = c a^dag^2 + c* a^2 + b a + b* a^dag:
+da/dT = -2ic a^dag - i b* is an affine system in (a, a^dag, 1), whose
+solution is a(T) = mu a + nu a^dag + gamma.  The initial thermal state has
+<a> = 0, so A = gamma.  Time is in units of the preparation time, so
+T = 1 + u/r.  The photon statistics are then evaluated from A at 60 digits.
 """
 
 from __future__ import annotations
@@ -26,9 +33,95 @@ import sys
 
 import mpmath as mp
 
-from dpagauss import quad_variance_state
+from dpagauss import (evolved_state, mean_photon, photon_variance,
+                      quad_variance_state)
 
 DIGITS = 60
+
+
+def displacement_amplitude(params, u: float) -> mp.mpc:
+    """A(tau) at the double inputs given, as the inhomogeneous term of
+    expm(M T) for d(a, a^dag, 1)/dT = M (a, a^dag, 1), with
+
+        c = -(i/2) r e^{i theta},
+        b = -(i/2) r (alpha e^{-i theta} + alpha* coth(r/2)).
+    """
+    with mp.workdps(DIGITS):
+        r, theta = mp.mpf(params.squeeze_mag), mp.mpf(params.squeeze_phase)
+        alpha = params.alpha_mag * mp.expj(params.alpha_phase)
+        c = -0.5j * r * mp.expj(theta)
+        b = -0.5j * r * (alpha * mp.expj(-theta)
+                         + mp.conj(alpha) / mp.tanh(r / 2))
+        m = mp.matrix([[0, -2j * c, -1j * mp.conj(b)],
+                       [2j * mp.conj(c), 0, 1j * b],
+                       [0, 0, 0]])
+        return mp.expm(m * (1 + mp.mpf(u) / r))[0, 2]
+
+
+def squeeze_frame_amplitude(params, u: float) -> mp.mpc:
+    """A(tau) = e^{i theta/2} |alpha| (cos delta g+ + i sin delta g-), with
+    delta = phi - theta/2 and
+
+        g+ = [coth(r/2) (1 - e^{-u}) + 1 + e^{-u}] / 2,
+        g- = [coth(r/2) (e^u - 1) + e^u + 1] / 2,
+
+    the squeeze-frame route to A(tau), for a cross-check of the Heisenberg
+    route."""
+    with mp.workdps(DIGITS):
+        r, u = mp.mpf(params.squeeze_mag), mp.mpf(u)
+        half_theta = mp.mpf(params.squeeze_phase) / 2
+        delta = params.alpha_phase - half_theta
+        coth = 1 / mp.tanh(r / 2)
+        g_plus = (-coth * mp.expm1(-u) + 1 + mp.exp(-u)) / 2
+        g_minus = (coth * mp.expm1(u) + mp.exp(u) + 1) / 2
+        return params.alpha_mag * mp.expj(half_theta) * mp.mpc(
+            mp.cos(delta) * g_plus, mp.sin(delta) * g_minus)
+
+
+def photon_statistics(params, u: float) -> tuple:
+    """(A, <n>, Var n, Q) of the state evolved to u, at the double inputs
+    given, A by the Heisenberg route.
+
+    With rho = u + r, A' = e^{-i theta/2} A, kappa = (2 nbar + 1) e^{-2 rho}
+    and kappa' = (2 nbar + 1) e^{2 rho}, every term is positive except
+    kappa - 1 = 2 nbar e^{-2 rho} + expm1(-2 rho):
+
+        <n> = nbar cosh 2 rho + sinh^2 rho + |A'|^2,
+        Var n - <n> = c0 + (Re A')^2 (kappa - 1) + (Im A')^2 (kappa' - 1),
+        c0 = nbar^2 + (2 nbar + 1) sinh^2 rho [2 (2 nbar + 1) cosh^2 rho - 1].
+    """
+    amp = displacement_amplitude(params, u)
+    with mp.workdps(DIGITS):
+        nbar = mp.mpf(params.nbar)
+        two_rho = 2 * (mp.mpf(u) + params.squeeze_mag)
+        turned = amp * mp.expj(-mp.mpf(params.squeeze_phase) / 2)
+        sinh2 = mp.sinh(two_rho / 2) ** 2
+        mean = nbar * mp.cosh(two_rho) + sinh2 + abs(turned) ** 2
+        excess = (nbar ** 2
+                  + (2 * nbar + 1) * sinh2 * (2 * (2 * nbar + 1)
+                                              * (1 + sinh2) - 1)
+                  + turned.real ** 2 * (2 * nbar * mp.exp(-two_rho)
+                                        + mp.expm1(-two_rho))
+                  + turned.imag ** 2 * (2 * nbar * mp.exp(two_rho)
+                                        + mp.expm1(two_rho)))
+        return amp, mean, mean + excess, excess / mean
+
+
+def photon_errors(params, u: float) -> list:
+    """Relative errors of A(tau), <n>, Var n and Q at (params, u), against
+    ``photon_statistics``, Q's relative to max(1, |Q|).
+
+    The closed forms run as ``eval`` runs them: ``evolved_state``, then
+    ``mean_photon`` and ``photon_variance`` of that state, and
+    Q = (Var n - <n>) / <n> of those two, which is ``mandel_q``'s value
+    wherever its rounding guard admits the input.
+    """
+    state = evolved_state(params, u)
+    n, var = mean_photon(state), photon_variance(state)
+    got = (state.displacement, n, var, (var - n) / n)
+    want = photon_statistics(params, u)
+    scales = (abs(want[0]), want[1], want[2], max(1, abs(want[3])))
+    return [float(abs(g - w) / s) for g, w, s in zip(got, want, scales)]
 
 
 def wigner_quadrature(state, lam: float, x: float, p: float) -> mp.mpf:

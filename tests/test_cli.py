@@ -359,11 +359,45 @@ def assert_one_usage_error_line(code, out, err):
     ["critical", "--r", "0.1", "--alpha", "1"],
     ["critical", "--r", "0.1", "--lambda", "1"],
     ["eval", "--prep-time", "2"],
+    ["sweep", "--r", "0.1", "--prep-time", "2"],
+    ["wigner-grid", "--prep-time", "2"],
     ["verify", "--fock-dim", "12"],
 ], ids=["verify-nbar", "critical-alpha", "critical-lambda",
-        "eval-prep-time", "verify-fock-dim"])
+        "eval-prep-time", "sweep-prep-time", "wigner-grid-prep-time",
+        "verify-fock-dim"])
 def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
     assert_one_usage_error_line(*run_cli(args, capsys))
+
+
+# a small configuration at which no flag's value is moot
+FLAG_BASE = {"nbar": 0.2, "r": 0.3, "alpha": 0.5, "u": 0.4, "lam": 0.1,
+             "u_steps": 5, "grid_steps": 5}
+
+
+def flag_args(command, values):
+    """``command`` with a flag for each of ``values`` it reads."""
+    return [command, *(item for key in cli.COMMANDS[command][1]
+                       if key in values
+                       for item in (cli.OPTIONS[key][0], str(values[key])))]
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, keys) in cli.COMMANDS.items()
+    if command != "verify" for key in keys])
+def test_every_flag_a_subcommand_reads_changes_what_it_prints(command, key,
+                                                              capsys):
+    # a flag whose value moves no data line and no exit code is not needed
+    base = run_cli(flag_args(command, FLAG_BASE), capsys)
+    value = FLAG_BASE.get(key, cli.OPTIONS[key][2])
+    changed = run_cli(flag_args(command, {
+        **FLAG_BASE, key: value + (1 if isinstance(value, int) else 0.1)}),
+        capsys)
+
+    def data(out):
+        return [line for line in out.splitlines() if not line.startswith("#")]
+
+    assert base[0] == 0
+    assert changed[0] != base[0] or data(changed[1]) != data(base[1])
 
 
 @pytest.mark.parametrize("args, named", [
@@ -380,9 +414,16 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
      "exceeds the overflow guard"),
     (["wigner-grid", "--r", "0.1", "--grid-halfwidth-sigmas", "0"],
      "grid_halfwidth_sigmas must be > 0"),
+    # the grid's extent overflows before any W is evaluated: twice the
+    # half-width, or its product with the last step
+    (["wigner-grid", "--r", "0.5", "--grid-steps", "3",
+      "--grid-halfwidth-sigmas", "1e308"], "grid_halfwidth_sigmas: grid"),
+    (["wigner-grid", "--r", "0.5", "--grid-steps", "1000",
+      "--grid-halfwidth-sigmas", "1e306"], "grid_halfwidth_sigmas: grid"),
 ], ids=["sweep-r0", "sweep-beyond-guard", "wigner-grid-r0",
         "wigner-grid-beyond-guard", "eval-negative-u", "critical-r0",
-        "eval-u800", "sweep-u800", "wigner-grid-halfwidth-0"])
+        "eval-u800", "sweep-u800", "wigner-grid-halfwidth-0",
+        "wigner-grid-halfwidth-1e308", "wigner-grid-last-step-overflow"])
 def test_model_time_guards_are_usage_errors(args, named, capsys,
                                             monkeypatch):
     rows = []
@@ -496,14 +537,16 @@ def test_table_memory_stays_bounded(args, limit_mb, tmp_path):
 @pytest.mark.parametrize("command, values, named", [
     ("eval", {"nbr": 0.2}, "nbr"),
     ("eval", {"u_steps": 5}, "u_steps"),
+    ("sweep", {"prep_time": 2}, "prep_time"),
     ("eval", {"nbar": "x"}, "nbar"),
     ("eval", {"nbar": True}, "nbar"),
     ("sweep", {"r": 0.1, "u_steps": 2.5}, "u_steps"),
     ("verify", {"nbars": 0.5}, "nbars"),
     ("verify", {"wigner_points": [[0.2, 0.1, 0.3, 0.5]]}, "wigner_points"),
     ("verify", {"nbars": [0.5, "0.2"]}, "nbars"),
-], ids=["typo", "other-subcommand", "not-a-number", "bool", "int-flag",
-        "grid-scalar", "wigner-point-width", "grid-string"])
+], ids=["typo", "other-subcommand", "removed-prep-time", "not-a-number",
+        "bool", "int-flag", "grid-scalar", "wigner-point-width",
+        "grid-string"])
 def test_config_defects_are_usage_errors(tmp_path, capsys, command, values,
                                          named):
     config = tmp_path / "config.json"

@@ -170,12 +170,12 @@ def test_hamiltonian_evolution_matches_construction(alpha_mag, phi, r, theta,
                          squeeze_phase=theta, nbar=nbar)
     dim = max(fock.suggest_dim(evolved_state(params, 0.3)), 96)
     # preparation stage reproduces the displaced-squeezed construction
-    rho_h = fock.evolve_via_hamiltonian(params, params.prep_time, dim)
+    rho_h = fock.evolve_via_hamiltonian(params, 1.0, dim)
     rho_g = fock.build_rho_evolved(params, 0.0, dim)
     assert fock.trace_distance(rho_h, rho_g) <= 1e-6
     # and so does the later slice u = Omega tau
-    tau = 0.3 * params.prep_time / r
-    rho_h = fock.evolve_via_hamiltonian(params, params.prep_time + tau, dim)
+    tau = 0.3 / r
+    rho_h = fock.evolve_via_hamiltonian(params, 1.0 + tau, dim)
     rho_g = fock.build_rho_evolved(params, 0.3, dim)
     assert fock.trace_distance(rho_h, rho_g) <= 1e-6
 
@@ -184,7 +184,7 @@ def _hamiltonian_displaced_state(dim):
     # |A| = 2 at u = 0: about four photons, which reach the top eight of
     # 20 levels (mass 1e-4 and 1e-3) but not those of 80 (1e-31)
     params = ModelParams(alpha_mag=2.0, squeeze_mag=0.1)
-    return fock.evolve_via_hamiltonian(params, params.prep_time, dim)
+    return fock.evolve_via_hamiltonian(params, 1.0, dim)
 
 
 def _displaced_vacuum_moments(dim):

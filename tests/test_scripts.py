@@ -55,3 +55,21 @@ def test_wigner_error_table_script():
     assert len(maxima) == 4 * 12
     # every band within 1e-13 at u + r < 1, and within 1e-3 up to 12
     assert max(maxima[::12]) < 1e-13 and max(maxima) < 1e-3
+
+
+def test_photon_error_table_script():
+    proc = run_script("photon_error_table.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = ("displacement_amplitude", "mean_photon", "photon_variance",
+             "mandel_q")
+    assert [line for line in lines if not line.startswith("  ")] == [
+        f"{name}, {kind}: relative error, max and median per band of u"
+        for kind in ("delta = 0", "random delta") for name in names] + [
+        "recorded inputs at delta = 0: relative error"]
+    maxima = [float(line.split("max ")[1].split()[0]) for line in lines
+              if line.startswith("  [")]
+    assert len(maxima) == 2 * 4 * 5
+    # at random delta every band is within 1e-13, and so is A at delta = 0
+    # below u = 6
+    assert max(maxima[20:]) < 1e-13 and max(maxima[:3]) < 1e-13

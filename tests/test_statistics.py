@@ -23,6 +23,8 @@ from dpagauss import (
 )
 from dpagauss.statistics import VacuumError
 
+import mp_reference
+
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 nbars = st.floats(min_value=0.0, max_value=2.0)
 squeezes = st.floats(min_value=1e-3, max_value=1.5)
@@ -257,3 +259,57 @@ def test_array_mandel_q_marks_the_vacuum_with_nan():
     with pytest.raises(VacuumError):
         mandel_q(evolved_state(ModelParams(alpha_mag=0.0, squeeze_mag=1e-9),
                                5e-9))
+
+
+# the reference bound: 8 times the worst relative error scripts/
+# photon_error_table.py and 2,000 further draws found where these
+# properties hold, 1.2e-13 (A at r = 1e-3, u = 1e-7, where cosh u - 1 keeps
+# one rounding of cosh u, times coth(r/2) = 2000)
+REFERENCE_RTOL = 1e-12
+
+
+@given(alpha_mag=st.floats(0.1, 2.0), phi=angles,
+       r=st.floats(1e-30, 5.0), theta=angles, u=st.floats(0.0, 20.0))
+@settings(max_examples=25, deadline=None)
+def test_heisenberg_amplitude_is_the_squeeze_frame_amplitude(alpha_mag, phi,
+                                                             r, theta, u):
+    params = ModelParams(alpha_mag=alpha_mag, alpha_phase=phi, squeeze_mag=r,
+                         squeeze_phase=theta)
+    heisenberg = mp_reference.displacement_amplitude(params, u)
+    squeeze_frame = mp_reference.squeeze_frame_amplitude(params, u)
+    assert abs(heisenberg - squeeze_frame) <= 1e-50 * abs(squeeze_frame)
+
+
+@given(alpha_mag=st.floats(0.1, 2.0), delta=angles,
+       r=st.floats(1e-3, 2.0), theta=angles, nbar=nbars,
+       u=st.floats(0.0, 6.0, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_amplitude_and_mean_photon_match_the_reference_before_u_6(
+        alpha_mag, delta, r, theta, nbar, u):
+    # at delta = 0, A's x + y cancels like e^u: its error reads 1.3e-12 in
+    # [6, 10) and 3.2e-8 in [10, 20) (scripts/photon_error_table.py)
+    params = ModelParams(alpha_mag=alpha_mag, alpha_phase=0.5 * theta + delta,
+                         squeeze_mag=r, squeeze_phase=theta, nbar=nbar)
+    amp_err, mean_err, _, _ = mp_reference.photon_errors(params, u)
+    assert amp_err <= REFERENCE_RTOL and mean_err <= REFERENCE_RTOL
+
+
+@given(alpha_mag=st.floats(0.1, 2.0),
+       delta=st.floats(0.1, math.pi - 0.1), negative=st.booleans(),
+       r=st.floats(1e-3, 2.0), theta=angles, nbar=nbars,
+       u=st.floats(0.0, 20.0))
+@settings(max_examples=60, deadline=None)
+def test_photon_statistics_match_the_reference_off_the_squeeze_axis(
+        alpha_mag, delta, negative, r, theta, nbar, u):
+    # |sin delta| >= sin 0.1 keeps Im A' from vanishing; near delta = 0 the
+    # displacement term of Var n cancels (scripts/photon_error_table.py)
+    params = ModelParams(alpha_mag=alpha_mag,
+                         alpha_phase=0.5 * theta + (-delta if negative
+                                                    else delta),
+                         squeeze_mag=r, squeeze_phase=theta, nbar=nbar)
+    errors = mp_reference.photon_errors(params, u)
+    assert max(errors) <= REFERENCE_RTOL
+    # mandel_q's guard admits these inputs, so Q is its value
+    state = evolved_state(params, u)
+    assert mandel_q(state) == (photon_variance(state) - mean_photon(state)) \
+        / mean_photon(state)
