@@ -57,7 +57,7 @@ OPTIONS = {
     "out": ("--out", str, None, "output path (default stdout)"),
     "workers": ("--workers", int, None,
                 "worker processes for verify (default: CPU count); the other "
-                "subcommands run serially"),
+                "subcommands run serially and accept only 1"),
 }
 _MODEL_KEYS = ("nbar", "r", "theta", "alpha", "phi", "lam")
 _SHARED_KEYS = ("out", "workers")
@@ -178,6 +178,8 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     for key, value in merged.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {value}")
+    if args.command != "verify" and merged["workers"] not in (None, 1):
+        raise UsageError(f"{args.command} runs serially: workers must be 1")
     return argparse.Namespace(**merged)
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force verification in a truncated Fock space.
 
 Everything here is deliberately dumb: states are built by exponentiating
-truncated generator matrices and moments are read off by contraction, so the
-closed forms elsewhere in the package can be checked against an arithmetic
-that shares nothing with them beyond the operator definitions.
+truncated generator matrices and moments are read off the vectors and their
+thermal weights (Var n as the spread of the occupation about <n>, with no
+cancellation), so the closed forms elsewhere in the package can be checked
+against an arithmetic that shares nothing with them but the operators.
 
 Both generators are tridiagonal chains (the squeeze one per parity chain)
 with coefficients c sqrt(...) below and -c^* sqrt(...) above the diagonal.
@@ -347,19 +348,13 @@ def thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return w / w.sum()
 
 
-def thermal_state(nbar: float, dim: int) -> np.ndarray:
-    """Diagonal thermal density matrix with Boltzmann weights (nbar/(nbar+1))^k."""
-    return np.diag(thermal_weights(nbar, dim)).astype(complex)
-
-
 def build_rho_evolved(params: ModelParams, u: float, dim: int) -> np.ndarray:
-    """Density matrix D(A) S((u+r) e^{i theta}) rho_thermal S^dag D^dag."""
+    """Density matrix U diag(w) U^dag with U = D(A) S((u+r) e^{i theta}) and
+    w the thermal weights."""
     state = evolved_state(params, u)
-    d_mat = displacement_op(state.displacement, dim)
-    s_mat = squeeze_op(state.eff_squeeze
-                       * np.exp(1j * state.squeeze_phase), dim)
-    rho0 = thermal_state(params.nbar, dim)
-    return d_mat @ s_mat @ rho0 @ s_mat.conj().T @ d_mat.conj().T
+    u_mat = displacement_op(state.displacement, dim) @ squeeze_op(
+        state.eff_squeeze * np.exp(1j * state.squeeze_phase), dim)
+    return (u_mat * thermal_weights(params.nbar, dim)) @ u_mat.conj().T
 
 
 def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
@@ -401,8 +396,7 @@ def evolve_via_hamiltonian(params: ModelParams, total_time: float,
         raise ValueError("total_time must be >= 0")
     h_mat = hamiltonian_matrix(params, dim)
     u_mat = expm_antihermitian(-1j * h_mat * total_time)
-    rho0 = thermal_state(params.nbar, dim)
-    rho = u_mat @ rho0 @ u_mat.conj().T
+    rho = (u_mat * thermal_weights(params.nbar, dim)) @ u_mat.conj().T
     _check_edge_mass(np.diagonal(rho).real)
     return rho
 
@@ -414,16 +408,12 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FockMoments:
-    """First and second moments read off a truncated Fock computation."""
+    """<a>, <a^2>, <n> and Var n read off a truncated Fock computation."""
 
     mean_a: complex
     mean_aa: complex
     mean_n: float
-    mean_n2: float
-
-    @property
-    def var_n(self) -> float:
-        return self.mean_n2 - self.mean_n ** 2
+    var_n: float
 
     def quad_mean(self, lam: float) -> float:
         return math.sqrt(2.0) * (self.mean_a * np.exp(-1j * lam)).real
@@ -449,25 +439,23 @@ def squeezed_fock_ladder(count: int, xi: complex, dim: int) -> np.ndarray:
 
 
 def ensemble_moments(vecs: np.ndarray, weights: np.ndarray) -> FockMoments:
-    """Moments of a weighted ensemble of Fock-space vectors.
+    """Moments of a weighted ensemble of Fock-space vectors v.
 
-    Raises ``TruncationError`` when the ensemble leaks onto the truncation
-    edge.
+    <a> = sum_n sqrt(n+1) v_n^* v_{n+1} and <a^2> = sum_n
+    sqrt((n+1)(n+2)) v_n^* v_{n+2}, each weighted over the ensemble, and
+    Var n = sum_n p_n (n - <n>)^2 over the occupation p.  Raises
+    ``TruncationError`` when the ensemble leaks onto the truncation edge.
     """
-    dim = vecs.shape[0]
     prob = _occupation(vecs, weights)
-    levels = np.arange(dim)
-    root = np.sqrt(np.arange(1, dim, dtype=float))
-    a_vecs = np.zeros_like(vecs)
-    a_vecs[:-1] = root[:, None] * vecs[1:]
-    aa_vecs = np.zeros_like(vecs)
-    aa_vecs[:-1] = root[:, None] * a_vecs[1:]
-    mean_a = complex((np.conj(vecs) * a_vecs).sum(axis=0) @ weights)
-    mean_aa = complex((np.conj(vecs) * aa_vecs).sum(axis=0) @ weights)
+    levels = np.arange(len(prob))
+    root = np.sqrt(levels[1:])
+    mean_a = complex(root @ (vecs[:-1].conj() * vecs[1:]) @ weights)
+    mean_aa = complex((root[:-1] * root[1:])
+                      @ (vecs[:-2].conj() * vecs[2:]) @ weights)
     mean_n = float((prob * levels).sum())
-    mean_n2 = float((prob * levels ** 2).sum())
+    var_n = float((prob * (levels - mean_n) ** 2).sum())
     return FockMoments(mean_a=mean_a, mean_aa=mean_aa,
-                       mean_n=mean_n, mean_n2=mean_n2)
+                       mean_n=mean_n, var_n=var_n)
 
 
 def occupation_tail_scale(nbar: float, eff_squeeze: float) -> float:

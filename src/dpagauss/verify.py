@@ -67,15 +67,10 @@ def _entry(quantity: str, params: dict, closed: float, oracle: float,
             "pass": bool(err <= gate)}
 
 
-def _cell_params(nbar: float, r: float, alpha: float) -> ModelParams:
-    return ModelParams(alpha_mag=alpha, alpha_phase=0.0, squeeze_mag=r,
-                       squeeze_phase=0.0, nbar=nbar)
-
-
 def _moment_entries(nbar: float, r: float, alpha: float, u: float,
                     moments: fock.FockMoments, dim: int,
                     lam: float) -> list[dict]:
-    state = evolved_state(_cell_params(nbar, r, alpha), u)
+    state = evolved_state(ModelParams(alpha, squeeze_mag=r, nbar=nbar), u)
     closed = {
         "quad_mean": statistics.quad_mean(state, lam),
         "quad_variance": statistics.quad_variance_state(state, lam),
@@ -109,7 +104,7 @@ def _slab_moments(r: float, u: float, nbars: Sequence[float],
                                        (u + r) + 0j, dim)
     out = {}
     for alpha in alphas:
-        state = evolved_state(_cell_params(0.0, r, alpha), u)
+        state = evolved_state(ModelParams(alpha, squeeze_mag=r), u)
         displaced = fock.apply_displacement(state.displacement, ladder)
         for nbar in nbars:
             out[(nbar, alpha)] = fock.ensemble_moments(
@@ -121,7 +116,8 @@ def _slab_dim(r: float, u: float, nbars: Sequence[float],
               alphas: Sequence[float]) -> int:
     """The first truncation a moment slab tries: the largest its cells
     suggest."""
-    return max(fock.suggest_dim(evolved_state(_cell_params(nbar, r, alpha), u))
+    return max(fock.suggest_dim(evolved_state(
+                   ModelParams(alpha, squeeze_mag=r, nbar=nbar), u))
                for nbar in nbars for alpha in alphas)
 
 
@@ -149,7 +145,7 @@ def evolution_cell_report(nbar: float, r: float, alpha: float,
                           u: float) -> dict:
     """Trace distance between Hamiltonian evolution and the displaced-squeezed
     construction at matching truncations."""
-    params = _cell_params(nbar, r, alpha)
+    params = ModelParams(alpha, squeeze_mag=r, nbar=nbar)
     dim = max(fock.suggest_dim(evolved_state(params, u)), 96)
     rho_h = fock.evolve_via_hamiltonian(params, 1.0 + u / r, dim)
     rho_g = fock.build_rho_evolved(params, u, dim)
@@ -162,7 +158,7 @@ def evolution_cell_report(nbar: float, r: float, alpha: float,
 def wigner_point_report(nbar: float, r: float, alpha: float, u: float,
                         beta: complex) -> dict:
     """Closed-form Wigner density against the oracle's displaced parity."""
-    params = _cell_params(nbar, r, alpha)
+    params = ModelParams(alpha, squeeze_mag=r, nbar=nbar)
     closed = wigner.wigner_beta(evolved_state(params, u), beta)
     oracle, dim = fock.numeric_wigner(params, u, beta)
     return _entry("wigner_density",

@@ -18,13 +18,13 @@ from dpagauss import ModelParams, evolved_state, wigner_beta
 
 
 def test_thermal_state_properties():
-    rho = fock.thermal_state(0.0, 12)
+    rho = np.diag(fock.thermal_weights(0.0, 12))
     assert rho[0, 0] == 1.0 and np.abs(rho).sum() == 1.0
     # the vacuum's limits come from the general expressions
     assert fock.thermal_tail_weight(0.0, 12) == 0.0
     assert fock.occupation_tail_scale(0.0, 0.0) == 2.0
 
-    rho = fock.thermal_state(1.0, 60)
+    rho = np.diag(fock.thermal_weights(1.0, 60))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     occ = np.diagonal(rho).real
     assert (occ * np.arange(60)).sum() == pytest.approx(1.0, abs=1e-10)
@@ -33,7 +33,7 @@ def test_thermal_state_properties():
 
 def test_thermal_state_truncation_error():
     with pytest.raises(fock.TruncationError):
-        fock.thermal_state(1.0, 10)
+        fock.thermal_weights(1.0, 10)
 
 
 def test_commutator_on_interior_block():
@@ -118,21 +118,52 @@ def moments_from_rho(rho):
     second = np.diagonal(rho, offset=-2)
     mean_aa = complex((second * root[:-1] * root[1:]).sum()) \
         if dim > 2 else 0j
-    return fock.FockMoments(mean_a=mean_a, mean_aa=mean_aa,
-                            mean_n=float((occ * levels).sum()),
-                            mean_n2=float((occ * levels ** 2).sum()))
+    mean_n = float((occ * levels).sum())
+    return fock.FockMoments(mean_a=mean_a, mean_aa=mean_aa, mean_n=mean_n,
+                            var_n=float((occ * (levels - mean_n) ** 2).sum()))
 
 
 def test_vector_and_dense_moments_agree():
     # the slab driver fixes theta = phi = 0
     nbar, r, alpha, u = 0.5, 0.3, 0.5, 0.4
-    params = verify._cell_params(nbar, r, alpha)
+    params = ModelParams(alpha, squeeze_mag=r, nbar=nbar)
     dense = moments_from_rho(fock.build_rho_evolved(params, u, 140))
     vec = verify._slab_moments(r, u, (nbar,), (alpha,), 140)[(nbar, alpha)]
     assert dense.mean_a == pytest.approx(vec.mean_a, abs=1e-12)
     assert dense.mean_aa == pytest.approx(vec.mean_aa, abs=1e-12)
     assert dense.mean_n == pytest.approx(vec.mean_n, abs=1e-11)
-    assert dense.mean_n2 == pytest.approx(vec.mean_n2, rel=1e-11)
+    assert dense.var_n == pytest.approx(vec.var_n, rel=1e-11)
+
+
+def test_complex_ensemble_moments_match_the_density_matrix():
+    # complex alpha and xi, which the default grid (theta = phi = 0) never
+    # reaches: a conjugation slip in the shifted overlaps shows here
+    params = ModelParams(alpha_mag=0.5, alpha_phase=0.4, squeeze_mag=0.3,
+                         squeeze_phase=0.7, nbar=0.5)
+    state = evolved_state(params, 0.4)
+    weights = fock._ensemble_weights(params.nbar, 140)
+    ladder = fock.squeezed_fock_ladder(
+        len(weights), state.eff_squeeze * np.exp(1j * state.squeeze_phase),
+        140)
+    vec = fock.ensemble_moments(
+        fock.apply_displacement(state.displacement, ladder), weights)
+    dense = moments_from_rho(fock.build_rho_evolved(params, 0.4, 140))
+    assert abs(vec.mean_a.imag) > 0.1 and abs(vec.mean_aa.imag) > 0.1
+    # relative: the thermal levels the ensemble drops move Var n = 8.5 by
+    # 1.2e-12 of itself
+    for name in ("mean_a", "mean_aa", "mean_n", "var_n"):
+        assert getattr(vec, name) == pytest.approx(getattr(dense, name),
+                                                   rel=1e-11)
+
+
+def test_photon_variance_is_read_without_cancellation():
+    # (|500000> + |500001>)/sqrt 2: <n^2> - <n>^2 gives 0.24993896484375,
+    # two ulps of <n^2> = 2.5e11 away from Var n = 1/4
+    dim = 1_000_000
+    vec = np.zeros((dim, 1))
+    vec[500000:500002] = math.sqrt(0.5)
+    moments = fock.ensemble_moments(vec, np.ones(1))
+    assert moments.var_n == pytest.approx(0.25, rel=1e-15)
 
 
 def test_moments_match_closed_forms():
@@ -154,7 +185,7 @@ def test_coherent_projector_reference():
 def test_hamiltonian_evolution_trivial():
     params = ModelParams(alpha_mag=0.0, squeeze_mag=0.0, nbar=0.8)
     rho = fock.evolve_via_hamiltonian(params, 2.5, 80)
-    assert np.abs(rho - fock.thermal_state(0.8, 80)).max() < 1e-13
+    assert np.abs(rho - np.diag(fock.thermal_weights(0.8, 80))).max() < 1e-13
     with pytest.raises(ValueError, match="total_time must be >= 0"):
         fock.evolve_via_hamiltonian(params, -1.0, 80)
 
@@ -667,7 +698,7 @@ def test_default_heavy_displacement_slab_accepted_first_try(monkeypatch):
 
 def test_suggest_dim_does_not_grow_heavy_squeeze_slab():
     dims = [fock.suggest_dim(evolved_state(
-                verify._cell_params(nbar, 1.0, alpha), 2.0))
+                ModelParams(alpha, squeeze_mag=1.0, nbar=nbar), 2.0))
             for nbar in verify.DEFAULT_NBARS
             for alpha in verify.DEFAULT_ALPHAS]
     assert max(dims) <= 11831
