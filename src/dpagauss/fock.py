@@ -25,19 +25,28 @@ propagator per generator:
 The eigensolve is full (LAPACK stevd) for dense input blocks such as the
 identity behind ``squeeze_op``.  When the input is supported only on the
 first ``height`` rows of a chain of at least 512 + 16 * height levels, as
-for the squeezed thermal ladder, it solves only the eigenpairs in a window
-|lambda| <= L, O(N) each, on the positive half alone (``_eigh_window``).
+for the squeezed thermal ladder, it keeps only the eigenpairs in a window
+|lambda| <= L (``_eigh_window``).  A zero-diagonal chain's eigenvalues are
+the +-singular values of a bidiagonal, which one dqds pass (LAPACK dlasq1)
+returns to high relative accuracy; inverse iteration then solves the
+eigenvectors of the window's positive half, O(N) each, and mirrors them.
+dqds works on the whole spectrum in O(N^2), where bisection on the window
+takes about O(N k) for k eigenvalues, so bisection is faster again past
+12,000 to 20,000 levels per chain; the default grid's chains stay below
+6,000.
 The off-diagonals of a squeeze chain grow along it, so an eigenvector is
 evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L grows by half
 until the eigenvector at the window edge carries at most 1e-16 on the
 support, and the dropped eigenpairs cannot reach the input.  The rule
 reads the chain alone, never a closed-form moment.  Each windowed solve
-logs one DEBUG record on the ``dpagauss.fock`` logger.
+and each Chebyshev displacement logs one DEBUG record on the
+``dpagauss.fock`` logger.
 
 One underflow rule serves both propagators, whose off-diagonals grow along
 the chain: a chain whose first squared off-diagonal is below the smallest
 normal double (|xi| or |alpha| below about 1e-154) has exp(K) = I in double
-precision and returns its block.  stebz would split no other chain.
+precision and returns its block.  Every other chain is one block for
+inverse iteration: no squared off-diagonal underflows.
 
 The operative truncation gates are the occupation mass near the truncation
 edge and the agreement between two truncations N and N + 20, applied by
@@ -50,6 +59,7 @@ any truncation, so only the tests check that.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import time
@@ -57,7 +67,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 from scipy.linalg.blas import daxpy
 # Y += A @ X in place for CSR A; the public product always allocates Y
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -76,8 +86,10 @@ RELATIVE_FLOOR = 1e-6
 MAX_DIM = 40000
 
 # windowed eigensolve: used on chains of at least _WINDOW_MIN_LEVELS +
-# _WINDOW_LEVELS_PER_ROW * height levels, where it beats the full solve
-# (measured crossover about 250 + 20 * height levels on one BLAS thread)
+# _WINDOW_LEVELS_PER_ROW * height levels.  With dqds eigenvalues it beats
+# the full solve from 100-200 levels at heights 1 to 64 (one BLAS thread);
+# the rule stays at bisection's crossover, about 250 + 20 * height, since
+# moving it moves the default verify grid's oracle values by up to 1.2e-12
 _WINDOW_MIN_LEVELS = 512
 _WINDOW_LEVELS_PER_ROW = 16
 # first window: twice the off-diagonal at twice the support height, plus
@@ -85,15 +97,30 @@ _WINDOW_LEVELS_PER_ROW = 16
 _WINDOW_MARGIN = 60.0
 _WINDOW_GROWTH = 1.5
 _WINDOW_EDGE_TOL = 1e-16
-# bisection to full relative accuracy: the eigenvalues of a zero-diagonal
-# tridiagonal are the +-singular values of a bidiagonal, fixed to relative
-# precision by the off-diagonals, so the phases e^{-i lambda} stay exact
-_BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
 # eigenvalues per inverse-iteration call: stein's reorthogonalization costs
 # O(N k^2) in the k eigenvalues of one call
 _STEIN_BLOCK = 32
 
 _log = logging.getLogger(__name__)
+
+
+def _bind_dlasq1():
+    """LAPACK dlasq1(n, d, e, work, info), which scipy.linalg.lapack does not
+    wrap, from the function table of scipy's Cython LAPACK."""
+    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    array = np.ctypeslib.ndpointer(np.float64,
+                                   flags="C_CONTIGUOUS, WRITEABLE")
+    int_p = ctypes.POINTER(ctypes.c_int)
+    return ctypes.CFUNCTYPE(None, int_p, array, array, array, int_p)(address)
+
+
+_dlasq1 = _bind_dlasq1()
 
 
 class TruncationError(RuntimeError):
@@ -111,28 +138,56 @@ def expm_antihermitian(gen: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _eigh_window(off: np.ndarray, span: float
+def _positive_eigenvalues(mag: np.ndarray) -> np.ndarray:
+    """The positive eigenvalues of the zero-diagonal chain whose
+    off-diagonals have the moduli ``mag``, ascending, by dqds.
+
+    Even rows couple only to odd ones, so up to a permutation the chain is
+    [[0, B], [B^T, 0]] with B the bidiagonal with diagonal mag[0::2] and
+    superdiagonal mag[1::2], and its eigenvalues are the +-singular values
+    of B.  The dqds algorithm (Fernando and Parlett, Numer. Math. 67, 191
+    (1994); LAPACK dlasq1) returns all of them to high relative accuracy,
+    so the phases e^{-i lambda} stay exact, and scales tiny entries itself.
+    An odd chain pads B's diagonal with one zero, whose zero singular value
+    (the chain's eigenvalue 0) is dropped.
+    """
+    dim = len(mag) + 1
+    size = (dim + 1) // 2
+    diag, sup = np.zeros(size), np.zeros(size)
+    diag[:dim // 2] = mag[0::2]
+    sup[:size - 1] = mag[1::2]
+    info = ctypes.c_int(0)
+    _dlasq1(ctypes.byref(ctypes.c_int(size)), diag, sup, np.empty(4 * size),
+            ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dlasq1 failed with info {info.value}")
+    # descending on return
+    return diag[:size - dim % 2][::-1]
+
+
+def _eigh_window(off: np.ndarray, positive: np.ndarray, span: float
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Eigenpairs of the zero-diagonal chain ``off`` with |lambda| <= span,
     ascending, and how many of them inverse iteration solved.
 
-    P T P = -T for P = diag((-1)^j), so each pair (w, v) with w > 0 also
-    gives (-w, P v).  Bisection therefore runs on (0, span] only, and the
-    negative half is the mirror of the positive one.  An odd chain adds its
-    one eigenvalue 0, whose vector inverse iteration finds with the rest.
-    The chain is one block: its squared off-diagonals do not underflow (see
-    ``_expm_chain``).  Inverse iteration runs over blocks of
-    ``_STEIN_BLOCK`` consecutive eigenvalues, so stein reorthogonalizes
-    within a block only, not across the whole window.
+    ``positive`` holds the chain's positive eigenvalues, ascending
+    (``_positive_eigenvalues``).  P T P = -T for P = diag((-1)^j), so each
+    pair (w, v) with w > 0 also gives (-w, P v): inverse iteration solves
+    the eigenvectors of the positive w <= span, and the negative half is
+    their mirror.  An odd chain adds its one eigenvalue 0, whose vector
+    inverse iteration finds with the rest.  The chain is one block: its
+    squared off-diagonals do not underflow (see ``_expm_chain``).  Inverse
+    iteration runs over blocks of ``_STEIN_BLOCK`` consecutive eigenvalues,
+    so stein reorthogonalizes within a block only, not across the whole
+    window.
     """
     dim = len(off) + 1
     diag = np.zeros(dim)
-    count, w, _, isplit, info = lapack.dstebz(
-        diag, off, 1, 0.0, span, 0, 0, _BISECTION_ABSTOL, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
-    w = np.concatenate((np.zeros(dim % 2), w[:count]))
+    count = int(np.searchsorted(positive, span, side="right"))
+    w = np.concatenate((np.zeros(dim % 2), positive[:count]))
+    # one block, ending at the last row
     one_block = np.ones(dim, dtype=np.int32)
+    isplit = np.full(dim, dim, dtype=np.int32)
     # the solved eigenpairs fill the last columns, their mirror images the
     # first ones in reverse
     v = np.empty((dim, count + len(w)), order="F")
@@ -155,7 +210,8 @@ def _eigh_reaching(off: np.ndarray,
 
     Assumes off-diagonals whose moduli grow along the chain, so the top
     components of an eigenvector shrink as |lambda| grows past
-    2 |off[height]|.
+    2 |off[height]|.  The window's eigenvalues come from one dqds pass over
+    the whole chain, so a window that grows re-runs inverse iteration only.
     """
     dim = len(off) + 1
     if dim < _WINDOW_MIN_LEVELS + _WINDOW_LEVELS_PER_ROW * height:
@@ -163,9 +219,10 @@ def _eigh_reaching(off: np.ndarray,
     mag = np.abs(off)
     radius = float(np.max(mag[:-1] + mag[1:]))
     span = 2.0 * mag[min(2 * height, dim - 2)] + _WINDOW_MARGIN * mag[0]
+    positive = _positive_eigenvalues(mag)
     growths = 0
     while span < radius:
-        w, v, solved = _eigh_window(off, span)
+        w, v, solved = _eigh_window(off, positive, span)
         # the spectrum is symmetric: the two outermost share their moduli
         edge = float(np.abs(v[:height, w.argmax()]).max())
         if edge <= _WINDOW_EDGE_TOL:
@@ -176,7 +233,8 @@ def _eigh_reaching(off: np.ndarray,
         # the window covers the spectrum: the full solve is cheaper
         w, v = sla.eigh_tridiagonal(np.zeros(dim), off)
         edge, solved = 0.0, 0
-    _log.debug("windowed eigensolve: chain %d, support height %d, kept %d "
+    _log.debug("windowed eigensolve (dqds eigenvalues, inverse iteration "
+               "eigenvectors): chain %d, support height %d, kept %d "
                "eigenpairs, window %.6g, edge component %.3g, growths %d, "
                "solved %d by inverse iteration",
                dim, height, len(w), span, edge, growths, solved)
@@ -212,7 +270,8 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
         return _expm_chain(sub, x.view(float), chebyshev).view(complex)
     # both generators' off-diagonals grow along the chain, so when the first
     # one squared underflows, ||K|| <= 2 max|sub| < 3e-154 dim and
-    # exp(K) = I in double precision; stebz would split such a chain
+    # exp(K) = I in double precision; the windowed eigensolve takes every
+    # other chain as one unsplit block
     if not sub.size or sub[0] ** 2 < np.finfo(float).tiny:
         return x.astype(float)
     if chebyshev:
@@ -234,9 +293,15 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
             ptr = np.append(0, np.cumsum(np.count_nonzero(data, axis=1)))
             onto.append((len(rows), ptr.astype(np.int32),
                          idx[data != 0].astype(np.int32), data[data != 0]))
+        parts = [np.flatnonzero(np.any(x[parity::2] != 0, axis=0))
+                 for parity in (0, 1)]
+        # sub[0] is |alpha| times sqrt(1)
+        _log.debug("Chebyshev displacement: chain %d, |alpha| %.6g, "
+                   "Gershgorin radius %.6g, degree %d, columns %d on even "
+                   "rows and %d on odd rows", dim, abs(sub[0]), radius,
+                   degree, parts[0].size, parts[1].size)
         out = np.zeros(x.shape)
-        for parity in (0, 1):
-            cols = np.flatnonzero(np.any(x[parity::2] != 0, axis=0))
+        for parity, cols in enumerate(parts):
             if not cols.size:
                 continue
             ops = [(n_row, half, cols.size, *csr) for n_row, *csr in onto]
@@ -426,7 +491,14 @@ class FockMoments:
 
 def _ensemble_weights(nbar: float, dim: int) -> np.ndarray:
     """Renormalized thermal weights of the levels k whose S|k> enter an
-    ensemble: the discarded weight cannot move any moment at 1e-13."""
+    ensemble: the first levels, up to a discarded thermal weight of at most
+    1e-14.
+
+    That cut bounds the weight, not the moments: the dropped levels carry
+    more photons.  At nbar 0.5, r 0.3, theta 0.7, |alpha| 0.5, phi 0.4,
+    u 0.4 in 140 levels they move Var n by 1.2e-12 relative and <a^2> by
+    9e-14, far inside the 1e-6 moment gate.
+    """
     count = 1 if nbar == 0 else min(dim, int(math.ceil(
         math.log(1e14) / math.log((nbar + 1.0) / nbar))) + 1)
     weights = thermal_weights(nbar, dim)[:count]

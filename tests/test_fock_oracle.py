@@ -3,6 +3,7 @@ import math
 import os
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -80,6 +81,29 @@ def test_displacement_never_runs_the_eigensolve(monkeypatch):
     assert np.abs(d_mat.conj().T @ d_mat - np.eye(60)).max() < 1e-10
     displaced = fock.apply_displacement(2.0, ladder)
     assert np.abs(np.linalg.norm(displaced, axis=0) - 1.0).max() <= 1e-12
+
+
+def test_each_displacement_logs_its_chebyshev_degree(caplog, capsys):
+    ladder = fock.squeezed_fock_ladder(48, 0.5, 300)
+    caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
+    # a complex block runs as its float view, and the phase
+    # e^{-i j arg alpha} gives each column j > 0 an imaginary part
+    for alpha, block, parts in ((2.0, ladder, (24, 24)),
+                                (0.8 - 0.5j, np.eye(61), (61, 60))):
+        caplog.clear()
+        fock.apply_displacement(alpha, block)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith("Chebyshev displacement")
+        dim, mag, radius, degree, *columns = record.args
+        assert dim == len(block) and mag == abs(alpha)
+        assert tuple(columns) == parts
+        # Gershgorin radius of the chain |alpha| sqrt(n), widened by 1e-6
+        assert radius == pytest.approx(1.000001 * abs(alpha) * (
+            math.sqrt(dim - 2) + math.sqrt(dim - 1)), rel=1e-14)
+        assert degree == math.ceil(radius + 11.0 * radius ** (1.0 / 3.0)
+                                   + 30.0)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_squeeze_operator():
@@ -596,12 +620,47 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
                                                    monkeypatch, caplog):
     dim, full = full_spectrum_ladder
     monkeypatch.setattr(fock, "_WINDOW_MARGIN", 0.0)
+    calls = []
+    original = fock._dlasq1
+
+    def recording(*args):
+        calls.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(fock, "_dlasq1", recording)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
     assert np.abs(ladder - full).max() <= 1e-12
     records = window_records(caplog)
     assert len(records) == 2
     assert all(args[4] <= 1e-16 and args[5] >= 1 for args in records)
+    # one dqds pass per parity chain, on its bidiagonal of half the levels:
+    # a growing window re-runs inverse iteration only
+    assert calls == [((n + 1) // 2) for n in ((dim + 1) // 2, dim // 2)]
+
+
+def sturm_eigenvalue(off, value):
+    """The eigenvalue of the zero-diagonal chain ``off`` within 1e-13
+    relative of ``value``, to about 1e-21 relative, by bisection on 40-digit
+    Sturm counts."""
+    with mpmath.workdps(40):
+        squares = [mpmath.mpf(float(x)) ** 2 for x in off]
+
+        def below(x):
+            # eigenvalues below x: negative pivots of T - x I
+            count, pivot = 0, -x
+            for square in squares:
+                count += pivot < 0
+                pivot = -x - square / pivot
+            return count + (pivot < 0)
+
+        lo, hi = (mpmath.mpf(value) * (1 + s * 1e-13) for s in (-1, 1))
+        rank = below(lo)
+        assert below(hi) == rank + 1
+        while hi - lo > hi * 1e-21:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) == rank else (lo, mid)
+        return (lo + hi) / 2
 
 
 @pytest.mark.parametrize("levels", [3000, 3001], ids=["even", "odd"])
@@ -620,8 +679,15 @@ def test_window_eigenpairs_mirror_the_two_sided_solve(levels):
                       np.roll(iblock, -lo), isplit)[0]
         for lo in range(0, count, 32)])
 
-    w, v, solved = fock._eigh_window(off, span)
-    assert np.array_equal(w[w > 0.0], w_ref[w_ref > 0.0])
+    w, v, solved = fock._eigh_window(
+        off, fock._positive_eigenvalues(np.abs(off)), span)
+    # dqds eigenvalues: the smallest, a middle and the largest positive one
+    # of the window, within the worst relative error of bisection (stebz)
+    # on these chains
+    positive = w[w > 0.0]
+    for value in positive[[0, len(positive) // 2, -1]]:
+        exact = sturm_eigenvalue(off, value)
+        assert abs(value - exact) <= 4.4e-15 * exact
     assert np.array_equal(w, -w[::-1])
     assert np.count_nonzero(w == 0.0) == levels % 2
     assert len(w) == count and solved == (count + 1) // 2
@@ -659,14 +725,15 @@ def test_chain_above_the_underflow_rule_runs_its_propagator(coeff,
             return original(*args)
         return record
 
-    for name in ("_eigh_reaching", "jv"):
+    for name in ("_eigh_reaching", "_dlasq1", "jv"):
         monkeypatch.setattr(fock, name, recording(name))
     eye = np.eye(6000, 48)
-    assert np.abs(fock.apply_squeeze(coeff, eye) - eye).max() <= 1e-14
-    # one eigensolve per parity chain, then one Chebyshev expansion
-    assert calls == ["_eigh_reaching"] * 2
+    # one windowed eigensolve per parity chain, whose dqds pass scales the
+    # tiny entries itself, then one Chebyshev expansion
+    assert np.abs(fock.apply_squeeze(coeff, eye) - eye).max() <= 5e-15
+    assert calls == ["_eigh_reaching", "_dlasq1"] * 2
     assert np.abs(fock.apply_displacement(coeff, eye) - eye).max() <= 1e-14
-    assert calls == ["_eigh_reaching"] * 2 + ["jv"]
+    assert calls == ["_eigh_reaching", "_dlasq1"] * 2 + ["jv"]
 
 
 def record_slab_dims(monkeypatch):
