@@ -18,28 +18,32 @@ propagator per generator:
   (J. Chem. Phys. 81, 3967 (1984)), orthogonal to machine precision.  K
   maps even rows to odd ones and back, so the real recurrence runs on the
   even-row and the odd-row part of the block in turn, with one in-place
-  half-height sparse product and one half-height axpy per degree;
+  half-height sparse product and one half-height axpy per degree, up to
+  the last degree whose weight adds;
 * every squeeze, a real symmetric tridiagonal eigensolve, exactly
   orthogonal, whose cos and sin terms separate by row parity.
 
 The eigensolve is full (LAPACK stevd) for dense input blocks such as the
 identity behind ``squeeze_op``.  When the input is supported only on the
-first ``height`` rows of a chain of at least 512 + 16 * height levels, as
+first ``height`` rows of a chain of at least 192 + 2 * height levels, as
 for the squeezed thermal ladder, it keeps only the eigenpairs in a window
 |lambda| <= L (``_eigh_window``).  A zero-diagonal chain's eigenvalues are
 the +-singular values of a bidiagonal, which one dqds pass (LAPACK dlasq1)
 returns to high relative accuracy; inverse iteration then solves the
-eigenvectors of the window's positive half, O(N) each, and mirrors them.
+eigenvectors of the window's positive half, O(N) each, in blocks of 32.
+Each block, and its mirror image, adds its cos and sin terms to the result
+before the next block is solved, so a squeeze holds O(N x columns) memory
+whatever the window.
 dqds works on the whole spectrum in O(N^2), where bisection on the window
 takes about O(N k) for k eigenvalues, so bisection is faster again past
 12,000 to 20,000 levels per chain; the default grid's chains stay below
 6,000.
 The off-diagonals of a squeeze chain grow along it, so an eigenvector is
 evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L grows by half
-until the eigenvector at the window edge carries at most 1e-16 on the
-support, and the dropped eigenpairs cannot reach the input.  The rule
-reads the chain alone, never a closed-form moment.  Each windowed solve
-and each Chebyshev displacement logs one DEBUG record on the
+until the eigenvector at the window edge, solved alone, carries at most
+1e-16 on the support, and the dropped eigenpairs cannot reach the input.
+The rule reads the chain alone, never a closed-form moment.  Each windowed
+solve and each Chebyshev displacement logs one DEBUG record on the
 ``dpagauss.fock`` logger.
 
 One underflow rule serves both propagators, whose off-diagonals grow along
@@ -86,19 +90,19 @@ RELATIVE_FLOOR = 1e-6
 MAX_DIM = 40000
 
 # windowed eigensolve: used on chains of at least _WINDOW_MIN_LEVELS +
-# _WINDOW_LEVELS_PER_ROW * height levels.  With dqds eigenvalues it beats
-# the full solve from 100-200 levels at heights 1 to 64 (one BLAS thread);
-# the rule stays at bisection's crossover, about 250 + 20 * height, since
-# moving it moves the default verify grid's oracle values by up to 1.2e-12
-_WINDOW_MIN_LEVELS = 512
-_WINDOW_LEVELS_PER_ROW = 16
+# _WINDOW_LEVELS_PER_ROW * height levels.  Streamed block by block, it beats
+# the full solve from 100 levels at heights 1 to 24 and from 200 at height
+# 64 (one BLAS thread); the rule keeps a margin above that crossover
+_WINDOW_MIN_LEVELS = 192
+_WINDOW_LEVELS_PER_ROW = 2
 # first window: twice the off-diagonal at twice the support height, plus
 # this many first off-diagonals; a window too small grows by _WINDOW_GROWTH
 _WINDOW_MARGIN = 60.0
 _WINDOW_GROWTH = 1.5
 _WINDOW_EDGE_TOL = 1e-16
 # eigenvalues per inverse-iteration call: stein's reorthogonalization costs
-# O(N k^2) in the k eigenvalues of one call
+# O(N k^2) in the k eigenvalues of one call, and the window streams through
+# the cos/sin sums one such block at a time
 _STEIN_BLOCK = 32
 
 _log = logging.getLogger(__name__)
@@ -165,80 +169,89 @@ def _positive_eigenvalues(mag: np.ndarray) -> np.ndarray:
     return diag[:size - dim % 2][::-1]
 
 
-def _eigh_window(off: np.ndarray, positive: np.ndarray, span: float
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenpairs of the zero-diagonal chain ``off`` with |lambda| <= span,
-    ascending, and how many of them inverse iteration solved.
+def _stein(off: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The eigenvectors of the zero-diagonal chain ``off`` for its
+    eigenvalues ``w``, by inverse iteration (LAPACK stein), as columns.
+
+    The chain is one block: its squared off-diagonals do not underflow (see
+    ``_expm_chain``).
+    """
+    dim = len(off) + 1
+    v, info = lapack.dstein(np.zeros(dim), off, w,
+                            np.ones(dim, dtype=np.int32),
+                            np.full(dim, dim, dtype=np.int32))
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"dstein: {info} eigenvectors failed to converge")
+    return v
+
+
+def _eigh_window(off: np.ndarray, positive: np.ndarray, span: float):
+    """The eigenpairs of the zero-diagonal chain ``off`` with
+    |lambda| <= span, as blocks (w, v, mirrored), each solved when the
+    caller takes it.
 
     ``positive`` holds the chain's positive eigenvalues, ascending
     (``_positive_eigenvalues``).  P T P = -T for P = diag((-1)^j), so each
     pair (w, v) with w > 0 also gives (-w, P v): inverse iteration solves
-    the eigenvectors of the positive w <= span, and the negative half is
-    their mirror.  An odd chain adds its one eigenvalue 0, whose vector
-    inverse iteration finds with the rest.  The chain is one block: its
-    squared off-diagonals do not underflow (see ``_expm_chain``).  Inverse
-    iteration runs over blocks of ``_STEIN_BLOCK`` consecutive eigenvalues,
-    so stein reorthogonalizes within a block only, not across the whole
-    window.
+    the eigenvectors of the positive w <= span in ascending blocks of
+    ``_STEIN_BLOCK``, whose ``mirrored`` flag says that they stand for their
+    mirror images too.  An odd chain's one eigenvalue 0 is its own mirror
+    image; it comes first, as a block of its own.
     """
     dim = len(off) + 1
-    diag = np.zeros(dim)
+    if dim % 2:
+        yield np.zeros(1), _stein(off, np.zeros(1)), False
     count = int(np.searchsorted(positive, span, side="right"))
-    w = np.concatenate((np.zeros(dim % 2), positive[:count]))
-    # one block, ending at the last row
-    one_block = np.ones(dim, dtype=np.int32)
-    isplit = np.full(dim, dim, dtype=np.int32)
-    # the solved eigenpairs fill the last columns, their mirror images the
-    # first ones in reverse
-    v = np.empty((dim, count + len(w)), order="F")
-    for lo in range(0, len(w), _STEIN_BLOCK):
-        hi = min(lo + _STEIN_BLOCK, len(w))
-        v[:, count + lo:count + hi], info = lapack.dstein(
-            diag, off, w[lo:hi], one_block, isplit)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"dstein: {info} eigenvectors failed to converge")
-    v[:, :count] = v[:, ::-1][:, :count]
-    v[1::2, :count] *= -1.0
-    return np.concatenate((-w[::-1][:count], w)), v, len(w)
+    for lo in range(0, count, _STEIN_BLOCK):
+        w = positive[lo:min(lo + _STEIN_BLOCK, count)]
+        yield w, _stein(off, w), True
 
 
-def _eigh_reaching(off: np.ndarray,
-                   height: int) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_reaching(off: np.ndarray, height: int):
     """Eigenpairs of the zero-diagonal chain ``off`` that reach its first
-    ``height`` rows: all of them, or a window |lambda| <= L on a long chain.
+    ``height`` rows, as blocks (w, v, mirrored) (see ``_eigh_window``):
+    all of them in one block, or a window |lambda| <= L on a long chain.
 
     Assumes off-diagonals whose moduli grow along the chain, so the top
     components of an eigenvector shrink as |lambda| grows past
     2 |off[height]|.  The window's eigenvalues come from one dqds pass over
-    the whole chain, so a window that grows re-runs inverse iteration only.
+    the whole chain.  The edge rule runs first, on the eigenvector at the
+    window edge alone, so a window that grows re-runs one inverse
+    iteration; the final window's eigenvectors are then solved one block at
+    a time.
     """
     dim = len(off) + 1
     if dim < _WINDOW_MIN_LEVELS + _WINDOW_LEVELS_PER_ROW * height:
-        return sla.eigh_tridiagonal(np.zeros(dim), off)
+        yield (*sla.eigh_tridiagonal(np.zeros(dim), off), False)
+        return
     mag = np.abs(off)
     radius = float(np.max(mag[:-1] + mag[1:]))
     span = 2.0 * mag[min(2 * height, dim - 2)] + _WINDOW_MARGIN * mag[0]
     positive = _positive_eigenvalues(mag)
     growths = 0
     while span < radius:
-        w, v, solved = _eigh_window(off, positive, span)
+        count = int(np.searchsorted(positive, span, side="right"))
         # the spectrum is symmetric: the two outermost share their moduli
-        edge = float(np.abs(v[:height, w.argmax()]).max())
+        edge = float(np.abs(
+            _stein(off, positive[count - 1:count])[:height]).max())
         if edge <= _WINDOW_EDGE_TOL:
+            blocks = _eigh_window(off, positive, span)
+            solved = count + dim % 2
+            kept = 2 * solved - dim % 2
             break
         span *= _WINDOW_GROWTH
         growths += 1
     else:
         # the window covers the spectrum: the full solve is cheaper
-        w, v = sla.eigh_tridiagonal(np.zeros(dim), off)
-        edge, solved = 0.0, 0
+        blocks = [(*sla.eigh_tridiagonal(np.zeros(dim), off), False)]
+        edge, kept, solved = 0.0, dim, 0
     _log.debug("windowed eigensolve (dqds eigenvalues, inverse iteration "
                "eigenvectors): chain %d, support height %d, kept %d "
                "eigenpairs, window %.6g, edge component %.3g, growths %d, "
                "solved %d by inverse iteration",
-               dim, height, len(w), span, edge, growths, solved)
-    return w, v
+               dim, height, kept, span, edge, growths, solved)
+    yield from blocks
 
 
 def _expm_chain(sub: np.ndarray, block: np.ndarray,
@@ -250,30 +263,36 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
     per real and imaginary part.  With ``chebyshev`` the propagator is the
     Chebyshev expansion of e^{rho z} on the spectrum i[-rho, rho] of K:
     Q_0 = X, Q_1 = (K/rho) X, Q_{k+1} = (2K/rho) Q_k + Q_{k-1}, summed with
-    weights (2 - delta_k0) J_k(rho).  K maps even rows to odd ones and
-    back, so Q_k of a column on the rows of parity p sits on those of
-    parity (k + p) mod 2: the recurrence runs on the even-row and on the
-    odd-row part of X, each without its zero columns, with one ceil(N/2)-row
-    sparse product and axpy per degree; a column with both parities runs in
-    both parts, whose sums add.  Otherwise K = D (-i T) D^* with
-    D = diag(i^j) and T the symmetric chain with off-diagonals ``sub``, and
-    with T = V diag(w) V^T and sigma_j = (-1)^(j//2) the real parts
-    separate by row parity:
+    weights (2 - delta_k0) J_k(rho), up to the last weight above 1e-18.
+    K maps even rows to odd ones and back, so Q_k of a column on the rows
+    of parity p sits on those of parity (k + p) mod 2: the recurrence runs
+    on the even-row and on the odd-row part of X, each without its zero
+    columns, with one ceil(N/2)-row sparse product and axpy per degree; a
+    column with both parities runs in both parts, whose sums add.
+    Otherwise K = D (-i T) D^* with D = diag(i^j) and T the symmetric chain
+    with off-diagonals ``sub``, and with T = V diag(w) V^T and
+    sigma_j = (-1)^(j//2) the real parts separate by row parity:
     a = V_even^T (sigma X)_even, b = -V_odd^T (sigma X)_odd, even rows
     sigma V_even (cos w a + sin w b) and odd rows
-    -sigma V_odd (cos w b - sin w a).  Only the rows of ``block`` up to its
-    last nonzero one enter, and their count selects between the full and
-    the windowed eigensolve.
+    -sigma V_odd (cos w b - sin w a).  The eigenpairs arrive in blocks
+    (``_eigh_reaching``), and each block's cos and sin terms add into the
+    even-row and the odd-row sums of the nonzero columns before the next
+    block is solved, so no more than one block of eigenvectors is held.
+    A mirrored block's images (-w, P v) have a' = a and b' = -b, so their
+    term equals the block's own bit for bit and adds once more.  Only the
+    rows of ``block`` up to its last nonzero one enter, and their count
+    selects between the full and the windowed eigensolve.
     """
-    x = np.ascontiguousarray(block)
-    if np.iscomplexobj(x):
+    if np.iscomplexobj(block):
+        x = np.ascontiguousarray(block)
         return _expm_chain(sub, x.view(float), chebyshev).view(complex)
+    x = np.asarray(block, dtype=float)
     # both generators' off-diagonals grow along the chain, so when the first
     # one squared underflows, ||K|| <= 2 max|sub| < 3e-154 dim and
     # exp(K) = I in double precision; the windowed eigensolve takes every
     # other chain as one unsplit block
     if not sub.size or sub[0] ** 2 < np.finfo(float).tiny:
-        return x.astype(float)
+        return x.copy()
     if chebyshev:
         mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
         # Gershgorin: every eigenvalue of K lies in i[-radius, radius]
@@ -281,6 +300,8 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
         degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
         weights = jv(np.arange(degree + 1), radius)
         weights[1:] *= 2.0
+        # past the last weight that adds, the recurrence adds nothing
+        steps = int(np.flatnonzero(np.abs(weights) > 1e-18)[-1])
         band = np.concatenate(([0.0], sub * (2.0 / radius), [0.0]))
         dim, half = len(x), (len(x) + 1) // 2
         # onto[t]: CSR arrays of 2K/rho from the rows of parity 1 - t onto
@@ -297,45 +318,60 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
                  for parity in (0, 1)]
         # sub[0] is |alpha| times sqrt(1)
         _log.debug("Chebyshev displacement: chain %d, |alpha| %.6g, "
-                   "Gershgorin radius %.6g, degree %d, columns %d on even "
-                   "rows and %d on odd rows", dim, abs(sub[0]), radius,
-                   degree, parts[0].size, parts[1].size)
+                   "Gershgorin radius %.6g, degree %d, steps run %d, "
+                   "columns %d on even rows and %d on odd rows", dim,
+                   abs(sub[0]), radius, degree, steps, parts[0].size,
+                   parts[1].size)
         out = np.zeros(x.shape)
         for parity, cols in enumerate(parts):
             if not cols.size:
                 continue
             ops = [(n_row, half, cols.size, *csr) for n_row, *csr in onto]
             # flat (half, cols) arrays, zero below the part's own rows
-            part = x[parity::2, cols].reshape(-1)
-            prev = np.zeros(half * cols.size)
-            prev[:part.size] = part
+            prev = np.zeros((half, cols.size))
+            part = x[parity::2]
+            np.take(part, cols, axis=1, out=prev[:len(part)], mode="clip")
+            prev = prev.reshape(-1)
             cur = np.zeros_like(prev)
             _csr_matvecs(*ops[1 - parity], prev, cur)
             cur *= 0.5
             totals = [weights[0] * prev, weights[1] * cur]
-            for k in range(2, degree + 1):
+            for k in range(2, steps + 1):
                 _csr_matvecs(*ops[(parity + k) % 2], cur, prev)
                 prev, cur = cur, prev
                 if abs(weights[k]) > 1e-18:
                     daxpy(cur, totals[k % 2], a=weights[k])
             for start, total in zip((parity, 1 - parity), totals):
                 target = out[start::2]
-                target[:, cols] += total.reshape(half, -1)[:len(target)]
+                # column by column: basic indexing adds in place
+                for j, col in enumerate(cols):
+                    target[:, col] += total[j::cols.size][:len(target)]
+            del prev, cur, totals, total  # before the next part's
         return out
-    x = x.astype(float, copy=True)
     rows = np.flatnonzero(np.any(x != 0, axis=1))
     height = int(rows[-1]) + 1 if rows.size else 1
-    w, v = _eigh_reaching(sub, height)
+    cols = np.flatnonzero(np.any(x[:height] != 0, axis=0))
     sigma = np.where(np.arange(len(x)) & 2, -1.0, 1.0)[:, None]
-    sx = sigma[:height] * x[:height]
-    v_even, v_odd = v[0::2], v[1::2]
-    a = v_even[:(height + 1) // 2].T @ sx[0::2]
-    b = v_odd[:height // 2].T @ sx[1::2]
-    b *= -1.0
-    cos, sin = np.cos(w)[:, None], np.sin(w)[:, None]
-    x[0::2] = sigma[0::2] * (v_even @ (cos * a + sin * b))
-    x[1::2] = sigma[1::2] * (v_odd @ (sin * a - cos * b))
-    return x
+    sx = sigma[:height] * x[:height, cols]
+    # the sums over the nonzero columns
+    sums = np.zeros((len(x), cols.size))
+    for w, v, mirrored in _eigh_reaching(sub, height):
+        a = v[0:height:2].T @ sx[0::2]
+        b = v[1:height:2].T @ sx[1::2]
+        b *= -1.0
+        cos, sin = np.cos(w)[:, None], np.sin(w)[:, None]
+        for start, coeffs in ((0, cos * a + sin * b), (1, sin * a - cos * b)):
+            term = v[start::2] @ coeffs
+            sums[start::2] += term
+            if mirrored:
+                # the images (-w, P v) give a' = a and b' = -b: the same term
+                sums[start::2] += term
+            del term  # before the odd rows' product
+        del v  # before the next block is solved
+    sums *= sigma
+    out = np.zeros(x.shape)
+    out[:, cols] = sums
+    return out
 
 
 def _apply_chain(coeff: complex, root: np.ndarray, block: np.ndarray,

@@ -109,6 +109,8 @@ def _slab_moments(r: float, u: float, nbars: Sequence[float],
         for nbar in nbars:
             out[(nbar, alpha)] = fock.ensemble_moments(
                 displaced[:, :len(weights[nbar])], weights[nbar])
+        # released before the next alpha's is computed
+        del displaced
     return out
 
 

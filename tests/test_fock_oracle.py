@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -95,7 +96,7 @@ def test_each_displacement_logs_its_chebyshev_degree(caplog, capsys):
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
         assert record.getMessage().startswith("Chebyshev displacement")
-        dim, mag, radius, degree, *columns = record.args
+        dim, mag, radius, degree, steps, *columns = record.args
         assert dim == len(block) and mag == abs(alpha)
         assert tuple(columns) == parts
         # Gershgorin radius of the chain |alpha| sqrt(n), widened by 1e-6
@@ -103,6 +104,10 @@ def test_each_displacement_logs_its_chebyshev_degree(caplog, capsys):
             math.sqrt(dim - 2) + math.sqrt(dim - 1)), rel=1e-14)
         assert degree == math.ceil(radius + 11.0 * radius ** (1.0 / 3.0)
                                    + 30.0)
+        # the recurrence stops at the last weight 2 |J_k| above 1e-18
+        weights = np.abs(jv(np.arange(degree + 1), radius))
+        assert weights[steps] > 5e-19 and weights[steps + 1:].max() <= 5e-19
+        assert steps < degree
     assert capsys.readouterr() == ("", "")
 
 
@@ -628,6 +633,14 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
         return original(*args)
 
     monkeypatch.setattr(fock, "_dlasq1", recording)
+    stein = []
+    original_stein = fock.lapack.dstein
+
+    def recording_stein(diag, off, w, *args):
+        stein.append(len(w))
+        return original_stein(diag, off, w, *args)
+
+    monkeypatch.setattr(fock.lapack, "dstein", recording_stein)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
     assert np.abs(ladder - full).max() <= 1e-12
@@ -636,7 +649,17 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
     assert all(args[4] <= 1e-16 and args[5] >= 1 for args in records)
     # one dqds pass per parity chain, on its bidiagonal of half the levels:
     # a growing window re-runs inverse iteration only
-    assert calls == [((n + 1) // 2) for n in ((dim + 1) // 2, dim // 2)]
+    chains = ((dim + 1) // 2, dim // 2)
+    assert calls == [((n + 1) // 2) for n in chains]
+    # each trial window solves the eigenvector at its edge alone; only the
+    # final one solves its other eigenpairs, in blocks of 32 after an odd
+    # chain's eigenvalue 0
+    expected = []
+    for n, (*_, growths, solved) in zip(chains, records):
+        positive = solved - n % 2
+        expected += ([1] * (growths + 1) + [1] * (n % 2)
+                     + [32] * (positive // 32) + [positive % 32])
+    assert stein == [size for size in expected if size]
 
 
 def sturm_eigenvalue(off, value):
@@ -679,8 +702,22 @@ def test_window_eigenpairs_mirror_the_two_sided_solve(levels):
                       np.roll(iblock, -lo), isplit)[0]
         for lo in range(0, count, 32)])
 
-    w, v, solved = fock._eigh_window(
-        off, fock._positive_eigenvalues(np.abs(off)), span)
+    blocks = list(fock._eigh_window(
+        off, fock._positive_eigenvalues(np.abs(off)), span))
+    # blocks of at most 32 solved eigenpairs; those with w > 0 are flagged
+    # to stand for their mirror images (-w, P v) too, and an odd chain's
+    # eigenvalue 0 comes first, alone
+    assert all(len(bw) <= 32 and mirrored == bool(np.all(bw > 0.0))
+               for bw, _, mirrored in blocks)
+    assert [len(bw) for bw, _, _ in blocks[:levels % 2]] == [1] * (levels % 2)
+    solved_w = np.concatenate([bw for bw, _, _ in blocks])
+    solved_v = np.column_stack([bv for _, bv, _ in blocks])
+    mirror = np.concatenate([np.full(len(bw), mirrored)
+                             for bw, _, mirrored in blocks])
+    parity = np.where(np.arange(levels) % 2, -1.0, 1.0)[:, None]
+    w = np.concatenate((-solved_w[mirror][::-1], solved_w))
+    v = np.column_stack((parity * solved_v[:, mirror][:, ::-1], solved_v))
+    solved = len(solved_w)
     # dqds eigenvalues: the smallest, a middle and the largest positive one
     # of the window, within the worst relative error of bisection (stebz)
     # on these chains
@@ -734,6 +771,25 @@ def test_chain_above_the_underflow_rule_runs_its_propagator(coeff,
     assert calls == ["_eigh_reaching", "_dlasq1"] * 2
     assert np.abs(fock.apply_displacement(coeff, eye) - eye).max() <= 1e-14
     assert calls == ["_eigh_reaching", "_dlasq1"] * 2 + ["jv"]
+
+
+@pytest.mark.parametrize("evaluate, limit_mb", [
+    (lambda: fock.squeezed_fock_ladder(48, 3.0, 16869), 20),
+    (lambda: verify._slab_moments(1.0, 2.0, verify.DEFAULT_NBARS,
+                                  verify.DEFAULT_ALPHAS, 11851), 16),
+], ids=["ladder-16869", "slab-r1-u2"])
+def test_oracle_memory_stays_bounded(evaluate, limit_mb):
+    # the squeeze window streams through the cos/sin sums one inverse
+    # iteration block at a time, so the oracle holds O(N x columns): 18.1
+    # and 14.7 MB traced, bounded about 10% above, against 43.3 and
+    # 29.6 MB when every window eigenvector was held at once
+    tracemalloc.start()
+    try:
+        evaluate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6, f"{peak / 1e6:.1f} MB"
 
 
 def record_slab_dims(monkeypatch):
