@@ -15,11 +15,13 @@ to a float64 block (a complex block runs as its float view), with one
 propagator per generator:
 
 * every displacement, the Chebyshev expansion of Tal-Ezer and Kosloff
-  (J. Chem. Phys. 81, 3967 (1984)), orthogonal to machine precision.  K
-  maps even rows to odd ones and back, so the real recurrence runs on the
-  even-row and the odd-row part of the block in turn, with one in-place
-  half-height sparse product and one half-height axpy per degree, up to
-  the last degree whose weight adds;
+  (J. Chem. Phys. 81, 3967 (1984)), orthogonal to machine precision: its
+  Bessel weights come from Miller's backward recurrence, within about
+  3e-16 of J_k, and a displaced ladder keeps its column norms within
+  1e-14.  K maps even rows to odd ones and back, so the real recurrence
+  runs on the even-row and the odd-row part of the block in turn, with one
+  in-place half-height sparse product and one half-height axpy per degree,
+  up to the last degree whose weight adds;
 * every squeeze, a real symmetric tridiagonal eigensolve, exactly
   orthogonal, whose cos and sin terms separate by row parity.
 
@@ -75,7 +77,6 @@ from scipy.linalg import cython_lapack, lapack
 from scipy.linalg.blas import daxpy
 # Y += A @ X in place for CSR A; the public product always allocates Y
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-from scipy.special import erfcinv, jv
 
 from .model import (EvolvedState, ModelParams, evolved_state,
                     hamiltonian_coeffs)
@@ -108,13 +109,26 @@ _STEIN_BLOCK = 32
 _log = logging.getLogger(__name__)
 
 
+# the C signature under which scipy's Cython LAPACK exports dlasq1, the one
+# that the ctypes prototype of _bind_dlasq1 declares
+_DLASQ1_SIGNATURE = "void (int *, {0}, {0}, {0}, int *)".format(
+    "__pyx_t_5scipy_6linalg_13cython_lapack_d *")
+
+
 def _bind_dlasq1():
     """LAPACK dlasq1(n, d, e, work, info), which scipy.linalg.lapack does not
-    wrap, from the function table of scipy's Cython LAPACK."""
+    wrap, from the function table of scipy's Cython LAPACK.
+
+    A capsule's name is its C signature: one other than
+    ``_DLASQ1_SIGNATURE`` raises ``ImportError`` before the pointer is cast.
+    """
     capsule = cython_lapack.__pyx_capi__["dlasq1"]
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))(capsule)
+    if name != _DLASQ1_SIGNATURE.encode():
+        raise ImportError(f"scipy's Cython LAPACK exports dlasq1 as {name!r}, "
+                          f"not {_DLASQ1_SIGNATURE!r}")
     address = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))(capsule, name)
@@ -254,6 +268,33 @@ def _eigh_reaching(off: np.ndarray, height: int):
     yield from blocks
 
 
+def _bessel_j(degree: int, radius: float) -> np.ndarray:
+    """J_0(radius) .. J_degree(radius), by Miller's backward recurrence.
+
+    J_{k-1} = (2k / radius) J_k - J_{k+1} is stable downwards (Gautschi,
+    SIAM Rev. 9, 24 (1967)): started from 0 and 1 far enough past both
+    ``degree`` and ``radius``, and normalized by J_0 + 2 sum_k J_2k = 1,
+    it gives every J_k within about 3e-16 absolute up to radius 20,000.
+    A term above 1e100 rescales the terms so far by a power of two,
+    exactly, so no step overflows down to the smallest radius past the
+    underflow rule of ``_expm_chain`` (about 1.5e-154, where 2k / radius
+    reaches 1e156).
+    """
+    top = max(degree, math.ceil(radius))
+    start = top + 21 + int(math.sqrt(40.0 * (top + 1)))
+    terms = np.zeros(start + 1)
+    later, current = 0.0, 1.0
+    for k in range(start, 0, -1):
+        terms[k] = current
+        if abs(current) > 1e100:
+            scale = 2.0 ** -math.frexp(current)[1]
+            terms[k:] *= scale
+            later, current = later * scale, current * scale
+        later, current = current, (2.0 * k / radius) * current - later
+    terms[0] = current
+    return terms[:degree + 1] / (current + 2.0 * math.fsum(terms[2::2]))
+
+
 def _expm_chain(sub: np.ndarray, block: np.ndarray,
                 chebyshev: bool) -> np.ndarray:
     """exp(K) @ block for the real antisymmetric tridiagonal chain K with
@@ -263,7 +304,8 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
     per real and imaginary part.  With ``chebyshev`` the propagator is the
     Chebyshev expansion of e^{rho z} on the spectrum i[-rho, rho] of K:
     Q_0 = X, Q_1 = (K/rho) X, Q_{k+1} = (2K/rho) Q_k + Q_{k-1}, summed with
-    weights (2 - delta_k0) J_k(rho), up to the last weight above 1e-18.
+    weights (2 - delta_k0) J_k(rho) (``_bessel_j``), up to the last weight
+    above 1e-18.
     K maps even rows to odd ones and back, so Q_k of a column on the rows
     of parity p sits on those of parity (k + p) mod 2: the recurrence runs
     on the even-row and on the odd-row part of X, each without its zero
@@ -298,7 +340,7 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
         # Gershgorin: every eigenvalue of K lies in i[-radius, radius]
         radius = 1.000001 * float(np.max(mag[:-1] + mag[1:]))
         degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
-        weights = jv(np.arange(degree + 1), radius)
+        weights = _bessel_j(degree, radius)
         weights[1:] *= 2.0
         # past the last weight that adds, the recurrence adds nothing
         steps = int(np.flatnonzero(np.abs(weights) > 1e-18)[-1])
@@ -586,6 +628,27 @@ def occupation_tail_scale(nbar: float, eff_squeeze: float) -> float:
     return max(2.0, 1.0 / rate)
 
 
+def _erfc_root(tail: float) -> float:
+    """The y >= 1 with erfc(y) = tail, for 0 < tail < erfc(1).
+
+    erfc is convex and decreasing there, so Newton's method from y = 1
+    climbs to the root without overshooting; it stops at the first step
+    that no longer climbs.  At 1e-9 it takes 24 steps and returns the
+    double nearest the root.
+    """
+    y = 1.0
+    while True:
+        step = ((math.erfc(y) - tail) * (0.5 * math.sqrt(math.pi))
+                * math.exp(y * y))
+        if not y + step > y:
+            return y
+        y += step
+
+
+# two-sided EDGE_MASS_TOL point of a unit-variance quadrature
+_EDGE_REACH = math.sqrt(2.0) * _erfc_root(EDGE_MASS_TOL)
+
+
 def suggest_dim(state: EvolvedState) -> int:
     """Truncation at which the self-check of ``state`` passes first try.
 
@@ -612,12 +675,11 @@ def suggest_dim(state: EvolvedState) -> int:
         slice_weight = (max(dim, 10.0) ** 2
                         / (nu * SELF_CHECK_RTOL * m2_scale))
         dim = mean + spread + nu * math.log(max(slice_weight, math.e))
-    reach = math.sqrt(2.0) * erfcinv(EDGE_MASS_TOL)
     bulk = 0.0
     for lam in (0.5 * state.squeeze_phase,
                 0.5 * (state.squeeze_phase + math.pi)):
         edge = abs(quad_mean(state, lam)) \
-            + reach * math.sqrt(quad_variance_state(state, lam))
+            + _EDGE_REACH * math.sqrt(quad_variance_state(state, lam))
         bulk += 0.5 * edge ** 2
     return int(math.ceil(max(dim, bulk))) + 64
 

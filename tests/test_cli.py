@@ -892,10 +892,16 @@ def test_verify_gate_failure_is_one_line_and_exit_2(error, tmp_path, capsys,
 
 
 # neither importing nor running a closed-form subcommand loads scipy or the
-# Fock oracle; only verify needs them
+# Fock oracle; only verify needs them, and it loads scipy.linalg and
+# scipy.sparse but not scipy.special
 @pytest.mark.parametrize("module", ["dpagauss", "dpagauss.cli"])
 def test_import_loads_no_scipy_and_no_oracle(module, tmp_path):
     out = tmp_path / "out"
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({
+        "nbars": [0.2], "rs": [0.2], "alphas": [0.5], "us": [0.5],
+        "evolution_grid": [[0.0, 0.1, 0.5, 0.0]],
+        "wigner_points": [[0.0, 0.1, 0.0, 0.0, [0.3, 0.2]]]}))
     script = f"""
 import importlib, sys
 importlib.import_module({module!r})
@@ -914,12 +920,19 @@ for argv in (["eval"], ["sweep", "--u-steps", "3"],
              ["critical", "--nbar", "1"], ["wigner-grid", "--grid-steps", "3"]):
     assert cli.main(argv + ["--r", "1", "--out", {str(out)!r}]) == 0, argv
     assert_unloaded()
+assert cli.main(["verify", "--workers", "1", "--config", {str(config)!r},
+                 "--out", {str(tmp_path / "report.json")!r}]) == 0
+assert {{"dpagauss.fock", "scipy.linalg", "scipy.sparse"}} <= set(sys.modules)
+special = [name for name in sys.modules if name.startswith("scipy.special")]
+assert not special, special
 """
     proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # the last run's grid: two header lines and 3 x 3 rows
     assert len(out.read_text().splitlines()) == 2 + 9
+    entries = json.loads((tmp_path / "report.json").read_text())["entries"]
+    assert len(entries) == 4 + 1 + 1
 
 
 # two outputs the guards admit and get wrong, with exit 0; the change that

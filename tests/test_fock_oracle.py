@@ -1,17 +1,18 @@
 import logging
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import sparse
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 from scipy.linalg.blas import daxpy
-from scipy.special import jv
 
 import dpagauss.fock as fock
 import dpagauss.verify as verify
@@ -105,10 +106,58 @@ def test_each_displacement_logs_its_chebyshev_degree(caplog, capsys):
         assert degree == math.ceil(radius + 11.0 * radius ** (1.0 / 3.0)
                                    + 30.0)
         # the recurrence stops at the last weight 2 |J_k| above 1e-18
-        weights = np.abs(jv(np.arange(degree + 1), radius))
+        weights = np.abs(fock._bessel_j(degree, radius))
         assert weights[steps] > 5e-19 and weights[steps + 1:].max() <= 5e-19
         assert steps < degree
     assert capsys.readouterr() == ("", "")
+
+
+# Chebyshev radii of a 6,000-level chain at |alpha| = 1e-153, just above the
+# underflow rule, and of chains the default grid and larger truncations reach
+@pytest.mark.parametrize("radius, orders", [
+    (1.000001e-153 * (math.sqrt(5998) + math.sqrt(5999)), None),
+    (7.75, None),
+    (654.5, range(0, 782, 13)),
+    # scipy's jv is 1.2e-14 off at k = 1000 and 1.4e-15 at 3773
+    (3977.0, (0, 1, 1000, 2000, 3000, 3773, 3977, 4182)),
+    (20000.0, (0, 1, 1000, 20000)),
+], ids=["1.5e-151", "7.75", "654.5", "3977", "20000"])
+def test_chebyshev_weights_are_bessel_values(radius, orders):
+    degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
+    values = fock._bessel_j(degree, radius)
+    assert values.shape == (degree + 1,) and np.isfinite(values).all()
+    for k in range(degree + 1) if orders is None else orders:
+        with mpmath.workdps(40):
+            exact = mpmath.besselj(k, radius, maxprec=80000, maxterms=200000)
+            assert abs(values[k] - exact) <= 1e-15, k
+
+
+def test_bessel_recurrence_holds_off_the_degree_rule():
+    # orders below the radius: the recurrence starts past the radius too
+    values = fock._bessel_j(20, 654.5)
+    with mpmath.workdps(40):
+        for k in range(21):
+            assert abs(values[k] - mpmath.besselj(k, 654.5)) <= 1e-15, k
+    # from the underflow rule's edge up, 2k / radius falls from 1e156: no
+    # term overflows on the way down, whatever the rescaling meets
+    for radius in np.geomspace(math.sqrt(np.finfo(float).tiny), 1e-3, 301):
+        degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0)
+                               + 30.0))
+        values = fock._bessel_j(degree, radius)
+        assert np.isfinite(values).all()
+        with mpmath.workdps(40):
+            for k in (0, 1):
+                exact = mpmath.besselj(k, radius)
+                assert abs(values[k] - exact) <= 4e-16 * exact, (radius, k)
+
+
+def test_displaced_ladder_keeps_its_column_norms():
+    # exact weights keep the propagator orthogonal to machine precision:
+    # 4.4e-15, against 1.8e-13 with scipy's jv weights
+    ladder = fock.squeezed_fock_ladder(48, 2.05, 3099)
+    displaced = fock.apply_displacement(35.7291, ladder)
+    drift = np.linalg.norm(displaced, axis=0) - np.linalg.norm(ladder, axis=0)
+    assert np.abs(drift).max() <= 1e-14
 
 
 def test_squeeze_operator():
@@ -505,7 +554,7 @@ def full_height_chebyshev(sub, block):
     mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
     radius = 1.000001 * float(np.max(mag[:-1] + mag[1:]))
     degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
-    weights = jv(np.arange(degree + 1), radius)
+    weights = fock._bessel_j(degree, radius)
     weights[1:] *= 2.0
     band = sub * (2.0 / radius)
     two_k = sparse.diags([band, -band], [-1, 1], format="csr")
@@ -742,7 +791,7 @@ def test_split_squeeze_chain_is_the_identity(dim, monkeypatch):
                              "propagator")
 
     monkeypatch.setattr(fock, "_eigh_reaching", refuse)
-    monkeypatch.setattr(fock, "jv", refuse)
+    monkeypatch.setattr(fock, "_bessel_j", refuse)
     eye = np.eye(dim, 48)
     for coeff in (1e-300, 1e-160, 1e-155):
         for apply in (fock.apply_squeeze, fock.apply_displacement):
@@ -762,7 +811,7 @@ def test_chain_above_the_underflow_rule_runs_its_propagator(coeff,
             return original(*args)
         return record
 
-    for name in ("_eigh_reaching", "_dlasq1", "jv"):
+    for name in ("_eigh_reaching", "_dlasq1", "_bessel_j"):
         monkeypatch.setattr(fock, name, recording(name))
     eye = np.eye(6000, 48)
     # one windowed eigensolve per parity chain, whose dqds pass scales the
@@ -770,7 +819,19 @@ def test_chain_above_the_underflow_rule_runs_its_propagator(coeff,
     assert np.abs(fock.apply_squeeze(coeff, eye) - eye).max() <= 5e-15
     assert calls == ["_eigh_reaching", "_dlasq1"] * 2
     assert np.abs(fock.apply_displacement(coeff, eye) - eye).max() <= 1e-14
-    assert calls == ["_eigh_reaching", "_dlasq1"] * 2 + ["jv"]
+    assert calls == ["_eigh_reaching", "_dlasq1"] * 2 + ["_bessel_j"]
+
+
+def test_dlasq1_binding_refuses_another_signature(monkeypatch):
+    # a scipy that exported dlasq1 under another C signature: the binding
+    # names it instead of casting the pointer
+    table = {"dlasq1": cython_lapack.__pyx_capi__["dlasq2"]}
+    monkeypatch.setattr(fock, "cython_lapack",
+                        SimpleNamespace(__pyx_capi__=table))
+    with pytest.raises(ImportError, match=re.escape(
+            "void (int *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
+            "int *)")):
+        fock._bind_dlasq1()
 
 
 @pytest.mark.parametrize("evaluate, limit_mb", [

@@ -73,3 +73,23 @@ def test_photon_error_table_script():
     # at random delta every band is within 1e-13, and so is A at delta = 0
     # below u = 6
     assert max(maxima[20:]) < 1e-13 and max(maxima[:3]) < 1e-13
+
+
+def test_oracle_error_table_script(tmp_path):
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({
+        "nbars": [0.0, 1.0], "rs": [0.2], "alphas": [0.5], "us": [0.5],
+        "evolution_grid": [[0.0, 0.1, 0.5, 0.0]],
+        "wigner_points": [[0.2, 0.1, 0.3, 0.5, [0.45, 0.2]]]}))
+    proc = run_script("oracle_error_table.py", "--config", str(config))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ("oracle error per quantity: max and median over "
+                        "the entries")
+    rows = [line.split() for line in lines[1:]]
+    assert [(row[0], row[row.index("over") + 1]) for row in rows] == [
+        ("quad_mean", "2"), ("quad_variance", "2"), ("mean_photon", "2"),
+        ("photon_variance", "2"), ("evolution_trace_distance", "1"),
+        ("wigner_density", "1")]
+    # every value of this light grid within 1e-10 (Var n is 2.7e-12 off)
+    assert max(float(row[row.index("max") + 1]) for row in rows) < 1e-10
