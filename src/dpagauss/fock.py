@@ -10,20 +10,26 @@ Both generators are tridiagonal chains (the squeeze one per parity chain)
 with coefficients c sqrt(...) below and -c^* sqrt(...) above the diagonal.
 A diagonal phase R = diag(e^{i j arg c}) turns each into a real
 antisymmetric chain K; for real c, as on the oracle grid at phase 0, R is
-the identity and a real block stays real.  One real kernel applies exp(K)
-to a float64 block (a complex block runs as its float view), with one
-propagator per generator:
+the identity and a real block stays real.  exp(K) runs on float64 blocks
+(a complex block as its float view), with one propagator per generator:
 
 * every displacement, the Chebyshev expansion of Tal-Ezer and Kosloff
   (J. Chem. Phys. 81, 3967 (1984)), orthogonal to machine precision: its
   Bessel weights come from Miller's backward recurrence, within about
   3e-16 of J_k, and a displaced ladder keeps its column norms within
   1e-14.  K maps even rows to odd ones and back, so the real recurrence
-  runs on the even-row and the odd-row part of the block in turn, with one
-  in-place half-height sparse product and one half-height axpy per degree,
-  up to the last degree whose weight adds;
+  runs on a block on the even rows and one on the odd rows in turn
+  (``_displaced_parts``), with one in-place half-height sparse product and
+  one half-height axpy per degree, up to the last degree whose weight adds;
 * every squeeze, a real symmetric tridiagonal eigensolve, exactly
   orthogonal, whose cos and sin terms separate by row parity.
+
+S(xi) preserves photon-number parity, so the squeezed thermal ladder S|k>
+stays in two compact parts, even k on the even rows and odd k on the odd
+rows (``squeezed_fock_ladder``).  The moment slabs and ``numeric_wigner``
+displace one part at a time and fold its even-row and odd-row results into
+the sums of every ensemble (``ensemble_moments``) before the next part is
+displaced, so no dense ladder or dense displaced block is ever held.
 
 The eigensolve is full (LAPACK stevd) for dense input blocks such as the
 identity behind ``squeeze_op``.  When the input is supported only on the
@@ -188,7 +194,7 @@ def _stein(off: np.ndarray, w: np.ndarray) -> np.ndarray:
     eigenvalues ``w``, by inverse iteration (LAPACK stein), as columns.
 
     The chain is one block: its squared off-diagonals do not underflow (see
-    ``_expm_chain``).
+    ``_apply_chain``).
     """
     dim = len(off) + 1
     v, info = lapack.dstein(np.zeros(dim), off, w,
@@ -277,7 +283,7 @@ def _bessel_j(degree: int, radius: float) -> np.ndarray:
     it gives every J_k within about 3e-16 absolute up to radius 20,000.
     A term above 1e100 rescales the terms so far by a power of two,
     exactly, so no step overflows down to the smallest radius past the
-    underflow rule of ``_expm_chain`` (about 1.5e-154, where 2k / radius
+    underflow rule of ``_apply_chain`` (about 1.5e-154, where 2k / radius
     reaches 1e156).
     """
     top = max(degree, math.ceil(radius))
@@ -295,25 +301,20 @@ def _bessel_j(degree: int, radius: float) -> np.ndarray:
     return terms[:degree + 1] / (current + 2.0 * math.fsum(terms[2::2]))
 
 
-def _expm_chain(sub: np.ndarray, block: np.ndarray,
-                chebyshev: bool) -> np.ndarray:
-    """exp(K) @ block for the real antisymmetric tridiagonal chain K with
-    K[j+1, j] = sub[j] = -K[j, j+1].
+def _apply_chain(coeff: complex, root: np.ndarray,
+                 block: np.ndarray) -> np.ndarray:
+    """exp(G) @ block for the chain generator G[j+1, j] = coeff root[j],
+    G[j, j+1] = -coeff^* root[j], by its eigensolve.
 
-    K is real, so a complex block runs as its float view, one real column
-    per real and imaginary part.  With ``chebyshev`` the propagator is the
-    Chebyshev expansion of e^{rho z} on the spectrum i[-rho, rho] of K:
-    Q_0 = X, Q_1 = (K/rho) X, Q_{k+1} = (2K/rho) Q_k + Q_{k-1}, summed with
-    weights (2 - delta_k0) J_k(rho) (``_bessel_j``), up to the last weight
-    above 1e-18.
-    K maps even rows to odd ones and back, so Q_k of a column on the rows
-    of parity p sits on those of parity (k + p) mod 2: the recurrence runs
-    on the even-row and on the odd-row part of X, each without its zero
-    columns, with one ceil(N/2)-row sparse product and axpy per degree; a
-    column with both parities runs in both parts, whose sums add.
-    Otherwise K = D (-i T) D^* with D = diag(i^j) and T the symmetric chain
-    with off-diagonals ``sub``, and with T = V diag(w) V^T and
-    sigma_j = (-1)^(j//2) the real parts separate by row parity:
+    ``block`` holds the first rows of the input, whose other rows are zero,
+    and the result has all len(root) + 1 rows of the chain.
+    G = R K R^* with R = diag(e^{i j arg coeff}) and the real antisymmetric
+    chain K[j+1, j] = |coeff| root[j] = -K[j, j+1]; for a real coeff R is
+    the identity (the sign stays in K), so a real block stays real, and a
+    complex one runs as its float view, one real column per real and
+    imaginary part.  K = D (-i T) D^* with D = diag(i^j) and T the
+    symmetric chain with the off-diagonals of K, and with T = V diag(w) V^T
+    and sigma_j = (-1)^(j//2) the real parts separate by row parity:
     a = V_even^T (sigma X)_even, b = -V_odd^T (sigma X)_odd, even rows
     sigma V_even (cos w a + sin w b) and odd rows
     -sigma V_odd (cos w b - sin w a).  The eigenpairs arrive in blocks
@@ -325,78 +326,31 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
     rows of ``block`` up to its last nonzero one enter, and their count
     selects between the full and the windowed eigensolve.
     """
+    if coeff.imag != 0.0:
+        phase = np.exp(1j * np.angle(coeff) * np.arange(len(root) + 1))
+        out = _apply_chain(abs(coeff), root,
+                           phase[:len(block), None].conj() * block)
+        out *= phase[:, None]
+        return out
     if np.iscomplexobj(block):
         x = np.ascontiguousarray(block)
-        return _expm_chain(sub, x.view(float), chebyshev).view(complex)
+        return _apply_chain(coeff, root, x.view(float)).view(complex)
     x = np.asarray(block, dtype=float)
+    sub = coeff.real * root
+    dim = len(sub) + 1
+    rows = np.flatnonzero(np.any(x != 0, axis=1))
     # both generators' off-diagonals grow along the chain, so when the first
     # one squared underflows, ||K|| <= 2 max|sub| < 3e-154 dim and
     # exp(K) = I in double precision; the windowed eigensolve takes every
-    # other chain as one unsplit block
-    if not sub.size or sub[0] ** 2 < np.finfo(float).tiny:
-        return x.copy()
-    if chebyshev:
-        mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
-        # Gershgorin: every eigenvalue of K lies in i[-radius, radius]
-        radius = 1.000001 * float(np.max(mag[:-1] + mag[1:]))
-        degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
-        weights = _bessel_j(degree, radius)
-        weights[1:] *= 2.0
-        # past the last weight that adds, the recurrence adds nothing
-        steps = int(np.flatnonzero(np.abs(weights) > 1e-18)[-1])
-        band = np.concatenate(([0.0], sub * (2.0 / radius), [0.0]))
-        dim, half = len(x), (len(x) + 1) // 2
-        # onto[t]: CSR arrays of 2K/rho from the rows of parity 1 - t onto
-        # those of parity t (level j at half row j // 2), lower neighbour
-        # first as in a full CSR row; only the zeros padding band drop out
-        onto = []
-        for rows in (np.arange(0, dim, 2), np.arange(1, dim, 2)):
-            data = np.stack((band[rows], -band[rows + 1]), axis=1)
-            idx = np.stack(((rows - 1) // 2, (rows + 1) // 2), axis=1)
-            ptr = np.append(0, np.cumsum(np.count_nonzero(data, axis=1)))
-            onto.append((len(rows), ptr.astype(np.int32),
-                         idx[data != 0].astype(np.int32), data[data != 0]))
-        parts = [np.flatnonzero(np.any(x[parity::2] != 0, axis=0))
-                 for parity in (0, 1)]
-        # sub[0] is |alpha| times sqrt(1)
-        _log.debug("Chebyshev displacement: chain %d, |alpha| %.6g, "
-                   "Gershgorin radius %.6g, degree %d, steps run %d, "
-                   "columns %d on even rows and %d on odd rows", dim,
-                   abs(sub[0]), radius, degree, steps, parts[0].size,
-                   parts[1].size)
-        out = np.zeros(x.shape)
-        for parity, cols in enumerate(parts):
-            if not cols.size:
-                continue
-            ops = [(n_row, half, cols.size, *csr) for n_row, *csr in onto]
-            # flat (half, cols) arrays, zero below the part's own rows
-            prev = np.zeros((half, cols.size))
-            part = x[parity::2]
-            np.take(part, cols, axis=1, out=prev[:len(part)], mode="clip")
-            prev = prev.reshape(-1)
-            cur = np.zeros_like(prev)
-            _csr_matvecs(*ops[1 - parity], prev, cur)
-            cur *= 0.5
-            totals = [weights[0] * prev, weights[1] * cur]
-            for k in range(2, steps + 1):
-                _csr_matvecs(*ops[(parity + k) % 2], cur, prev)
-                prev, cur = cur, prev
-                if abs(weights[k]) > 1e-18:
-                    daxpy(cur, totals[k % 2], a=weights[k])
-            for start, total in zip((parity, 1 - parity), totals):
-                target = out[start::2]
-                # column by column: basic indexing adds in place
-                for j, col in enumerate(cols):
-                    target[:, col] += total[j::cols.size][:len(target)]
-            del prev, cur, totals, total  # before the next part's
-        return out
-    rows = np.flatnonzero(np.any(x != 0, axis=1))
-    height = int(rows[-1]) + 1 if rows.size else 1
+    # other chain as one unsplit block.  A zero block stays zero.
+    if not sub.size or sub[0] ** 2 < np.finfo(float).tiny or not rows.size:
+        return np.pad(x, ((0, dim - len(x)), (0, 0)))
+    height = int(rows[-1]) + 1
     cols = np.flatnonzero(np.any(x[:height] != 0, axis=0))
-    sigma = np.where(np.arange(len(x)) & 2, -1.0, 1.0)[:, None]
+    sigma = np.where(np.arange(dim) & 2, -1.0, 1.0)[:, None]
     sx = sigma[:height] * x[:height, cols]
     # the sums over the nonzero columns
-    sums = np.zeros((len(x), cols.size))
+    sums = np.zeros((dim, cols.size))
     for w, v, mirrored in _eigh_reaching(sub, height):
         a = v[0:height:2].T @ sx[0::2]
         b = v[1:height:2].T @ sx[1::2]
@@ -411,26 +365,100 @@ def _expm_chain(sub: np.ndarray, block: np.ndarray,
             del term  # before the odd rows' product
         del v  # before the next block is solved
     sums *= sigma
-    out = np.zeros(x.shape)
+    if cols.size == x.shape[1]:
+        return sums
+    out = np.zeros((dim, x.shape[1]))
     out[:, cols] = sums
     return out
 
 
-def _apply_chain(coeff: complex, root: np.ndarray, block: np.ndarray,
-                 chebyshev: bool) -> np.ndarray:
-    """exp(G) @ block for the chain generator G[j+1, j] = coeff root[j],
-    G[j, j+1] = -coeff^* root[j].
+def _displaced_parts(alpha: complex, parts):
+    """D(alpha) applied to ``parts[0]``, a block on the even rows, and then
+    to ``parts[1]``, a block on the odd rows: yields each result as its even
+    and its odd rows.
 
-    G = R (|coeff| J) R^* with J[j+1, j] = root[j] = -J[j, j+1] and
-    R = diag(e^{i j arg coeff}).  For a real coeff R is the identity (the
-    sign stays in the chain), so a real block stays real.
+    As in ``_apply_chain``, the generator is R K R^* with K real, and a
+    part runs as the float view of R^* part.  The Chebyshev expansion of
+    e^{rho z} on the spectrum i[-rho, rho] of K: Q_0 = X, Q_1 = (K/rho) X,
+    Q_{k+1} = (2K/rho) Q_k + Q_{k-1}, summed with weights
+    (2 - delta_k0) J_k(rho) (``_bessel_j``) up to the last one above 1e-18.
+    K maps even rows to odd ones and back, so Q_k of a part on the rows of
+    parity p sits on those of parity (k + p) mod 2: each part runs on
+    ceil(N/2)-row arrays, with one sparse product and axpy per degree.
     """
-    if coeff.imag == 0.0:
-        return _expm_chain(coeff.real * root, block, chebyshev)
-    phase = np.exp(1j * np.angle(coeff) * np.arange(len(root) + 1))[:, None]
-    out = _expm_chain(abs(coeff) * root, phase.conj() * block, chebyshev)
-    out *= phase
-    return out
+    dim = len(parts[0]) + len(parts[1])
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    phase = (None if alpha.imag == 0.0
+             else np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None])
+    sub = (alpha.real if phase is None else abs(alpha)) * root
+    if not sub.size or sub[0] ** 2 < np.finfo(float).tiny:  # _apply_chain
+        for parity, part in enumerate(parts):
+            other = np.zeros((len(parts[1 - parity]), part.shape[1]))
+            yield (part, other)[::1 - 2 * parity]
+        return
+    mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
+    # Gershgorin: every eigenvalue of K lies in i[-radius, radius]
+    radius = 1.000001 * float(np.max(mag[:-1] + mag[1:]))
+    degree = int(math.ceil(radius + 11.0 * radius ** (1.0 / 3.0) + 30.0))
+    weights = _bessel_j(degree, radius)
+    weights[1:] *= 2.0
+    # past the last weight that adds, the recurrence adds nothing
+    steps = int(np.flatnonzero(np.abs(weights) > 1e-18)[-1])
+    band = np.concatenate(([0.0], sub * (2.0 / radius), [0.0]))
+    half = (dim + 1) // 2
+    # onto[t]: CSR arrays of 2K/rho from the rows of parity 1 - t onto
+    # those of parity t (level j at half row j // 2), lower neighbour
+    # first as in a full CSR row; only the zeros padding band drop out
+    onto = []
+    for rows in (np.arange(0, dim, 2), np.arange(1, dim, 2)):
+        data = np.stack((band[rows], -band[rows + 1]), axis=1)
+        idx = np.stack(((rows - 1) // 2, (rows + 1) // 2), axis=1)
+        ptr = np.append(0, np.cumsum(np.count_nonzero(data, axis=1)))
+        onto.append((len(rows), ptr.astype(np.int32),
+                     idx[data != 0].astype(np.int32), data[data != 0]))
+    blocks = [part if phase is None else phase[parity::2].conj() * part
+              for parity, part in enumerate(parts)]
+    blocks = [np.ascontiguousarray(x).view(float) if np.iscomplexobj(x)
+              else np.asarray(x, dtype=float) for x in blocks]
+    # sub[0] is |alpha| times sqrt(1)
+    _log.debug("Chebyshev displacement: chain %d, |alpha| %.6g, "
+               "Gershgorin radius %.6g, degree %d, steps run %d, "
+               "columns %d on even rows and %d on odd rows", dim,
+               abs(sub[0]), radius, degree, steps, blocks[0].shape[1],
+               blocks[1].shape[1])
+    for parity, x in enumerate(blocks):
+        width = x.shape[1]
+        ops = [(n_row, half, width, *csr) for n_row, *csr in onto]
+        # flat (half, width) arrays, zero below the part's own rows
+        prev = np.zeros((half, width))
+        prev[:len(x)] = x
+        prev = prev.reshape(-1)
+        cur = np.zeros_like(prev)
+        _csr_matvecs(*ops[1 - parity], prev, cur)
+        cur *= 0.5
+        # totals[t] sums the terms on the rows of parity t
+        totals = [weights[0] * prev, weights[1] * cur][::1 - 2 * parity]
+        for k in range(2, steps + 1):
+            _csr_matvecs(*ops[(parity + k) % 2], cur, prev)
+            prev, cur = cur, prev
+            # daxpy refuses an empty part
+            if abs(weights[k]) > 1e-18 and width:
+                daxpy(cur, totals[(parity + k) % 2], a=weights[k])
+        del prev, cur  # before the next part's
+        totals = [total.reshape(half, width)[:len(rows)]
+                  for total, rows in zip(totals, parts)]
+        if phase is not None or np.iscomplexobj(parts[parity]):
+            totals = [total.view(complex) * (1 if phase is None else
+                                             phase[start::2])
+                      for start, total in enumerate(totals)]
+        yield totals
+        del totals  # the consumer holds one part's results at a time
+
+
+def _squeeze_root(start: int, dim: int) -> np.ndarray:
+    """sqrt((n+1)(n+2)) for the levels n = start, start + 2, ... < dim - 2."""
+    low = np.arange(start, dim - 2, 2, dtype=float)
+    return np.sqrt((low + 1.0) * (low + 2.0))
 
 
 def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
@@ -438,11 +466,20 @@ def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
 
     The generator couples neighboring levels only, with coefficient
     alpha sqrt(n+1), so its spectral radius grows like 2 |alpha| sqrt(dim)
-    and the expansion degree with it.  Real alpha on a real block gives a
-    real result; |alpha| below about 1.5e-154 returns a copy of the block.
+    and the expansion degree with it.  The block's even-row and odd-row
+    parts run without their zero columns (``_displaced_parts``).  Real
+    alpha on a real block gives a real result; |alpha| below about
+    1.5e-154 returns a copy of the block.
     """
-    root = np.sqrt(np.arange(1, vecs.shape[0], dtype=float))
-    return _apply_chain(complex(alpha), root, vecs, True)
+    vecs = np.asarray(vecs)
+    real = complex(alpha).imag == 0.0 and not np.iscomplexobj(vecs)
+    out = np.zeros(vecs.shape, dtype=float if real else complex)
+    cols = [np.flatnonzero(np.any(vecs[p::2] != 0, axis=0)) for p in (0, 1)]
+    parts = [vecs[p::2][:, c] for p, c in enumerate(cols)]
+    for c, (even, odd) in zip(cols, _displaced_parts(alpha, parts)):
+        out[0::2, c] += even
+        out[1::2, c] += odd
+    return out
 
 
 def apply_squeeze(xi: complex, vecs: np.ndarray) -> np.ndarray:
@@ -458,10 +495,8 @@ def apply_squeeze(xi: complex, vecs: np.ndarray) -> np.ndarray:
     real = xi.imag == 0.0 and not np.iscomplexobj(vecs)
     out = np.empty(vecs.shape, dtype=float if real else complex)
     for start in (0, 1):
-        low = np.arange(start, dim - 2, 2, dtype=float)
-        out[start::2] = _apply_chain(-0.5 * xi,
-                                     np.sqrt((low + 1.0) * (low + 2.0)),
-                                     vecs[start::2], False)
+        out[start::2] = _apply_chain(-0.5 * xi, _squeeze_root(start, dim),
+                                     vecs[start::2])
     return out
 
 
@@ -517,14 +552,6 @@ def _check_edge_mass(occupation: np.ndarray) -> None:
         raise TruncationError(
             f"evolved state carries {edge:.2e} occupation near the "
             f"truncation edge at dim {dim}; use a larger truncation")
-
-
-def _occupation(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Photon-number distribution of a weighted ensemble of Fock-space
-    vectors, through the edge-mass gate."""
-    prob = (np.abs(vecs) ** 2) @ weights
-    _check_edge_mass(prob)
-    return prob
 
 
 def evolve_via_hamiltonian(params: ModelParams, total_time: float,
@@ -583,29 +610,65 @@ def _ensemble_weights(nbar: float, dim: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def squeezed_fock_ladder(count: int, xi: complex, dim: int) -> np.ndarray:
-    """The vectors S(xi)|k> for k < count, as columns."""
-    return apply_squeeze(xi, np.eye(dim, count))
+def squeezed_fock_ladder(count: int, xi: complex,
+                         dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors S(xi)|k> for k < count as the columns of two compact
+    parts, S|k> for even k on the even rows and for odd k on the odd rows.
 
-
-def ensemble_moments(vecs: np.ndarray, weights: np.ndarray) -> FockMoments:
-    """Moments of a weighted ensemble of Fock-space vectors v.
-
-    <a> = sum_n sqrt(n+1) v_n^* v_{n+1} and <a^2> = sum_n
-    sqrt((n+1)(n+2)) v_n^* v_{n+2}, each weighted over the ensemble, and
-    Var n = sum_n p_n (n - <n>)^2 over the occupation p.  Raises
-    ``TruncationError`` when the ensemble leaks onto the truncation edge.
+    S(xi) preserves photon-number parity, so these are the nonzero blocks
+    of ``apply_squeeze(xi, np.eye(dim, count))``, bit for bit.
     """
-    prob = _occupation(vecs, weights)
-    levels = np.arange(len(prob))
-    root = np.sqrt(levels[1:])
-    mean_a = complex(root @ (vecs[:-1].conj() * vecs[1:]) @ weights)
-    mean_aa = complex((root[:-1] * root[1:])
-                      @ (vecs[:-2].conj() * vecs[2:]) @ weights)
-    mean_n = float((prob * levels).sum())
-    var_n = float((prob * (levels - mean_n) ** 2).sum())
-    return FockMoments(mean_a=mean_a, mean_aa=mean_aa,
-                       mean_n=mean_n, var_n=var_n)
+    return tuple(_apply_chain(-0.5 * complex(xi), _squeeze_root(start, dim),
+                              np.eye((count + 1 - start) // 2))
+                 for start in (0, 1))
+
+
+def _ensemble_sums(blocks, weights):
+    """The occupation p, one row per ensemble, through the edge-mass gate,
+    and the <a> and <a^2> sums of ``ensemble_moments``."""
+    prob = mean_a = mean_aa = 0.0
+    blocks = iter(blocks)
+    for w in weights:
+        # not zip, whose reused result tuple would hold the last block
+        even, odd = next(blocks)
+        occupation = np.empty((w.shape[1], len(even) + len(odd)))
+        occupation[:, 0::2] = (np.abs(even) ** 2 @ w).T
+        occupation[:, 1::2] = (np.abs(odd) ** 2 @ w).T
+        prob = prob + occupation
+        # <a> pairs each row with the next one, of the other parity, and
+        # <a^2> with the next one of its own parity
+        root = np.sqrt(np.arange(1, occupation.shape[1], dtype=float))
+        mean_a = mean_a + (
+            root[0::2] @ (even[:len(odd)].conj() * odd)
+            + root[1::2] @ (odd[:len(even) - 1].conj() * even[1:])) @ w
+        root = root[:-1] * root[1:]
+        mean_aa = mean_aa + (root[0::2] @ (even[:-1].conj() * even[1:])
+                             + root[1::2] @ (odd[:-1].conj() * odd[1:])) @ w
+        del even, odd  # before the next block is made
+    for row in prob:
+        _check_edge_mass(row)
+    return prob, mean_a, mean_aa
+
+
+def ensemble_moments(blocks, weights) -> list[FockMoments]:
+    """Moments of weighted ensembles of Fock-space vectors v, one per
+    column of the weights.
+
+    ``blocks`` yields blocks of vectors as their even and their odd rows,
+    and ``weights`` holds each block's (columns x ensembles) weights: a
+    dense block v enters as ``[(v[0::2], v[1::2])]``, a moment slab's two
+    displaced ladder parts one at a time.  <a> = sum_n sqrt(n+1)
+    v_n^* v_{n+1} and <a^2> = sum_n sqrt((n+1)(n+2)) v_n^* v_{n+2}, each
+    weighted over the ensemble, and Var n = sum_n p_n (n - <n>)^2 over the
+    occupation p.  Raises ``TruncationError`` when an ensemble leaks onto
+    the truncation edge.
+    """
+    prob, mean_a, mean_aa = _ensemble_sums(blocks, weights)
+    levels = np.arange(prob.shape[1])
+    mean_n = (prob * levels).sum(axis=1)
+    var_n = (prob * (levels - mean_n[:, None]) ** 2).sum(axis=1)
+    return [FockMoments(complex(a), complex(aa), float(n), float(v))
+            for a, aa, n, v in zip(mean_a, mean_aa, mean_n, var_n)]
 
 
 def occupation_tail_scale(nbar: float, eff_squeeze: float) -> float:
@@ -729,9 +792,10 @@ def numeric_wigner(params: ModelParams, u: float,
     shift = state.displacement - complex(beta)
 
     def parity_sum(dim: int) -> float:
-        weights = _ensemble_weights(params.nbar, dim)
+        weights = _ensemble_weights(params.nbar, dim)[:, None]
         ladder = squeezed_fock_ladder(len(weights), xi, dim)
-        prob = _occupation(apply_displacement(shift, ladder), weights)
+        prob = _ensemble_sums(_displaced_parts(shift, ladder),
+                              (weights[0::2], weights[1::2]))[0][0]
         return 2.0 / math.pi * float(prob[0::2].sum() - prob[1::2].sum())
 
     return _self_checked(parity_sum, lambda w: (w,), RELATIVE_FLOOR,

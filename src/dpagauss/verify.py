@@ -97,20 +97,22 @@ def _slab_moments(r: float, u: float, nbars: Sequence[float],
 
     The squeezed Fock ladder S|k> depends on neither nbar nor alpha and the
     displaced ladder not on nbar, so one ladder and one displacement per
-    alpha serve the whole slab.
+    alpha serve the whole slab.  The ladder stays in its two parity parts:
+    each is displaced and folded into the sums of every nbar cell at once,
+    through one (columns x nbars) weight table, before the next.
     """
-    weights = {nbar: fock._ensemble_weights(nbar, dim) for nbar in nbars}
-    ladder = fock.squeezed_fock_ladder(max(map(len, weights.values())),
-                                       (u + r) + 0j, dim)
+    weights = [fock._ensemble_weights(nbar, dim) for nbar in nbars]
+    count = max(map(len, weights))
+    # column i: the weights of nbars[i], zero past its own levels
+    table = np.stack([np.pad(w, (0, count - len(w))) for w in weights], 1)
+    ladder = fock.squeezed_fock_ladder(count, (u + r) + 0j, dim)
     out = {}
     for alpha in alphas:
         state = evolved_state(ModelParams(alpha, squeeze_mag=r), u)
-        displaced = fock.apply_displacement(state.displacement, ladder)
-        for nbar in nbars:
-            out[(nbar, alpha)] = fock.ensemble_moments(
-                displaced[:, :len(weights[nbar])], weights[nbar])
-        # released before the next alpha's is computed
-        del displaced
+        moments = fock.ensemble_moments(
+            fock._displaced_parts(state.displacement, ladder),
+            (table[0::2], table[1::2]))
+        out.update(zip([(nbar, alpha) for nbar in nbars], moments))
     return out
 
 

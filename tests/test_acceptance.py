@@ -93,6 +93,12 @@ def test_criterion_4_figure_shapes():
                "start with one crossing")
 
 
+# largest rel_err per quantity that the default verification grid may show
+ORACLE_ERRORS = {"quad_mean": 1.5e-8, "quad_variance": 3.5e-8,
+                 "mean_photon": 2e-9, "photon_variance": 7.5e-8,
+                 "evolution_trace_distance": 5e-12, "wigner_density": 2e-14}
+
+
 def test_criterion_5_oracle_equivalence():
     start = time.time()
     report = verify.run_verification(workers=os.cpu_count() or 1)
@@ -108,6 +114,16 @@ def test_criterion_5_oracle_equivalence():
     evolution = [e for e in report
                  if e["quantity"] == "evolution_trace_distance"]
     assert evolution and max(e["oracle"] for e in evolution) <= 1e-6
+    # the oracle's accuracy, with a margin over the largest errors it has
+    # shown on this grid (1.40e-8, 3.26e-8, 1.74e-9, 6.80e-8, 3.73e-12 and
+    # 1.12e-14): a change to the oracle that loses digits shows here, far
+    # inside the gates
+    worst = {}
+    for e in report:
+        worst[e["quantity"]] = max(worst.get(e["quantity"], 0.0), e["rel_err"])
+    assert set(worst) == set(ORACLE_ERRORS)
+    for quantity, bound in ORACLE_ERRORS.items():
+        assert worst[quantity] <= bound, (quantity, worst[quantity])
     assert elapsed < 120.0
     _report(5, f"closed forms match the Fock oracle over the 81-cell grid "
                f"and the Hamiltonian mapping holds, {elapsed:.0f}s")

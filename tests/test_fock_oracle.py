@@ -3,7 +3,7 @@ import math
 import os
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import mpmath
@@ -18,6 +18,17 @@ import dpagauss.fock as fock
 import dpagauss.verify as verify
 import dpagauss.wigner as wigner
 from dpagauss import ModelParams, evolved_state, wigner_beta
+
+
+def dense_ladder(count, xi, dim):
+    """S(xi)|k> for k < count as the columns of one dense block."""
+    return fock.apply_squeeze(xi, np.eye(dim, count))
+
+
+def dense_moments(vecs, weights):
+    """``ensemble_moments`` of one weighted ensemble of a dense block."""
+    return fock.ensemble_moments([(vecs[0::2], vecs[1::2])],
+                                 [weights[:, None]])[0]
 
 
 def test_thermal_state_properties():
@@ -73,7 +84,7 @@ def test_displacement_chebyshev_path_matches_dense_exponential():
 
 
 def test_displacement_never_runs_the_eigensolve(monkeypatch):
-    ladder = fock.squeezed_fock_ladder(48, 0.5, 300)
+    ladder = dense_ladder(48, 0.5, 300)
 
     def eigensolve(*args):
         raise AssertionError("a displacement ran the eigensolve")
@@ -86,12 +97,12 @@ def test_displacement_never_runs_the_eigensolve(monkeypatch):
 
 
 def test_each_displacement_logs_its_chebyshev_degree(caplog, capsys):
-    ladder = fock.squeezed_fock_ladder(48, 0.5, 300)
+    ladder = dense_ladder(48, 0.5, 300)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
-    # a complex block runs as its float view, and the phase
-    # e^{-i j arg alpha} gives each column j > 0 an imaginary part
+    # a complex block runs as its float view, one real column per real
+    # and imaginary part of each of its nonzero columns
     for alpha, block, parts in ((2.0, ladder, (24, 24)),
-                                (0.8 - 0.5j, np.eye(61), (61, 60))):
+                                (0.8 - 0.5j, np.eye(61), (62, 60))):
         caplog.clear()
         fock.apply_displacement(alpha, block)
         (record,) = caplog.records
@@ -154,10 +165,18 @@ def test_bessel_recurrence_holds_off_the_degree_rule():
 def test_displaced_ladder_keeps_its_column_norms():
     # exact weights keep the propagator orthogonal to machine precision:
     # 4.4e-15, against 1.8e-13 with scipy's jv weights
-    ladder = fock.squeezed_fock_ladder(48, 2.05, 3099)
+    ladder = dense_ladder(48, 2.05, 3099)
     displaced = fock.apply_displacement(35.7291, ladder)
     drift = np.linalg.norm(displaced, axis=0) - np.linalg.norm(ladder, axis=0)
     assert np.abs(drift).max() <= 1e-14
+    # and so do the parts that the moment slabs displace one at a time
+    parts = fock.squeezed_fock_ladder(48, 2.05, 3099)
+    for part, (even, odd) in zip(parts,
+                                 fock._displaced_parts(35.7291, parts)):
+        drift = (np.hypot(np.linalg.norm(even, axis=0),
+                          np.linalg.norm(odd, axis=0))
+                 - np.linalg.norm(part, axis=0))
+        assert np.abs(drift).max() <= 1e-14
 
 
 def test_squeeze_operator():
@@ -219,12 +238,13 @@ def test_complex_ensemble_moments_match_the_density_matrix():
     params = ModelParams(alpha_mag=0.5, alpha_phase=0.4, squeeze_mag=0.3,
                          squeeze_phase=0.7, nbar=0.5)
     state = evolved_state(params, 0.4)
-    weights = fock._ensemble_weights(params.nbar, 140)
+    weights = fock._ensemble_weights(params.nbar, 140)[:, None]
     ladder = fock.squeezed_fock_ladder(
         len(weights), state.eff_squeeze * np.exp(1j * state.squeeze_phase),
         140)
-    vec = fock.ensemble_moments(
-        fock.apply_displacement(state.displacement, ladder), weights)
+    (vec,) = fock.ensemble_moments(
+        fock._displaced_parts(state.displacement, ladder),
+        (weights[0::2], weights[1::2]))
     dense = moments_from_rho(fock.build_rho_evolved(params, 0.4, 140))
     assert abs(vec.mean_a.imag) > 0.1 and abs(vec.mean_aa.imag) > 0.1
     # relative: the thermal levels the ensemble drops move Var n = 8.5 by
@@ -240,7 +260,7 @@ def test_photon_variance_is_read_without_cancellation():
     dim = 1_000_000
     vec = np.zeros((dim, 1))
     vec[500000:500002] = math.sqrt(0.5)
-    moments = fock.ensemble_moments(vec, np.ones(1))
+    moments = dense_moments(vec, np.ones(1))
     assert moments.var_n == pytest.approx(0.25, rel=1e-15)
 
 
@@ -299,8 +319,7 @@ def _hamiltonian_displaced_state(dim):
 def _displaced_vacuum_moments(dim):
     vacuum = np.zeros((dim, 1), dtype=complex)
     vacuum[0] = 1.0
-    return fock.ensemble_moments(fock.apply_displacement(2.0, vacuum),
-                                 np.ones(1))
+    return dense_moments(fock.apply_displacement(2.0, vacuum), np.ones(1))
 
 
 @pytest.mark.parametrize("evolve", [_hamiltonian_displaced_state,
@@ -483,10 +502,10 @@ def test_verification_rejects_empty_grid():
 def test_chebyshev_kernel_matches_eigensolve():
     dim = 2000
     alpha = 1.3 + 0.7j
-    ladder = fock.squeezed_fock_ladder(48, 0.8 * np.exp(0.3j), dim)
+    ladder = dense_ladder(48, 0.8 * np.exp(0.3j), dim)
     root = np.sqrt(np.arange(1, dim, dtype=float))
-    fast = fock._apply_chain(alpha, root, ladder, True)
-    exact = fock._apply_chain(alpha, root, ladder, False)
+    fast = fock.apply_displacement(alpha, ladder)
+    exact = fock._apply_chain(alpha, root, ladder)
     assert np.abs(fast - exact).max() <= 1e-12
     assert np.abs(np.linalg.norm(fast, axis=0) - 1.0).max() <= 1e-12
 
@@ -498,9 +517,9 @@ def test_chain_kernel_matches_dense_exponential(coeff):
     root = np.sqrt(np.arange(1, dim, dtype=float))
     gen = np.diag(coeff * root, -1) - np.diag(np.conj(coeff) * root, 1)
     dense = sla.expm(gen)[:, :16]
-    for chebyshev in (False, True):
-        result = fock._apply_chain(complex(coeff), root, np.eye(dim, 16),
-                                   chebyshev)
+    # the eigensolve, then the Chebyshev propagator of the same chain
+    for result in (fock._apply_chain(complex(coeff), root, np.eye(dim, 16)),
+                   fock.apply_displacement(coeff, np.eye(dim, 16))):
         assert np.abs(result - dense).max() <= 1e-12
         assert np.iscomplexobj(result) == (np.imag(coeff) != 0.0)
 
@@ -538,18 +557,18 @@ def test_split_chebyshev_products_are_half_height(monkeypatch):
         calls.append((n_row, n_col, n_vecs))
         return original(n_row, n_col, n_vecs, *args)
 
-    ladder = fock.squeezed_fock_ladder(48, 0.5, 600)
+    ladder = dense_ladder(48, 0.5, 600)
     monkeypatch.setattr(fock, "_csr_matvecs", recording)
     displaced = fock.apply_displacement(2.0, ladder)
     assert calls and {call[2] for call in calls} == {24}
     assert max(max(n_row, n_col) for n_row, n_col, _ in calls) <= 300
     root = np.sqrt(np.arange(1, 600, dtype=float))
-    exact = fock._apply_chain(2.0, root, ladder, False)
+    exact = fock._apply_chain(2.0, root, ladder)
     assert np.abs(displaced - exact).max() <= 1e-12
 
 
 def full_height_chebyshev(sub, block):
-    """The Chebyshev recurrence of ``fock._expm_chain`` on full-height
+    """The Chebyshev recurrence of ``fock._displaced_parts`` on full-height
     arrays, with the same in-place CSR product and axpy per degree."""
     mag = np.concatenate(([0.0], np.abs(sub), [0.0]))
     radius = 1.000001 * float(np.max(mag[:-1] + mag[1:]))
@@ -578,28 +597,102 @@ def test_split_chebyshev_sums_in_the_full_height_order(dim):
     # on columns of one parity the half-height parts add the same terms in
     # the same order as the full recurrence, so a ladder keeps its bits
     root = np.sqrt(np.arange(1, dim, dtype=float))
-    ladder = fock.squeezed_fock_ladder(min(dim, 16), 0.5, dim)
+    ladder = dense_ladder(min(dim, 16), 0.5, dim)
     for alpha in (2.0, -0.7):
         full = full_height_chebyshev(alpha * root, ladder)
         assert np.array_equal(fock.apply_displacement(alpha, ladder), full)
 
 
+@pytest.mark.parametrize("dim, count", [(300, 48), (301, 47), (2200, 48),
+                                        (2201, 47)])
+@pytest.mark.parametrize("xi", [0.5, 0.8 * np.exp(0.3j)],
+                         ids=["real", "complex"])
+def test_squeezed_ladder_parts_are_the_nonzero_blocks(dim, count, xi):
+    # S(xi) keeps the parity of k: the dense ladder is zero off the blocks
+    # of even k on even rows and odd k on odd rows, and each part is its
+    # block bit for bit, through the full and the windowed eigensolve
+    full = dense_ladder(count, xi, dim)
+    parts = fock.squeezed_fock_ladder(count, xi, dim)
+    assert [part.shape for part in parts] == [((dim + 1) // 2,
+                                               (count + 1) // 2),
+                                              (dim // 2, count // 2)]
+    for p, part in enumerate(parts):
+        assert part.dtype == full.dtype
+        assert np.array_equal(part, full[p::2, p::2])
+        assert not full[p::2, 1 - p::2].any()
+
+
+def dense_reference(vecs, weights):
+    """<a>, <a^2>, <n> and Var n of the ensembles weighted by the columns of
+    ``weights``, summed over the dense block ``vecs`` row after row."""
+    prob = (np.abs(vecs) ** 2) @ weights
+    levels = np.arange(len(prob))
+    root = np.sqrt(levels[1:])
+    mean_a = root @ (vecs[:-1].conj() * vecs[1:]) @ weights
+    mean_aa = (root[:-1] * root[1:]) @ (vecs[:-2].conj() * vecs[2:]) @ weights
+    mean_n = levels @ prob
+    var_n = ((levels[:, None] - mean_n) ** 2 * prob).sum(axis=0)
+    return list(zip(mean_a, mean_aa, mean_n, var_n))
+
+
+def assert_moments_match(moments, reference):
+    for cell, expected in zip(moments, reference):
+        for value, exact in zip(astuple(cell), expected):
+            assert abs(value - exact) <= 1e-14 * abs(exact), (value, exact)
+
+
+# nbar 1 takes 48 ladder columns and nbar 0.2 takes 19
+@pytest.mark.parametrize("dim", [400, 401])
+@pytest.mark.parametrize("nbars", [(0.0, 1.0), (0.0, 0.2)],
+                         ids=["even-count", "odd-count"])
+def test_slab_moments_match_the_dense_path(dim, nbars):
+    r, u, alphas = 0.3, 0.4, (0.0, 0.8, 1.5)
+    weights = [fock._ensemble_weights(nbar, dim) for nbar in nbars]
+    count = max(map(len, weights))
+    assert count == (48 if 1.0 in nbars else 19)
+    table = np.zeros((count, len(nbars)))
+    for i, weight in enumerate(weights):
+        table[:len(weight), i] = weight
+    ladder = dense_ladder(count, r + u, dim)
+    slab = verify._slab_moments(r, u, nbars, alphas, dim)
+    for alpha in alphas:
+        state = evolved_state(ModelParams(alpha, squeeze_mag=r), u)
+        shift = state.displacement
+        assert_moments_match(
+            [slab[(nbar, alpha)] for nbar in nbars],
+            dense_reference(fock.apply_displacement(shift, ladder), table))
+
+    # a complex squeeze and a complex shift, as in numeric_wigner
+    xi, shift = 0.7 * np.exp(0.9j), 0.6 - 0.4j
+    parts = fock.squeezed_fock_ladder(count, xi, dim)
+    moments = fock.ensemble_moments(fock._displaced_parts(shift, parts),
+                                    (table[0::2], table[1::2]))
+    assert abs(moments[-1].mean_a.imag) > 0.1
+    assert_moments_match(moments, dense_reference(
+        fock.apply_displacement(shift, dense_ladder(count, xi, dim)), table))
+
+
 def test_phase_zero_oracle_runs_in_real_arithmetic(monkeypatch):
     dim = 2200
-    assert fock.squeezed_fock_ladder(48, 3.0, dim).dtype == np.float64
+    assert [part.dtype for part in fock.squeezed_fock_ladder(48, 3.0, dim)] \
+        == [np.float64] * 2
     block = np.eye(dim, 4)
     assert fock.apply_displacement(2.0, block).dtype == np.float64
     assert fock.apply_displacement(2.0, block[:600]).dtype == np.float64
     seen = []
     original = fock.ensemble_moments
 
-    def recording(vecs, weights):
-        seen.append(vecs.dtype)
-        return original(vecs, weights)
+    def recording(blocks, weights):
+        def passing():
+            for even, odd in blocks:
+                seen.append((even.dtype, odd.dtype))
+                yield even, odd
+        return original(passing(), weights)
 
     monkeypatch.setattr(fock, "ensemble_moments", recording)
     moments = verify._slab_moments(0.2, 0.5, (0.0, 1.0), (0.0, 0.5), 200)
-    assert len(moments) == 4 and seen == [np.float64] * 4
+    # two displaced parts per alpha
+    assert len(moments) == 4 and seen == [(np.float64, np.float64)] * 4
 
 
 # thermal ladders whose parity chains (24 rows of support) are long enough
@@ -640,6 +733,13 @@ def full_spectrum_ladder(request):
     return dim, out
 
 
+def parts_error(parts, full):
+    """Largest deviation of the ladder parts from the blocks of ``full``
+    that they stand for, S|k> for k of parity p on the rows of parity p."""
+    return max(np.abs(part - full[p::2, p::2]).max()
+               for p, part in enumerate(parts))
+
+
 def window_records(caplog):
     return [rec.args for rec in caplog.records
             if rec.name == "dpagauss.fock" and rec.levelno == logging.DEBUG]
@@ -655,8 +755,9 @@ def test_windowed_squeeze_ladder_matches_full_spectrum(full_spectrum_ladder,
 
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
-    assert np.abs(ladder - full).max() <= 1e-12
-    assert np.abs(np.linalg.norm(ladder, axis=0) - 1.0).max() <= 1e-13
+    assert parts_error(ladder, full) <= 1e-12
+    for part in ladder:
+        assert np.abs(np.linalg.norm(part, axis=0) - 1.0).max() <= 1e-13
     # one record per parity chain: chain length, support height, eigenpairs
     # kept, final window, edge component, growths, and the eigenpairs that
     # inverse iteration solved: the non-negative half of those kept
@@ -692,7 +793,7 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
     monkeypatch.setattr(fock.lapack, "dstein", recording_stein)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
-    assert np.abs(ladder - full).max() <= 1e-12
+    assert parts_error(ladder, full) <= 1e-12
     records = window_records(caplog)
     assert len(records) == 2
     assert all(args[4] <= 1e-16 and args[5] >= 1 for args in records)
@@ -835,15 +936,17 @@ def test_dlasq1_binding_refuses_another_signature(monkeypatch):
 
 
 @pytest.mark.parametrize("evaluate, limit_mb", [
-    (lambda: fock.squeezed_fock_ladder(48, 3.0, 16869), 20),
+    (lambda: fock.squeezed_fock_ladder(48, 3.0, 16869), 7.5),
     (lambda: verify._slab_moments(1.0, 2.0, verify.DEFAULT_NBARS,
-                                  verify.DEFAULT_ALPHAS, 11851), 16),
+                                  verify.DEFAULT_ALPHAS, 11851), 9.5),
 ], ids=["ladder-16869", "slab-r1-u2"])
 def test_oracle_memory_stays_bounded(evaluate, limit_mb):
     # the squeeze window streams through the cos/sin sums one inverse
-    # iteration block at a time, so the oracle holds O(N x columns): 18.1
-    # and 14.7 MB traced, bounded about 10% above, against 43.3 and
-    # 29.6 MB when every window eigenvector was held at once
+    # iteration block at a time, and the ladder stays in its two compact
+    # parity parts through the displacement and the moment sums, one part
+    # at a time: 6.7 and 8.5 MB traced, against 18.1 and 14.7 MB with a
+    # dense ladder and 43.3 and 29.6 MB when every window eigenvector was
+    # held at once
     tracemalloc.start()
     try:
         evaluate()
