@@ -359,7 +359,7 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the Fock oracle and the scipy modules it needs load on this path only
+    # the Fock oracle and its compiled scipy kernels load on this path only
     from . import fock, verify
 
     grids = {key: getattr(args, key) for key in GRIDS if key in args}

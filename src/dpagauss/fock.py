@@ -67,25 +67,51 @@ one loop, ``_self_checked``, to the moment slabs of ``verify`` and to
 the moments' squeezed ladder, so it checks the state itself rather than a
 transform of its characteristic function.  Both propagators are unitary at
 any truncation, so only the tests check that.
+
+The LAPACK, BLAS and CSR kernels come from four scipy extension modules
+loaded from their files (``_compiled``), without the 18 MB and 0.2 s that
+the ``__init__`` of ``scipy.linalg`` and ``scipy.sparse`` cost a process.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import cython_lapack, lapack
-from scipy.linalg.blas import daxpy
-# Y += A @ X in place for CSR A; the public product always allocates Y
-from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+import scipy
 
 from .model import (EvolvedState, ModelParams, evolved_state,
                     hamiltonian_coeffs)
+
+
+def _compiled(name: str):
+    """The scipy extension module ``name``, loaded from its file without the
+    ``__init__`` of its package, or reused if imported.  It enters itself in
+    ``sys.modules`` as it loads and is taken out again, so that a later
+    import of its package runs in full and binds its functions."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(
+        os.path.dirname(scipy.__file__), *name.split(".")[1:-1])])
+    module = importlib.util.module_from_spec(spec)  # ExtensionFileLoader
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+cython_lapack = _compiled("scipy.linalg.cython_lapack")
+_flapack = _compiled("scipy.linalg._flapack")
+_daxpy = _compiled("scipy.linalg._fblas").daxpy
+# Y += A @ X in place for CSR A; the public product always allocates Y
+_csr_matvecs = _compiled("scipy.sparse._sparsetools").csr_matvecs
 
 SELF_CHECK_RTOL = 1e-8
 EDGE_MASS_TOL = 1e-9
@@ -197,13 +223,21 @@ def _stein(off: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``_apply_chain``).
     """
     dim = len(off) + 1
-    v, info = lapack.dstein(np.zeros(dim), off, w,
-                            np.ones(dim, dtype=np.int32),
-                            np.full(dim, dim, dtype=np.int32))
+    v, info = _flapack.dstein(np.zeros(dim), off, w,
+                              np.ones(dim, dtype=np.int32),
+                              np.full(dim, dim, dtype=np.int32))
     if info != 0:
         raise np.linalg.LinAlgError(
             f"dstein: {info} eigenvectors failed to converge")
     return v
+
+
+def _eigh_full(off: np.ndarray):
+    """All eigenpairs (w, v) of the zero-diagonal chain ``off``, by stevd."""
+    w, v, info = _flapack.dstevd(np.zeros(len(off) + 1), off, compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
+    return w, v
 
 
 def _eigh_window(off: np.ndarray, positive: np.ndarray, span: float):
@@ -243,7 +277,7 @@ def _eigh_reaching(off: np.ndarray, height: int):
     """
     dim = len(off) + 1
     if dim < _WINDOW_MIN_LEVELS + _WINDOW_LEVELS_PER_ROW * height:
-        yield (*sla.eigh_tridiagonal(np.zeros(dim), off), False)
+        yield (*_eigh_full(off), False)
         return
     mag = np.abs(off)
     radius = float(np.max(mag[:-1] + mag[1:]))
@@ -264,7 +298,7 @@ def _eigh_reaching(off: np.ndarray, height: int):
         growths += 1
     else:
         # the window covers the spectrum: the full solve is cheaper
-        blocks = [(*sla.eigh_tridiagonal(np.zeros(dim), off), False)]
+        blocks = [(*_eigh_full(off), False)]
         edge, kept, solved = 0.0, dim, 0
     _log.debug("windowed eigensolve (dqds eigenvalues, inverse iteration "
                "eigenvectors): chain %d, support height %d, kept %d "
@@ -443,7 +477,7 @@ def _displaced_parts(alpha: complex, parts):
             prev, cur = cur, prev
             # daxpy refuses an empty part
             if abs(weights[k]) > 1e-18 and width:
-                daxpy(cur, totals[(parity + k) % 2], a=weights[k])
+                _daxpy(cur, totals[(parity + k) % 2], a=weights[k])
         del prev, cur  # before the next part's
         totals = [total.reshape(half, width)[:len(rows)]
                   for total, rows in zip(totals, parts)]

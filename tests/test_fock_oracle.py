@@ -2,6 +2,8 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 from types import SimpleNamespace
@@ -784,13 +786,13 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
 
     monkeypatch.setattr(fock, "_dlasq1", recording)
     stein = []
-    original_stein = fock.lapack.dstein
+    original_stein = fock._flapack.dstein
 
     def recording_stein(diag, off, w, *args):
         stein.append(len(w))
         return original_stein(diag, off, w, *args)
 
-    monkeypatch.setattr(fock.lapack, "dstein", recording_stein)
+    monkeypatch.setattr(fock._flapack, "dstein", recording_stein)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
     assert parts_error(ladder, full) <= 1e-12
@@ -921,6 +923,91 @@ def test_chain_above_the_underflow_rule_runs_its_propagator(coeff,
     assert calls == ["_eigh_reaching", "_dlasq1"] * 2
     assert np.abs(fock.apply_displacement(coeff, eye) - eye).max() <= 1e-14
     assert calls == ["_eigh_reaching", "_dlasq1"] * 2 + ["_bessel_j"]
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_compiled_kernels_match_scipy_public_api():
+    # fock loads its kernels from scipy's extension modules before anything
+    # imports scipy.linalg or scipy.sparse; the public API gives their bits
+    run_fresh("""
+import numpy as np
+import dpagauss.fock as fock
+
+# the two parity chains of a squeeze at 61 levels: 31 and 30 levels
+chains = [0.35 * fock._squeeze_root(start, 61) for start in (0, 1)]
+full = [fock._eigh_full(off) for off in chains]
+off = chains[0]
+levels = len(off) + 1
+w = full[0][0][-5:]
+stein_args = (np.zeros(levels), off, w, np.ones(levels, dtype=np.int32),
+              np.full(levels, levels, dtype=np.int32))
+stein = fock._flapack.dstein(*stein_args)
+x = np.linspace(-1.0, 2.0, 7)
+axpy = fock._daxpy(x, np.cos(x), a=0.3)
+# 2 x 3 CSR times a 3 x 2 block, added into a 2 x 2 block
+csr = (np.array([0, 2, 3], dtype=np.int32), np.array([0, 2, 1], dtype=np.int32),
+       np.array([0.5, -1.5, 2.0]))
+block = np.arange(6.0)
+matvecs = np.ones(4)
+fock._csr_matvecs(2, 3, 2, *csr, block, matvecs)
+
+import scipy.linalg as sla
+from scipy.linalg import blas, lapack
+from scipy.sparse import _sparsetools
+
+for off, (w_ours, v_ours) in zip(chains, full):
+    w_ref, v_ref = sla.eigh_tridiagonal(np.zeros(len(off) + 1), off)
+    assert np.array_equal(w_ours, w_ref) and np.array_equal(v_ours, v_ref)
+for ours, ref in zip(stein, lapack.dstein(*stein_args)):
+    assert np.array_equal(ours, ref)
+assert np.array_equal(axpy, blas.daxpy(x, np.cos(x), a=0.3))
+ref = np.ones(4)
+_sparsetools.csr_matvecs(2, 3, 2, *csr, block, ref)
+assert np.array_equal(matvecs, ref) and not np.array_equal(ref, np.ones(4))
+""")
+
+
+def test_compiled_kernels_leave_scipy_importable():
+    # importing fock enters no scipy.linalg or scipy.sparse module; a later
+    # import of those packages runs in full and binds the same cython_lapack
+    run_fresh("""
+import sys
+
+before = set(sys.modules)
+import dpagauss.fock as fock
+
+added = sorted(name for name in set(sys.modules) - before
+               if name.startswith(("scipy.linalg", "scipy.sparse")))
+assert not added, added
+import numpy as np
+import scipy.linalg
+import scipy.sparse
+
+assert scipy.linalg.cython_lapack is fock.cython_lapack
+w = scipy.linalg.eigh_tridiagonal(np.zeros(3), np.ones(2))[0]
+assert np.allclose(w, [-np.sqrt(2.0), 0.0, np.sqrt(2.0)]), w
+assert (scipy.sparse.csr_matrix(np.eye(2)) @ np.ones(2)).tolist() == [1.0, 1.0]
+""")
+    # a module already imported is reused, not loaded a second time
+    run_fresh("""
+import scipy.linalg
+import scipy.sparse._sparsetools
+import dpagauss.fock as fock
+
+assert fock._flapack is scipy.linalg._flapack
+assert fock._daxpy is scipy.linalg._fblas.daxpy
+assert fock._csr_matvecs is scipy.sparse._sparsetools.csr_matvecs
+""")
 
 
 def test_dlasq1_binding_refuses_another_signature(monkeypatch):
