@@ -68,9 +68,10 @@ the moments' squeezed ladder, so it checks the state itself rather than a
 transform of its characteristic function.  Both propagators are unitary at
 any truncation, so only the tests check that.
 
-The LAPACK, BLAS and CSR kernels come from four scipy extension modules
+The LAPACK, BLAS and CSR kernels come from three scipy extension modules
 loaded from their files (``_compiled``), without the 18 MB and 0.2 s that
-the ``__init__`` of ``scipy.linalg`` and ``scipy.sparse`` cost a process.
+the ``__init__`` of ``scipy.linalg`` and ``scipy.sparse`` cost a process or
+the 3 MB of f2py's ``_flapack`` and ``_fblas`` (``_bind``).
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ def _compiled(name: str):
     import of its package runs in full and binds its functions."""
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(
-        os.path.dirname(scipy.__file__), *name.split(".")[1:-1])])
+    path = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+    spec = importlib.machinery.PathFinder.find_spec(name, [path])
+    if spec is None:
+        raise ImportError(f"no {name} in {path}")
     module = importlib.util.module_from_spec(spec)  # ExtensionFileLoader
     spec.loader.exec_module(module)
     sys.modules.pop(name, None)
@@ -108,8 +111,7 @@ def _compiled(name: str):
 
 
 cython_lapack = _compiled("scipy.linalg.cython_lapack")
-_flapack = _compiled("scipy.linalg._flapack")
-_daxpy = _compiled("scipy.linalg._fblas").daxpy
+cython_blas = _compiled("scipy.linalg.cython_blas")
 # Y += A @ X in place for CSR A; the public product always allocates Y
 _csr_matvecs = _compiled("scipy.sparse._sparsetools").csr_matvecs
 
@@ -141,36 +143,41 @@ _STEIN_BLOCK = 32
 _log = logging.getLogger(__name__)
 
 
-# the C signature under which scipy's Cython LAPACK exports dlasq1, the one
-# that the ctypes prototype of _bind_dlasq1 declares
-_DLASQ1_SIGNATURE = "void (int *, {0}, {0}, {0}, int *)".format(
-    "__pyx_t_5scipy_6linalg_13cython_lapack_d *")
+_ARRAYS = {"c": ctypes.c_char_p,
+           "i": np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS"),
+           "d": np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")}
 
 
-def _bind_dlasq1():
-    """LAPACK dlasq1(n, d, e, work, info), which scipy.linalg.lapack does not
-    wrap, from the function table of scipy's Cython LAPACK.
-
-    A capsule's name is its C signature: one other than
-    ``_DLASQ1_SIGNATURE`` raises ``ImportError`` before the pointer is cast.
-    """
-    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+def _bind(module, name: str, args: str, argtype=None):
+    """LAPACK or BLAS ``name`` from the capsule table of scipy's Cython
+    ``module``, whose C arguments ``args`` spells (c char *, i int *,
+    d double *), taking arrays (bytes for c) or each an ``argtype``.
+    A capsule's name is its C signature: a missing capsule, or another
+    signature, raises ``ImportError`` before the pointer is cast."""
+    double = "__pyx_t_{}_d *".format("_".join(
+        f"{len(part)}{part}" for part in module.__name__.split(".")))
+    spelled = {"c": "char *", "i": "int *", "d": double}
+    signature = "void ({})".format(", ".join(spelled[arg] for arg in args))
+    capsule = module.__pyx_capi__.get(name)
+    if capsule is None:
+        raise ImportError(f"{module.__name__} exports no {name}")
     api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    found = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))(capsule)
-    if name != _DLASQ1_SIGNATURE.encode():
-        raise ImportError(f"scipy's Cython LAPACK exports dlasq1 as {name!r}, "
-                          f"not {_DLASQ1_SIGNATURE!r}")
+    if found != signature.encode():
+        raise ImportError(f"{module.__name__} exports {name} as {found!r}, "
+                          f"not {signature!r}")
     address = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name)
-    array = np.ctypeslib.ndpointer(np.float64,
-                                   flags="C_CONTIGUOUS, WRITEABLE")
-    int_p = ctypes.POINTER(ctypes.c_int)
-    return ctypes.CFUNCTYPE(None, int_p, array, array, array, int_p)(address)
+        ("PyCapsule_GetPointer", api))(capsule, found)
+    return ctypes.CFUNCTYPE(None, *(argtype or _ARRAYS[arg]
+                                    for arg in args))(address)
 
 
-_dlasq1 = _bind_dlasq1()
+_dlasq1 = _bind(cython_lapack, "dlasq1", "idddi")
+_dstein = _bind(cython_lapack, "dstein", "iddidiididiii")
+_dstevd = _bind(cython_lapack, "dstevd", "cidddidiiii")
+_daxpy = _bind(cython_blas, "daxpy", "iddidi", ctypes.c_void_p)
 
 
 class TruncationError(RuntimeError):
@@ -206,11 +213,10 @@ def _positive_eigenvalues(mag: np.ndarray) -> np.ndarray:
     diag, sup = np.zeros(size), np.zeros(size)
     diag[:dim // 2] = mag[0::2]
     sup[:size - 1] = mag[1::2]
-    info = ctypes.c_int(0)
-    _dlasq1(ctypes.byref(ctypes.c_int(size)), diag, sup, np.empty(4 * size),
-            ctypes.byref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"dlasq1 failed with info {info.value}")
+    info = np.intc([0])
+    _dlasq1(np.intc([size]), diag, sup, np.empty(4 * size), info)
+    if info[0] != 0:
+        raise np.linalg.LinAlgError(f"dlasq1 failed with info {info[0]}")
     # descending on return
     return diag[:size - dim % 2][::-1]
 
@@ -223,21 +229,29 @@ def _stein(off: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``_apply_chain``).
     """
     dim = len(off) + 1
-    v, info = _flapack.dstein(np.zeros(dim), off, w,
-                              np.ones(dim, dtype=np.int32),
-                              np.full(dim, dim, dtype=np.int32))
-    if info != 0:
+    n, m, info = np.intc([[dim], [len(w)], [0]])
+    v = np.empty((len(w), dim))  # column-major; iblock 1, isplit n: one block
+    _dstein(n, np.zeros(dim), off, m, np.ascontiguousarray(w),
+            np.ones(len(w), np.intc), n, v, n, np.empty(5 * dim),
+            np.empty(dim, np.intc), np.empty(len(w), np.intc), info)
+    if info[0] != 0:
         raise np.linalg.LinAlgError(
-            f"dstein: {info} eigenvectors failed to converge")
-    return v
+            f"dstein: {info[0]} eigenvectors failed to converge")
+    return v.T
 
 
 def _eigh_full(off: np.ndarray):
     """All eigenpairs (w, v) of the zero-diagonal chain ``off``, by stevd."""
-    w, v, info = _flapack.dstevd(np.zeros(len(off) + 1), off, compute_v=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
-    return w, v
+    dim = len(off) + 1
+    w, v = np.zeros(dim), np.empty((dim, dim))  # v column-major, as in _stein
+    n, lwork, liwork, info = np.intc(
+        [[dim], [1 + 4 * dim + dim * dim], [3 + 5 * dim], [0]])
+    # stevd overwrites its copy of off
+    _dstevd(b"V", n, w, np.array(off, dtype=float), v, n, np.empty(lwork[0]),
+            lwork, np.empty(liwork[0], np.intc), liwork, info)
+    if info[0] != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info {info[0]}")
+    return w, v.T
 
 
 def _eigh_window(off: np.ndarray, positive: np.ndarray, span: float):
@@ -472,12 +486,17 @@ def _displaced_parts(alpha: complex, parts):
         cur *= 0.5
         # totals[t] sums the terms on the rows of parity t
         totals = [weights[0] * prev, weights[1] * cur][::1 - 2 * parity]
+        # by address: weights[k] is at weight + 8 k, Q_k in buffers[k % 2]
+        ints = np.intc([prev.size, 1])
+        size, one, weight, *buffers = [x.ctypes.data for x in
+                                       (ints, ints[1:], weights, prev, cur)]
+        sums = [total.ctypes.data for total in totals]
         for k in range(2, steps + 1):
             _csr_matvecs(*ops[(parity + k) % 2], cur, prev)
             prev, cur = cur, prev
-            # daxpy refuses an empty part
-            if abs(weights[k]) > 1e-18 and width:
-                _daxpy(cur, totals[(parity + k) % 2], a=weights[k])
+            if abs(weights[k]) > 1e-18:
+                _daxpy(size, weight + 8 * k, buffers[k % 2], one,
+                       sums[(parity + k) % 2], one)
         del prev, cur  # before the next part's
         totals = [total.reshape(half, width)[:len(rows)]
                   for total, rows in zip(totals, parts)]

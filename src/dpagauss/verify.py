@@ -11,9 +11,7 @@ per alpha; those displacements are the oracle's largest cost.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple
 from itertools import product
@@ -172,13 +170,17 @@ def wigner_point_report(nbar: float, r: float, alpha: float, u: float,
 
 
 @contextmanager
-def _pool_blas_env():
-    """Set ``POOL_BLAS_ENV`` in this process's environment, and restore the
-    previous values on exit."""
+def _pool(workers: int):
+    """A pool of ``workers`` spawned interpreters, and its imports, with
+    ``POOL_BLAS_ENV`` set in this process's environment while it runs."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     saved = {name: os.environ.get(name) for name in POOL_BLAS_ENV}
     os.environ.update(POOL_BLAS_ENV)
     try:
-        yield
+        with ProcessPoolExecutor(
+                workers, multiprocessing.get_context("spawn")) as pool:
+            yield pool
     finally:
         for name, value in saved.items():
             if value is None:
@@ -211,10 +213,11 @@ def run_verification(*, nbars: Sequence[float] = DEFAULT_NBARS,
     Wigner cells, so the heaviest slab does not start last; the report keeps
     entry order.  The pool spawns fresh interpreters with one BLAS thread
     each (``POOL_BLAS_ENV``, set only while the pool runs).  One worker
-    keeps the caller's process and BLAS threading, so under multithreaded
-    BLAS its oracle values can differ from a pooled run's in the last bits;
-    closed forms, entry order and pass flags do not.  Run it with
-    ``OPENBLAS_NUM_THREADS=1`` to reproduce the pool's report.
+    imports no ``multiprocessing`` and keeps the caller's process and BLAS
+    threading, so under multithreaded BLAS its oracle values can differ from
+    a pooled run's in the last bits; closed forms, entry order and pass
+    flags do not.  Run it with ``OPENBLAS_NUM_THREADS=1`` to reproduce the
+    pool's report.
     """
     if not (len(nbars) and len(rs) and len(alphas) and len(us)):
         raise ValueError("empty verification grid")
@@ -234,9 +237,7 @@ def run_verification(*, nbars: Sequence[float] = DEFAULT_NBARS,
         cost = [_slab_dim(*args) if kind == "moments" else 0
                 for kind, args in tasks]
         order = sorted(range(len(tasks)), key=cost.__getitem__, reverse=True)
-        with _pool_blas_env(), ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
+        with _pool(workers) as pool:
             done = dict(zip(order, pool.map(_run_task,
                                             [tasks[i] for i in order])))
         grouped = [done[i] for i in range(len(tasks))]

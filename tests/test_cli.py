@@ -894,7 +894,8 @@ def test_verify_gate_failure_is_one_line_and_exit_2(error, tmp_path, capsys,
 # neither importing nor running a closed-form subcommand loads scipy or the
 # Fock oracle; only verify needs them, and it loads the oracle's compiled
 # kernels by path, without the scipy.linalg and scipy.sparse packages and
-# what their __init__ imports, and without scipy.special
+# what their __init__ imports, without scipy.special, the f2py LAPACK and
+# BLAS modules, and, in one process, without the pool's machinery
 @pytest.mark.parametrize("module", ["dpagauss", "dpagauss.cli"])
 def test_import_loads_no_scipy_and_no_oracle(module, tmp_path):
     out = tmp_path / "out"
@@ -904,7 +905,7 @@ def test_import_loads_no_scipy_and_no_oracle(module, tmp_path):
         "evolution_grid": [[0.0, 0.1, 0.5, 0.0]],
         "wigner_points": [[0.0, 0.1, 0.0, 0.0, [0.3, 0.2]]]}))
     script = f"""
-import importlib, sys
+import importlib, os, sys
 importlib.import_module({module!r})
 
 
@@ -925,8 +926,17 @@ assert cli.main(["verify", "--workers", "1", "--config", {str(config)!r},
                  "--out", {str(tmp_path / "report.json")!r}]) == 0
 assert "dpagauss.fock" in sys.modules
 unwanted = [name for name in ("scipy.linalg", "scipy.sparse", "scipy._lib._util",
-                              "numpy.random", "numpy.f2py")
+                              "numpy.random", "numpy.f2py",
+                              "scipy.linalg._flapack", "scipy.linalg._fblas",
+                              "multiprocessing", "concurrent.futures")
             if name in sys.modules]
+assert not unwanted, unwanted
+# fock takes a module it loads by path out of sys.modules again: its
+# library stays mapped, though
+maps = "/proc/self/maps"
+mapped = open(maps).read() if os.path.exists(maps) else ""
+unwanted = [name for name in ("_flapack", "_fblas")
+            if f"/linalg/{{name}}." in mapped]
 assert not unwanted, unwanted
 special = [name for name in sys.modules if name.startswith("scipy.special")]
 assert not special, special

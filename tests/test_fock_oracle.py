@@ -1,3 +1,5 @@
+import ctypes
+import importlib.machinery
 import logging
 import math
 import os
@@ -11,9 +13,10 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 from scipy import sparse
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import cython_blas, cython_lapack, lapack
 from scipy.linalg.blas import daxpy
 
 import dpagauss.fock as fock
@@ -449,7 +452,7 @@ def test_pool_starts_the_heaviest_slab_and_keeps_entry_order(monkeypatch):
     submitted = []
 
     class RecordingPool:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, workers):
             pass
 
         def __enter__(self):
@@ -462,7 +465,7 @@ def test_pool_starts_the_heaviest_slab_and_keeps_entry_order(monkeypatch):
             submitted.extend(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify, "_pool", RecordingPool)
     monkeypatch.setattr(verify, "_run_task", lambda task: [task])
     serial = verify.run_verification(workers=1)
     assert verify.run_verification(workers=2) == serial
@@ -786,13 +789,14 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
 
     monkeypatch.setattr(fock, "_dlasq1", recording)
     stein = []
-    original_stein = fock._flapack.dstein
+    original_stein = fock._dstein
 
-    def recording_stein(diag, off, w, *args):
-        stein.append(len(w))
-        return original_stein(diag, off, w, *args)
+    def recording_stein(*args):
+        # dstein(n, d, e, m, w, ...): the eigenvalues are its fifth argument
+        stein.append(len(args[4]))
+        return original_stein(*args)
 
-    monkeypatch.setattr(fock._flapack, "dstein", recording_stein)
+    monkeypatch.setattr(fock, "_dstein", recording_stein)
     caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
     ladder = fock.squeezed_fock_ladder(48, WINDOW_XI, dim)
     assert parts_error(ladder, full) <= 1e-12
@@ -951,9 +955,12 @@ levels = len(off) + 1
 w = full[0][0][-5:]
 stein_args = (np.zeros(levels), off, w, np.ones(levels, dtype=np.int32),
               np.full(levels, levels, dtype=np.int32))
-stein = fock._flapack.dstein(*stein_args)
+stein = fock._stein(off, w)
 x = np.linspace(-1.0, 2.0, 7)
-axpy = fock._daxpy(x, np.cos(x), a=0.3)
+axpy, a, ints = np.cos(x), np.array([0.3]), np.array([len(x), 1], np.intc)
+fock._daxpy(ints.ctypes.data, a.ctypes.data, x.ctypes.data,
+            ints.ctypes.data + ints.itemsize, axpy.ctypes.data,
+            ints.ctypes.data + ints.itemsize)
 # 2 x 3 CSR times a 3 x 2 block, added into a 2 x 2 block
 csr = (np.array([0, 2, 3], dtype=np.int32), np.array([0, 2, 1], dtype=np.int32),
        np.array([0.5, -1.5, 2.0]))
@@ -968,8 +975,8 @@ from scipy.sparse import _sparsetools
 for off, (w_ours, v_ours) in zip(chains, full):
     w_ref, v_ref = sla.eigh_tridiagonal(np.zeros(len(off) + 1), off)
     assert np.array_equal(w_ours, w_ref) and np.array_equal(v_ours, v_ref)
-for ours, ref in zip(stein, lapack.dstein(*stein_args)):
-    assert np.array_equal(ours, ref)
+stein_ref, info = lapack.dstein(*stein_args)
+assert info == 0 and np.array_equal(stein, stein_ref)
 assert np.array_equal(axpy, blas.daxpy(x, np.cos(x), a=0.3))
 ref = np.ones(4)
 _sparsetools.csr_matvecs(2, 3, 2, *csr, block, ref)
@@ -980,6 +987,7 @@ assert np.array_equal(matvecs, ref) and not np.array_equal(ref, np.ones(4))
 def test_compiled_kernels_leave_scipy_importable():
     # importing fock enters no scipy.linalg or scipy.sparse module; a later
     # import of those packages runs in full and binds the same cython_lapack
+    # and cython_blas
     run_fresh("""
 import sys
 
@@ -994,6 +1002,7 @@ import scipy.linalg
 import scipy.sparse
 
 assert scipy.linalg.cython_lapack is fock.cython_lapack
+assert scipy.linalg.cython_blas is fock.cython_blas
 w = scipy.linalg.eigh_tridiagonal(np.zeros(3), np.ones(2))[0]
 assert np.allclose(w, [-np.sqrt(2.0), 0.0, np.sqrt(2.0)]), w
 assert (scipy.sparse.csr_matrix(np.eye(2)) @ np.ones(2)).tolist() == [1.0, 1.0]
@@ -1004,22 +1013,64 @@ import scipy.linalg
 import scipy.sparse._sparsetools
 import dpagauss.fock as fock
 
-assert fock._flapack is scipy.linalg._flapack
-assert fock._daxpy is scipy.linalg._fblas.daxpy
+assert fock.cython_lapack is scipy.linalg.cython_lapack
+assert fock.cython_blas is scipy.linalg.cython_blas
 assert fock._csr_matvecs is scipy.sparse._sparsetools.csr_matvecs
 """)
 
 
-def test_dlasq1_binding_refuses_another_signature(monkeypatch):
-    # a scipy that exported dlasq1 under another C signature: the binding
-    # names it instead of casting the pointer
-    table = {"dlasq1": cython_lapack.__pyx_capi__["dlasq2"]}
-    monkeypatch.setattr(fock, "cython_lapack",
-                        SimpleNamespace(__pyx_capi__=table))
+def capsule_name(capsule):
+    """The name of a capsule, its C signature in a Cython function table."""
+    return ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+
+
+# the C arguments of each routine that fock binds, as fock spells them
+BOUND_ROUTINES = [(cython_lapack, "dlasq1", "idddi"),
+                  (cython_lapack, "dstein", "iddidiididiii"),
+                  (cython_lapack, "dstevd", "cidddidiiii"),
+                  (cython_blas, "daxpy", "iddidi")]
+
+
+@pytest.mark.parametrize("module, name, args", BOUND_ROUTINES,
+                         ids=[name for _, name, _ in BOUND_ROUTINES])
+def test_binding_refuses_another_signature(module, name, args):
+    # a scipy that exported the routine under another C signature: the
+    # binding names both instead of casting the pointer
+    other = {"dlasq1": "dlasq2", "dstein": "dstebz", "dstevd": "dstev",
+             "daxpy": "dscal"}[name]
+    table = SimpleNamespace(__name__=module.__name__, __pyx_capi__={
+        name: module.__pyx_capi__[other]})
+    assert fock._bind(module, name, args)
+    with pytest.raises(ImportError) as raised:
+        fock._bind(table, name, args)
+    message = str(raised.value)
+    for capsule in (module.__pyx_capi__[other], module.__pyx_capi__[name]):
+        assert repr(capsule_name(capsule).decode()) in message
+    assert f"exports {name} as" in message
+
+
+def test_binding_names_a_missing_routine():
+    # a scipy whose Cython LAPACK no longer exports dstein
+    table = SimpleNamespace(__name__=cython_lapack.__name__, __pyx_capi__={
+        name: capsule for name, capsule in cython_lapack.__pyx_capi__.items()
+        if name != "dstein"})
+    with pytest.raises(ImportError,
+                       match="scipy.linalg.cython_lapack exports no dstein"):
+        fock._bind(table, "dstein", "iddidiididiii")
+
+
+def test_compiled_names_a_module_that_scipy_moved(monkeypatch):
+    # a scipy without scipy/linalg/cython_blas*.so: the loader names the
+    # module and the directory it searched
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_blas",
+                        raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path: None)
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
     with pytest.raises(ImportError, match=re.escape(
-            "void (int *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
-            "int *)")):
-        fock._bind_dlasq1()
+            f"no scipy.linalg.cython_blas in {folder}")):
+        fock._compiled("scipy.linalg.cython_blas")
 
 
 @pytest.mark.parametrize("evaluate, limit_mb", [
