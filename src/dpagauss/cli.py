@@ -38,6 +38,7 @@ from .model import ModelParams, evolved_state
 USAGE_ERROR = 1
 GATE_ERROR = 2
 _BLOCK_ROWS = 256  # sweep rows formatted per block
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 # config key -> (flag, type, default, help)
 OPTIONS = {
@@ -219,14 +220,37 @@ def _csv_header(args: argparse.Namespace, extra: str = "") -> str:
             f"{' ' + extra if extra else ''}\n")
 
 
-def _check_finite(names, values) -> None:
-    """Raise ``UsageError`` naming the floats or arrays that are not finite."""
-    non_finite = [name for name, value in zip(names, values)
+def _check_finite(named_values: Iterable[tuple]) -> None:
+    """Raise ``UsageError`` naming the floats or arrays, given as (name,
+    value) pairs, that are not finite."""
+    non_finite = [name for name, value in named_values
                   if isinstance(value, (float, np.ndarray))
                   and not np.isfinite(value).all()]
     if non_finite:
         raise UsageError(f"{', '.join(sorted(non_finite))} not finite in "
                          "double precision for these inputs")
+
+
+def _leaves(document, path: str = "") -> Iterable[tuple]:
+    """(dotted path, value) of each scalar of a JSON document."""
+    if isinstance(document, (dict, list, tuple)):
+        items = (document.items() if isinstance(document, dict)
+                 else enumerate(document))
+        for key, value in items:
+            yield from _leaves(value, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, document
+
+
+def _write_json(args: argparse.Namespace, document) -> None:
+    """Write ``document`` as ``json.dumps(document, indent=2,
+    sort_keys=True, allow_nan=False) + "\\n"`` does, byte for byte, but
+    chunk by chunk as the encoder yields them, so that neither its text nor
+    a list of its chunks exists at once.  A stream cannot take back what it
+    has written, so every float is checked first: one that is not finite is
+    a usage error and nothing is written."""
+    _check_finite(_leaves(document))
+    _write(args, itertools.chain(_JSON.iterencode(document), ("\n",)))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -255,9 +279,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             args.nbar, args.r, args.theta, args.lam, args.u),
         "crossover_u": nonclassicality.crossover_time(args.nbar, args.r),
     }
-    _check_finite(report.keys(), report.values())
-    _write(args, [json.dumps(report, indent=2, sort_keys=True,
-                             allow_nan=False) + "\n"])
+    _write_json(args, report)
     return 0
 
 
@@ -278,7 +300,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p_density = nonclassicality.p_representation_exists(nbar, r, us)
     keys = ("u", "mandel_q", "quad_variance", "mean_photon", "photon_variance")
     # nan marks the vacuum rows, where Q is undefined
-    _check_finite(keys, (us, mandels[means > 0], quads, means, variances))
+    _check_finite(zip(keys, (us, mandels[means > 0], quads, means,
+                             variances)))
     lines = [_csv_header(args, extra=(f"u_start={_fmt(args.u_start)} "
                                       f"u_stop={_fmt(args.u_stop)} "
                                       f"u_steps={args.u_steps}"))]
@@ -316,8 +339,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
         "zeros": list(nonclassicality.classify_behavior(
             args.nbar, args.r, result.alpha_c).zeros),
     }
-    _write(args, [json.dumps(record, indent=2, sort_keys=True,
-                             allow_nan=False) + "\n"])
+    _write_json(args, record)
     return 0
 
 
@@ -350,6 +372,17 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
     # every W before any text, so that an overflow in any row writes
     # nothing; one call per x row, so no whole-grid temporaries
     ws = [wigner.wigner_quadrature(state, args.lam, x, ps) for x in xs]
+    # off the squeeze axes W is conditioned like e^{2(u+r)}; on them the
+    # turn is exact and the bound stays far below the gate
+    if args.lam != 0.5 * state.squeeze_phase:
+        bound = max(wigner.quadrature_rounding_bound(
+            state, args.lam, x, ps).max() for x in xs)
+        if bound > wigner.WIGNER_GATE:
+            raise UsageError(
+                f"W is ill-conditioned off the squeeze axes at u + r = "
+                f"{_fmt(state.eff_squeeze)}: its rounding bound {bound:.1e} "
+                f"exceeds {wigner.WIGNER_GATE:g}; align the grid "
+                "(lambda = theta/2) or lower u")
     # one template per x row, \0 standing for the x text
     row = "".join(f"\0,{_fmt(p)},%.17g\n" for p in ps.tolist())
     _write(args, itertools.chain(lines, (
@@ -369,9 +402,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stderr.write(f"numerical gate failure: {exc}\n")
         return GATE_ERROR
     ok = verify.all_passed(report)
-    payload = {"pass": ok, "entries": report}
-    _write(args, [json.dumps(payload, indent=2, sort_keys=True,
-                             allow_nan=False) + "\n"])
+    _write_json(args, {"pass": ok, "entries": report})
     return 0 if ok else GATE_ERROR
 
 

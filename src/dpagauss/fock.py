@@ -589,11 +589,17 @@ def build_rho_evolved(params: ModelParams, u: float, dim: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
-    """Truncated H = c a^dag^2 + c* a^2 + b a + b* a^dag, in units of 1/t."""
+    """Truncated H = c a^dag^2 + c* a^2 + b a + b* a^dag, in units of 1/t,
+    filled on its four diagonals: <n+2|H|n> = c sqrt(n+1) sqrt(n+2) and
+    <n+1|H|n> = b* sqrt(n+1), and their conjugates above."""
     c, b = hamiltonian_coeffs(params)
-    a = annihilation(dim)
-    ad = a.conj().T
-    return c * (ad @ ad) + np.conj(c) * (a @ a) + b * a + np.conj(b) * ad
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    pair = root[:-1] * root[1:]
+    h = np.zeros((dim, dim), dtype=complex)
+    for view, values in ((h[2:], c * pair), (h[:, 2:], np.conj(c) * pair),
+                         (h[1:], np.conj(b) * root), (h[:, 1:], b * root)):
+        np.fill_diagonal(view, values)
+    return h
 
 
 def _check_edge_mass(occupation: np.ndarray) -> None:

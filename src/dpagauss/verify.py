@@ -24,7 +24,6 @@ from .model import ModelParams, evolved_state
 
 MOMENT_GATE = 1e-6
 TRACE_DISTANCE_GATE = 1e-6
-WIGNER_GATE = 1e-6
 
 # reference quadrature angle for the moment comparisons; arbitrary but fixed,
 # exercising both the stretched and the squeezed variance branches
@@ -166,7 +165,8 @@ def wigner_point_report(nbar: float, r: float, alpha: float, u: float,
     return _entry("wigner_density",
                   {"nbar": nbar, "r": r, "alpha": alpha, "u": u,
                    "beta_re": beta.real, "beta_im": beta.imag},
-                  closed, oracle, _rel_err(closed, oracle), dim, WIGNER_GATE)
+                  closed, oracle, _rel_err(closed, oracle), dim,
+                  wigner.WIGNER_GATE)
 
 
 @contextmanager

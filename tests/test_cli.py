@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -891,6 +892,79 @@ def test_verify_gate_failure_is_one_line_and_exit_2(error, tmp_path, capsys,
     assert not report.exists()
 
 
+@pytest.fixture(scope="module")
+def long_report():
+    """40 copies of a report shaped like the default one, with seeded
+    17-digit values: 343 entries and 113 kB of text per copy, 4.5 MB in
+    all."""
+    rng = np.random.default_rng(0)
+    cells = [({"nbar": nbar, "r": r, "alpha": alpha, "u": u,
+               "lam": verify.REFERENCE_LAM}, quantity)
+             for nbar, r, alpha, u in itertools.product(
+                 verify.DEFAULT_NBARS, verify.DEFAULT_RS,
+                 verify.DEFAULT_ALPHAS, verify.DEFAULT_US)
+             for quantity in ("quad_mean", "quad_variance", "mean_photon",
+                              "photon_variance")]
+    cells += [(dict(zip(("nbar", "r", "alpha", "u"), cell)),
+               "evolution_trace_distance")
+              for cell in verify.DEFAULT_EVOLUTION_GRID]
+    cells += [({"nbar": nbar, "r": r, "alpha": alpha, "u": u,
+                "beta_re": beta.real, "beta_im": beta.imag},
+               "wigner_density")
+              for nbar, r, alpha, u, beta in verify.DEFAULT_WIGNER_POINTS]
+    entries = []
+    for params, quantity in cells:
+        closed, oracle = rng.uniform(0.1, 3.0, 2).tolist()
+        entries.append(verify._entry(quantity, params, closed, oracle,
+                                     rng.uniform(0.0, 1e-9),
+                                     int(rng.integers(100, 12_000)), 1e-6))
+    return entries * 40
+
+
+def verify_with_report(monkeypatch, report, path):
+    monkeypatch.setattr(verify, "run_verification", lambda **grids: report)
+    return main(["verify", "--out", str(path)])
+
+
+def test_verify_report_memory_stays_bounded(long_report, monkeypatch,
+                                            tmp_path):
+    # the report is written as the encoder yields it; its whole text, which
+    # json.dumps held about 7 times over, never exists
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code = verify_with_report(monkeypatch, long_report, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and path.stat().st_size > 4.4e6
+    assert peak < 2e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_streamed_verify_report_is_what_json_dumps_writes(long_report,
+                                                          monkeypatch,
+                                                          tmp_path):
+    path = tmp_path / "report.json"
+    assert verify_with_report(monkeypatch, long_report, path) == 0
+    payload = {"pass": True, "entries": long_report}
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_non_finite_report_value_writes_nothing(long_report, monkeypatch,
+                                                tmp_path, capsys):
+    # a stream cannot take back what it wrote, so the floats are checked
+    # before the output is opened
+    report = list(long_report)
+    report[5] = {**report[5], "oracle": math.nan}
+    path = tmp_path / "report.json"
+    code = verify_with_report(monkeypatch, report, path)
+    captured = capsys.readouterr()
+    assert_one_usage_error_line(code, captured.out, captured.err)
+    assert "entries.5.oracle not finite" in captured.err
+    assert not path.exists()
+
+
 # neither importing nor running a closed-form subcommand loads scipy or the
 # Fock oracle; only verify needs them, and it loads the oracle's compiled
 # kernels by path, without the scipy.linalg and scipy.sparse packages and
@@ -965,10 +1039,23 @@ def test_eval_quad_mean_holds_at_large_u(capsys):
                                                           rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: W off the squeeze "
-                   "axis at u + r = 21 is off by a factor of 1.9e181")
 def test_wigner_grid_refuses_an_ill_conditioned_grid(capsys):
+    # W off the squeeze axis at u + r = 21 was off by a factor of 1.9e181
     code, out, err = run_cli(["wigner-grid", "--r", "1", "--u", "20",
                               "--lambda", "0.3", "--grid-steps", "41"],
                              capsys)
     assert_one_usage_error_line(code, out, err)
+    assert "ill-conditioned" in err
+
+
+@pytest.mark.parametrize("theta, lam", [("0", "0"), ("0.6", "0.3")],
+                         ids=["untilted", "tilted"])
+def test_wigner_grid_on_the_squeeze_axes_is_never_refused(theta, lam,
+                                                          capsys):
+    # theta = 2 lam turns the offsets by an exact 0, however strong the
+    # squeeze
+    code, out, err = run_cli(["wigner-grid", "--r", "1", "--u", "20",
+                              "--theta", theta, "--lambda", lam,
+                              "--grid-steps", "41"], capsys)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2 + 41 * 41

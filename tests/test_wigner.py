@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dpagauss import (
     photon_variance,
     quad_mean,
     quad_variance_state,
+    wigner,
     wigner_beta,
     wigner_quadrature,
 )
@@ -329,6 +331,40 @@ def test_both_densities_match_a_60_digit_reference(rho, theta, lam, nbar, re,
                  mp_reference.wigner_beta(state, beta), 2.0 * peak)):
             assert abs(got - want) <= mp_reference.relative_bound(
                 state, want, top) * want
+
+
+@given(rho=st.floats(0.0, 16.0), theta=angles, lam=angles,
+       nbar=st.floats(0.0, 2.0), s=st.floats(-1.0, 1.0),
+       t=st.floats(-1.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_rounding_bound_holds_against_a_60_digit_reference(rho, theta, lam,
+                                                           nbar, s, t):
+    # the bound counts the means as exact, so the states are centred, where
+    # both means are an exact 0
+    state = EvolvedState(displacement=0j, eff_squeeze=rho,
+                         squeeze_phase=theta, nbar=nbar)
+    for x, p in mp_reference.grid_offsets(state, lam, s, t):
+        want = mp_reference.wigner_quadrature(state, lam, x, p)
+        bound = wigner.quadrature_rounding_bound(state, lam, x, p)
+        if want >= sys.float_info.min:
+            assert abs(wigner_quadrature(state, lam, x, p) - want) \
+                <= bound * want
+
+
+@given(rho=st.floats(0.0, 300.0), theta=angles, nbar=st.floats(0.0, 1e6),
+       re=st.floats(-1e3, 1e3), im=st.floats(-1e3, 1e3),
+       s=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0))
+def test_rounding_bound_on_the_squeeze_axes_stays_far_below_the_gate(
+        rho, theta, nbar, re, im, s, t):
+    # theta = 2 lam turns by an exact 0, which is why wigner-grid never
+    # evaluates the bound on aligned grids
+    state = EvolvedState(displacement=complex(re, im), eff_squeeze=rho,
+                         squeeze_phase=theta, nbar=nbar)
+    lam = 0.5 * theta
+    for dx, dp in mp_reference.grid_offsets(state, lam, s, t):
+        x = quad_mean(state, lam) + dx
+        p = quad_mean(state, lam + 0.5 * math.pi) + dp
+        assert wigner.quadrature_rounding_bound(state, lam, x, p) <= 2e-12
 
 
 def test_aligned_case_factorizes():
