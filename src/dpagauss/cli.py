@@ -91,6 +91,8 @@ class _Parser(argparse.ArgumentParser):
 def _number(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
     return value
 
 
@@ -161,7 +163,7 @@ def _read_config(path: str, command: str, keys: Sequence[str]) -> dict:
                 raise TypeError(f"{value!r} is not a number or a string")
             else:
                 values[key] = OPTIONS[key][1](str(value))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
     return values
 

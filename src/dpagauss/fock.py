@@ -30,18 +30,19 @@ rows (``squeezed_fock_ladder``).  The moment slabs and ``numeric_wigner``
 displace one part at a time and fold its even-row and odd-row results into
 the sums of every ensemble (``ensemble_moments``) before the next part is
 displaced, so no dense ladder or dense displaced block is ever held.
+Every thermal ensemble, the evolution cells' dense rho included, keeps the
+levels up to a discarded weight of at most 1e-14 (``thermal_weights``).
 
-The eigensolve is full (LAPACK stevd) for dense input blocks such as the
-identity behind ``squeeze_op``.  When the input is supported only on the
-first ``height`` rows of a chain of at least 192 + 2 * height levels, as
-for the squeezed thermal ladder, it keeps only the eigenpairs in a window
-|lambda| <= L (``_eigh_window``).  A zero-diagonal chain's eigenvalues are
-the +-singular values of a bidiagonal, which one dqds pass (LAPACK dlasq1)
-returns to high relative accuracy; inverse iteration then solves the
-eigenvectors of the window's positive half, O(N) each, in blocks of 32.
-Each block, and its mirror image, adds its cos and sin terms to the result
-before the next block is solved, so a squeeze holds O(N x columns) memory
-whatever the window.
+The eigensolve is full (LAPACK stevd) on a chain of fewer than
+192 + 2 * height levels, for input supported on its first ``height`` rows.
+On a longer chain, as for the squeezed thermal ladder, it keeps only the
+eigenpairs in a window |lambda| <= L (``_eigh_window``).  A zero-diagonal
+chain's eigenvalues are the +-singular values of a bidiagonal, which one
+dqds pass (LAPACK dlasq1) returns to high relative accuracy; inverse
+iteration then solves the eigenvectors of the window's positive half, O(N)
+each, in blocks of 32.  Each block, and its mirror image, adds its cos and
+sin terms to the result before the next block is solved, so a squeeze
+holds O(N x columns) memory whatever the window.
 dqds works on the whole spectrum in O(N^2), where bisection on the window
 takes about O(N k) for k eigenvalues, so bisection is faster again past
 12,000 to 20,000 levels per chain; the default grid's chains stay below
@@ -49,10 +50,10 @@ takes about O(N k) for k eigenvalues, so bisection is faster again past
 The off-diagonals of a squeeze chain grow along it, so an eigenvector is
 evanescent on the rows where 2 |T[m+1, m]| < |lambda|: L grows by half
 until the eigenvector at the window edge, solved alone, carries at most
-1e-16 on the support, and the dropped eigenpairs cannot reach the input.
-The rule reads the chain alone, never a closed-form moment.  Each windowed
-solve and each Chebyshev displacement logs one DEBUG record on the
-``dpagauss.fock`` logger.
+1e-16 on the support, so that the dropped eigenpairs cannot reach the
+input, or until it covers the spectrum.  The rule reads the chain alone,
+never a closed-form moment.  Each windowed solve and each Chebyshev
+displacement logs one DEBUG record on the ``dpagauss.fock`` logger.
 
 One underflow rule serves both propagators, whose off-diagonals grow along
 the chain: a chain whose first squared off-diagonal is below the smallest
@@ -286,8 +287,8 @@ def _eigh_reaching(off: np.ndarray, height: int):
     2 |off[height]|.  The window's eigenvalues come from one dqds pass over
     the whole chain.  The edge rule runs first, on the eigenvector at the
     window edge alone, so a window that grows re-runs one inverse
-    iteration; the final window's eigenvectors are then solved one block at
-    a time.
+    iteration; the final window's eigenvectors, the whole spectrum's once
+    it reaches the spectral radius, are then solved one block at a time.
     """
     dim = len(off) + 1
     if dim < _WINDOW_MIN_LEVELS + _WINDOW_LEVELS_PER_ROW * height:
@@ -304,22 +305,19 @@ def _eigh_reaching(off: np.ndarray, height: int):
         edge = float(np.abs(
             _stein(off, positive[count - 1:count])[:height]).max())
         if edge <= _WINDOW_EDGE_TOL:
-            blocks = _eigh_window(off, positive, span)
-            solved = count + dim % 2
-            kept = 2 * solved - dim % 2
             break
         span *= _WINDOW_GROWTH
         growths += 1
     else:
-        # the window covers the spectrum: the full solve is cheaper
-        blocks = [(*_eigh_full(off), False)]
-        edge, kept, solved = 0.0, dim, 0
+        edge = 0.0  # the window covers the spectrum and drops nothing
+    solved = int(np.searchsorted(positive, span, side="right")) + dim % 2
+    kept = 2 * solved - dim % 2
     _log.debug("windowed eigensolve (dqds eigenvalues, inverse iteration "
                "eigenvectors): chain %d, support height %d, kept %d "
                "eigenpairs, window %.6g, edge component %.3g, growths %d, "
                "solved %d by inverse iteration",
                dim, height, kept, span, edge, growths, solved)
-    yield from blocks
+    yield from _eigh_window(off, positive, span)
 
 
 def _bessel_j(degree: int, radius: float) -> np.ndarray:
@@ -367,12 +365,12 @@ def _apply_chain(coeff: complex, root: np.ndarray,
     sigma V_even (cos w a + sin w b) and odd rows
     -sigma V_odd (cos w b - sin w a).  The eigenpairs arrive in blocks
     (``_eigh_reaching``), and each block's cos and sin terms add into the
-    even-row and the odd-row sums of the nonzero columns before the next
-    block is solved, so no more than one block of eigenvectors is held.
-    A mirrored block's images (-w, P v) have a' = a and b' = -b, so their
-    term equals the block's own bit for bit and adds once more.  Only the
-    rows of ``block`` up to its last nonzero one enter, and their count
-    selects between the full and the windowed eigensolve.
+    even-row and the odd-row sums before the next block is solved, so no
+    more than one block of eigenvectors is held.  A mirrored block's images
+    (-w, P v) have a' = a and b' = -b, so their term equals the block's own
+    bit for bit and adds once more.  Only the rows of ``block`` up to its
+    last nonzero one enter, and their count selects between the full and
+    the windowed eigensolve.
     """
     if coeff.imag != 0.0:
         phase = np.exp(1j * np.angle(coeff) * np.arange(len(root) + 1))
@@ -394,11 +392,9 @@ def _apply_chain(coeff: complex, root: np.ndarray,
     if not sub.size or sub[0] ** 2 < np.finfo(float).tiny or not rows.size:
         return np.pad(x, ((0, dim - len(x)), (0, 0)))
     height = int(rows[-1]) + 1
-    cols = np.flatnonzero(np.any(x[:height] != 0, axis=0))
     sigma = np.where(np.arange(dim) & 2, -1.0, 1.0)[:, None]
-    sx = sigma[:height] * x[:height, cols]
-    # the sums over the nonzero columns
-    sums = np.zeros((dim, cols.size))
+    sx = sigma[:height] * x[:height]
+    sums = np.zeros((dim, x.shape[1]))
     for w, v, mirrored in _eigh_reaching(sub, height):
         a = v[0:height:2].T @ sx[0::2]
         b = v[1:height:2].T @ sx[1::2]
@@ -412,12 +408,7 @@ def _apply_chain(coeff: complex, root: np.ndarray,
                 sums[start::2] += term
             del term  # before the odd rows' product
         del v  # before the next block is solved
-    sums *= sigma
-    if cols.size == x.shape[1]:
-        return sums
-    out = np.zeros((dim, x.shape[1]))
-    out[:, cols] = sums
-    return out
+    return np.multiply(sums, sigma, out=sums)
 
 
 def _displaced_parts(alpha: complex, parts):
@@ -514,6 +505,13 @@ def _squeeze_root(start: int, dim: int) -> np.ndarray:
     return np.sqrt((low + 1.0) * (low + 2.0))
 
 
+def _parity_parts(vecs: np.ndarray):
+    """The columns of a dense block that are nonzero on its even rows and
+    on its odd rows, and those rows' parts with just these columns."""
+    cols = [np.flatnonzero(np.any(vecs[p::2] != 0, axis=0)) for p in (0, 1)]
+    return cols, [vecs[p::2][:, c] for p, c in enumerate(cols)]
+
+
 def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
     """exp(alpha a^dag - alpha* a) @ vecs, by the Chebyshev propagator.
 
@@ -527,8 +525,7 @@ def apply_displacement(alpha: complex, vecs: np.ndarray) -> np.ndarray:
     vecs = np.asarray(vecs)
     real = complex(alpha).imag == 0.0 and not np.iscomplexobj(vecs)
     out = np.zeros(vecs.shape, dtype=float if real else complex)
-    cols = [np.flatnonzero(np.any(vecs[p::2] != 0, axis=0)) for p in (0, 1)]
-    parts = [vecs[p::2][:, c] for p, c in enumerate(cols)]
+    cols, parts = _parity_parts(vecs)
     for c, (even, odd) in zip(cols, _displaced_parts(alpha, parts)):
         out[0::2, c] += even
         out[1::2, c] += odd
@@ -544,12 +541,11 @@ def apply_squeeze(xi: complex, vecs: np.ndarray) -> np.ndarray:
     """
     vecs = np.asarray(vecs)
     xi = complex(xi)
-    dim = vecs.shape[0]
     real = xi.imag == 0.0 and not np.iscomplexobj(vecs)
-    out = np.empty(vecs.shape, dtype=float if real else complex)
-    for start in (0, 1):
-        out[start::2] = _apply_chain(-0.5 * xi, _squeeze_root(start, dim),
-                                     vecs[start::2])
+    out = np.zeros(vecs.shape, dtype=float if real else complex)
+    for start, (c, part) in enumerate(zip(*_parity_parts(vecs))):
+        out[start::2, c] = _apply_chain(
+            -0.5 * xi, _squeeze_root(start, len(vecs)), part)
     return out
 
 
@@ -558,34 +554,38 @@ def displacement_op(alpha: complex, dim: int) -> np.ndarray:
     return apply_displacement(alpha, np.eye(dim))
 
 
-def squeeze_op(xi: complex, dim: int) -> np.ndarray:
-    """S(xi) = exp(-(xi/2) a^dag^2 + (xi*/2) a^2) on the truncated space."""
-    return apply_squeeze(xi, np.eye(dim))
-
-
-def thermal_tail_weight(nbar: float, dim: int) -> float:
-    """Probability mass of the Bose-Einstein distribution beyond the cutoff."""
-    return (nbar / (nbar + 1.0)) ** dim
-
-
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:
-    """Thermal occupation probabilities, renormalized within the truncation."""
-    tail = thermal_tail_weight(nbar, dim)
+    """The renormalized thermal weights of the first levels, up to a
+    discarded weight of at most 1e-14, or ``TruncationError`` when the
+    weight beyond ``dim`` exceeds ``THERMAL_TAIL_TOL``.
+
+    The cut bounds the weight, not the moments: the dropped levels carry
+    more photons.  At nbar 0.5, r 0.3, theta 0.7, |alpha| 0.5, phi 0.4,
+    u 0.4 in 140 levels they move Var n by 1.2e-12 relative and <a^2> by
+    9e-14, far inside the 1e-6 moment gate.
+    """
+    tail = (nbar / (nbar + 1.0)) ** dim
     if tail > THERMAL_TAIL_TOL:
         raise TruncationError(
             f"thermal tail weight {tail:.2e} at dim {dim} exceeds "
             f"{THERMAL_TAIL_TOL:.0e}; use a larger truncation")
+    count = 1 if nbar == 0 else min(dim, int(math.ceil(
+        math.log(1e14) / math.log((nbar + 1.0) / nbar))) + 1)
     w = (nbar / (nbar + 1.0)) ** np.arange(dim)
+    # within dim first, then after the cut: the oracle values keep their bits
+    w = w[:count] / w.sum()
     return w / w.sum()
 
 
 def build_rho_evolved(params: ModelParams, u: float, dim: int) -> np.ndarray:
-    """Density matrix U diag(w) U^dag with U = D(A) S((u+r) e^{i theta}) and
-    w the thermal weights."""
+    """Density matrix U diag(w) U^dag with U = D(A) S((u+r) e^{i theta}) on
+    the levels of the thermal weights w."""
     state = evolved_state(params, u)
-    u_mat = displacement_op(state.displacement, dim) @ squeeze_op(
-        state.eff_squeeze * np.exp(1j * state.squeeze_phase), dim)
-    return (u_mat * thermal_weights(params.nbar, dim)) @ u_mat.conj().T
+    w = thermal_weights(params.nbar, dim)
+    u_mat = displacement_op(state.displacement, dim) @ apply_squeeze(
+        state.eff_squeeze * np.exp(1j * state.squeeze_phase),
+        np.eye(dim, len(w)))
+    return (u_mat * w) @ u_mat.conj().T
 
 
 def hamiltonian_matrix(params: ModelParams, dim: int) -> np.ndarray:
@@ -624,8 +624,9 @@ def evolve_via_hamiltonian(params: ModelParams, total_time: float,
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
     h_mat = hamiltonian_matrix(params, dim)
-    u_mat = expm_antihermitian(-1j * h_mat * total_time)
-    rho = (u_mat * thermal_weights(params.nbar, dim)) @ u_mat.conj().T
+    w = thermal_weights(params.nbar, dim)
+    u_mat = expm_antihermitian(-1j * h_mat * total_time)[:, :len(w)]
+    rho = (u_mat * w) @ u_mat.conj().T
     _check_edge_mass(np.diagonal(rho).real)
     return rho
 
@@ -651,22 +652,6 @@ class FockMoments:
         second = ((self.mean_aa * np.exp(-2j * lam)).real
                   + self.mean_n + 0.5)
         return second - self.quad_mean(lam) ** 2
-
-
-def _ensemble_weights(nbar: float, dim: int) -> np.ndarray:
-    """Renormalized thermal weights of the levels k whose S|k> enter an
-    ensemble: the first levels, up to a discarded thermal weight of at most
-    1e-14.
-
-    That cut bounds the weight, not the moments: the dropped levels carry
-    more photons.  At nbar 0.5, r 0.3, theta 0.7, |alpha| 0.5, phi 0.4,
-    u 0.4 in 140 levels they move Var n by 1.2e-12 relative and <a^2> by
-    9e-14, far inside the 1e-6 moment gate.
-    """
-    count = 1 if nbar == 0 else min(dim, int(math.ceil(
-        math.log(1e14) / math.log((nbar + 1.0) / nbar))) + 1)
-    weights = thermal_weights(nbar, dim)[:count]
-    return weights / weights.sum()
 
 
 def squeezed_fock_ladder(count: int, xi: complex,
@@ -851,7 +836,7 @@ def numeric_wigner(params: ModelParams, u: float,
     shift = state.displacement - complex(beta)
 
     def parity_sum(dim: int) -> float:
-        weights = _ensemble_weights(params.nbar, dim)[:, None]
+        weights = thermal_weights(params.nbar, dim)[:, None]
         ladder = squeezed_fock_ladder(len(weights), xi, dim)
         prob = _ensemble_sums(_displaced_parts(shift, ladder),
                               (weights[0::2], weights[1::2]))[0][0]

@@ -98,7 +98,7 @@ def _slab_moments(r: float, u: float, nbars: Sequence[float],
     each is displaced and folded into the sums of every nbar cell at once,
     through one (columns x nbars) weight table, before the next.
     """
-    weights = [fock._ensemble_weights(nbar, dim) for nbar in nbars]
+    weights = [fock.thermal_weights(nbar, dim) for nbar in nbars]
     count = max(map(len, weights))
     # column i: the weights of nbars[i], zero past its own levels
     table = np.stack([np.pad(w, (0, count - len(w))) for w in weights], 1)

@@ -575,6 +575,24 @@ def test_config_defects_are_usage_errors(tmp_path, capsys, command, values,
     assert repr(named) in err
 
 
+@pytest.mark.parametrize("key, values", [
+    ("us", [0.0, math.nan]),
+    ("wigner_points", [[0.2, 0.1, 0.3, 0.5, [math.nan, 0.1]]]),
+    ("evolution_grid", [[0.5, 0.3, 0.5, math.inf]]),
+], ids=["us-nan", "wigner-beta-nan", "evolution-inf"])
+def test_non_finite_verify_grid_entry_names_its_key(key, values, tmp_path,
+                                                     capsys):
+    # json reads NaN and Infinity; the config file is checked as it is read
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({key: values}))
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["verify", "--workers", "1", "--config",
+                              str(config), "--out", str(report)], capsys)
+    assert_one_usage_error_line(code, out, err)
+    assert f"config key {key!r}: " in err and "is not finite" in err
+    assert not report.exists()
+
+
 def test_sweep_deterministic_and_positive_for_small_alpha(tmp_path, capsys):
     args = ["sweep", "--nbar", "0.2", "--r", "0.1", "--alpha", "0.3",
             "--u-start", "0", "--u-stop", "2", "--u-steps", "41",

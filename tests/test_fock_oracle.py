@@ -39,15 +39,18 @@ def dense_moments(vecs, weights):
 def test_thermal_state_properties():
     rho = np.diag(fock.thermal_weights(0.0, 12))
     assert rho[0, 0] == 1.0 and np.abs(rho).sum() == 1.0
-    # the vacuum's limits come from the general expressions
-    assert fock.thermal_tail_weight(0.0, 12) == 0.0
+    # the vacuum's limits come from the general expressions: no thermal
+    # tail even beyond a single level
+    assert fock.thermal_weights(0.0, 1).tolist() == [1.0]
     assert fock.occupation_tail_scale(0.0, 0.0) == 2.0
 
+    # the tail beyond 60 levels, 2^-60, passes the 1e-12 check, and the
+    # ensemble keeps the 48 levels that leave 2^-48 < 1e-14
     rho = np.diag(fock.thermal_weights(1.0, 60))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     occ = np.diagonal(rho).real
-    assert (occ * np.arange(60)).sum() == pytest.approx(1.0, abs=1e-10)
-    assert fock.thermal_tail_weight(1.0, 60) < 1e-12
+    assert len(occ) == 48
+    assert (occ * np.arange(48)).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_thermal_state_truncation_error():
@@ -187,7 +190,7 @@ def test_displaced_ladder_keeps_its_column_norms():
 def test_squeeze_operator():
     dim = 80
     xi = 0.6 * np.exp(0.9j)
-    s_mat = fock.squeeze_op(xi, dim)
+    s_mat = fock.apply_squeeze(xi, np.eye(dim))
     assert np.abs(s_mat.conj().T @ s_mat - np.eye(dim)).max() < 1e-10
     a = fock.annihilation(dim)
     dense = sla.expm(-0.5 * xi * (a.conj().T @ a.conj().T)
@@ -243,7 +246,7 @@ def test_complex_ensemble_moments_match_the_density_matrix():
     params = ModelParams(alpha_mag=0.5, alpha_phase=0.4, squeeze_mag=0.3,
                          squeeze_phase=0.7, nbar=0.5)
     state = evolved_state(params, 0.4)
-    weights = fock._ensemble_weights(params.nbar, 140)[:, None]
+    weights = fock.thermal_weights(params.nbar, 140)[:, None]
     ladder = fock.squeezed_fock_ladder(
         len(weights), state.eff_squeeze * np.exp(1j * state.squeeze_phase),
         140)
@@ -288,7 +291,9 @@ def test_coherent_projector_reference():
 def test_hamiltonian_evolution_trivial():
     params = ModelParams(alpha_mag=0.0, squeeze_mag=0.0, nbar=0.8)
     rho = fock.evolve_via_hamiltonian(params, 2.5, 80)
-    assert np.abs(rho - np.diag(fock.thermal_weights(0.8, 80))).max() < 1e-13
+    weights = fock.thermal_weights(0.8, 80)
+    thermal = np.diag(np.pad(weights, (0, 80 - len(weights))))
+    assert np.abs(rho - thermal).max() < 1e-13
     with pytest.raises(ValueError, match="total_time must be >= 0"):
         fock.evolve_via_hamiltonian(params, -1.0, 80)
 
@@ -652,7 +657,7 @@ def assert_moments_match(moments, reference):
                          ids=["even-count", "odd-count"])
 def test_slab_moments_match_the_dense_path(dim, nbars):
     r, u, alphas = 0.3, 0.4, (0.0, 0.8, 1.5)
-    weights = [fock._ensemble_weights(nbar, dim) for nbar in nbars]
+    weights = [fock.thermal_weights(nbar, dim) for nbar in nbars]
     count = max(map(len, weights))
     assert count == (48 if 1.0 in nbars else 19)
     table = np.zeros((count, len(nbars)))
@@ -1092,6 +1097,27 @@ def test_oracle_memory_stays_bounded(evaluate, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 1e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_window_reaching_the_spectral_radius_streams(monkeypatch, caplog):
+    # an edge rule no eigenvector meets grows each window past the spectral
+    # radius, and the whole spectrum streams block by block as a window
+    # does: 2.6 MB traced, against 145.6 MB for a dense full solve
+    default = fock.squeezed_fock_ladder(48, 3.0, 6000)
+    monkeypatch.setattr(fock, "_WINDOW_EDGE_TOL", 0.0)
+    caplog.set_level(logging.DEBUG, logger="dpagauss.fock")
+    tracemalloc.start()
+    try:
+        ladder = fock.squeezed_fock_ladder(48, 3.0, 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6, f"{peak / 1e6:.1f} MB"
+    # every eigenpair kept, the non-negative half solved, none dropped
+    assert [(args[2], args[4], args[6]) for args in window_records(caplog)] \
+        == [(3000, 0.0, 1500)] * 2
+    for part, expected in zip(ladder, default):
+        assert np.abs(part - expected).max() <= 1e-14
 
 
 def record_slab_dims(monkeypatch):
