@@ -311,12 +311,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  "p_representation_exists,field_nonclassical\n")
     columns = (us, mandels, quads, means, variances, squeezed, p_density,
                ~p_density)
-    # one template per block: %.17g prints as _fmt does, %d prints 1.0 as 1
+    # one template per block: %.17g prints as _fmt does, %d prints 1.0 as 1;
+    # bytes % converts each float as str % does, without the unicode writer
     blocks = (np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns])
               for i in range(0, args.u_steps, _BLOCK_ROWS))
     _write(args, itertools.chain(lines, (
-        ("%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n" * len(block))
-        % tuple(block.ravel().tolist()) for block in blocks)))
+        ((b"%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n" * len(block))
+         % tuple(block.ravel().tolist())).decode() for block in blocks)))
     return 0
 
 
@@ -385,10 +386,10 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
                 f"{_fmt(state.eff_squeeze)}: its rounding bound {bound:.1e} "
                 f"exceeds {wigner.WIGNER_GATE:g}; align the grid "
                 "(lambda = theta/2) or lower u")
-    # one template per x row, \0 standing for the x text
-    row = "".join(f"\0,{_fmt(p)},%.17g\n" for p in ps.tolist())
+    # one bytes template per x row, \0 standing for the x text
+    row = "".join(f"\0,{_fmt(p)},%.17g\n" for p in ps.tolist()).encode()
     _write(args, itertools.chain(lines, (
-        row.replace("\0", _fmt(x)) % tuple(w.tolist())
+        (row.replace(b"\0", _fmt(x).encode()) % tuple(w.tolist())).decode()
         for x, w in zip(xs, ws))))
     return 0
 

@@ -144,17 +144,14 @@ _STEIN_BLOCK = 32
 _log = logging.getLogger(__name__)
 
 
-_ARRAYS = {"c": ctypes.c_char_p,
-           "i": np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS"),
-           "d": np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")}
-
-
-def _bind(module, name: str, args: str, argtype=None):
+def _bind(module, name: str, args: str):
     """LAPACK or BLAS ``name`` from the capsule table of scipy's Cython
     ``module``, whose C arguments ``args`` spells (c char *, i int *,
-    d double *), taking arrays (bytes for c) or each an ``argtype``.
+    d double *), taking bytes for c and an address for each other.
     A capsule's name is its C signature: a missing capsule, or another
-    signature, raises ``ImportError`` before the pointer is cast."""
+    signature, raises ``ImportError`` before the pointer is cast.  The
+    callers pass the addresses of arrays whose dtype and layout they made
+    themselves, held in local names until the call returns."""
     double = "__pyx_t_{}_d *".format("_".join(
         f"{len(part)}{part}" for part in module.__name__.split(".")))
     spelled = {"c": "char *", "i": "int *", "d": double}
@@ -171,14 +168,15 @@ def _bind(module, name: str, args: str, argtype=None):
     address = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))(capsule, found)
-    return ctypes.CFUNCTYPE(None, *(argtype or _ARRAYS[arg]
+    return ctypes.CFUNCTYPE(None, *(ctypes.c_char_p if arg == "c"
+                                    else ctypes.c_void_p
                                     for arg in args))(address)
 
 
 _dlasq1 = _bind(cython_lapack, "dlasq1", "idddi")
 _dstein = _bind(cython_lapack, "dstein", "iddidiididiii")
 _dstevd = _bind(cython_lapack, "dstevd", "cidddidiiii")
-_daxpy = _bind(cython_blas, "daxpy", "iddidi", ctypes.c_void_p)
+_daxpy = _bind(cython_blas, "daxpy", "iddidi")
 
 
 class TruncationError(RuntimeError):
@@ -214,10 +212,10 @@ def _positive_eigenvalues(mag: np.ndarray) -> np.ndarray:
     diag, sup = np.zeros(size), np.zeros(size)
     diag[:dim // 2] = mag[0::2]
     sup[:size - 1] = mag[1::2]
-    info = np.intc([0])
-    _dlasq1(np.intc([size]), diag, sup, np.empty(4 * size), info)
-    if info[0] != 0:
-        raise np.linalg.LinAlgError(f"dlasq1 failed with info {info[0]}")
+    ints, work = np.intc([size, 0]), np.empty(4 * size)  # n, info
+    _dlasq1(*[x.ctypes.data for x in (ints, diag, sup, work, ints[1:])])
+    if ints[1] != 0:
+        raise np.linalg.LinAlgError(f"dlasq1 failed with info {ints[1]}")
     # descending on return
     return diag[:size - dim % 2][::-1]
 
@@ -230,14 +228,17 @@ def _stein(off: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``_apply_chain``).
     """
     dim = len(off) + 1
-    n, m, info = np.intc([[dim], [len(w)], [0]])
+    off, w = (np.ascontiguousarray(x, dtype=float) for x in (off, w))
+    ints = np.intc([dim, len(w), 0])  # n, m, info
     v = np.empty((len(w), dim))  # column-major; iblock 1, isplit n: one block
-    _dstein(n, np.zeros(dim), off, m, np.ascontiguousarray(w),
-            np.ones(len(w), np.intc), n, v, n, np.empty(5 * dim),
-            np.empty(dim, np.intc), np.empty(len(w), np.intc), info)
-    if info[0] != 0:
+    # dstein(n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info)
+    arrays = (ints, np.zeros(dim), off, ints[1:], w, np.ones(len(w), np.intc),
+              ints, v, ints, np.empty(5 * dim), np.empty(dim, np.intc),
+              np.empty(len(w), np.intc), ints[2:])
+    _dstein(*[x.ctypes.data for x in arrays])
+    if ints[2] != 0:
         raise np.linalg.LinAlgError(
-            f"dstein: {info[0]} eigenvectors failed to converge")
+            f"dstein: {ints[2]} eigenvectors failed to converge")
     return v.T
 
 
@@ -245,13 +246,14 @@ def _eigh_full(off: np.ndarray):
     """All eigenpairs (w, v) of the zero-diagonal chain ``off``, by stevd."""
     dim = len(off) + 1
     w, v = np.zeros(dim), np.empty((dim, dim))  # v column-major, as in _stein
-    n, lwork, liwork, info = np.intc(
-        [[dim], [1 + 4 * dim + dim * dim], [3 + 5 * dim], [0]])
-    # stevd overwrites its copy of off
-    _dstevd(b"V", n, w, np.array(off, dtype=float), v, n, np.empty(lwork[0]),
-            lwork, np.empty(liwork[0], np.intc), liwork, info)
-    if info[0] != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info {info[0]}")
+    ints = np.intc([dim, 1 + 4 * dim + dim * dim, 3 + 5 * dim, 0])
+    # ints holds n, lwork, liwork and info; dstevd(jobz, n, d, e, z, ldz,
+    # work, lwork, iwork, liwork, info) overwrites its copy of off
+    arrays = (ints, w, np.array(off, dtype=float), v, ints, np.empty(ints[1]),
+              ints[1:], np.empty(ints[2], np.intc), ints[2:], ints[3:])
+    _dstevd(b"V", *[x.ctypes.data for x in arrays])
+    if ints[3] != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info {ints[3]}")
     return w, v.T
 
 

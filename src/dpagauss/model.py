@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -94,6 +95,13 @@ class EvolvedState:
         _check_eff_squeeze(self.eff_squeeze)
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+
+    @cached_property
+    def _photon_terms(self) -> tuple:
+        """cosh 2(u + r) and |A|^2, libm-valued, which the photon-number
+        mean, variance and Mandel guard share: evaluated once per state."""
+        return (_libm(math.cosh, 2.0 * self.eff_squeeze),
+                _libm(pow, _libm(abs, self.displacement), 2))
 
 
 def _check_eff_squeeze(rho) -> None:

@@ -324,6 +324,12 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
     def min_of(alpha_mag: float) -> tuple[float, float]:
         return _min_q(*_scan(nbar, r, alpha_mag, SCAN_POINTS))
 
+    def positive(alpha_mag: float) -> bool:
+        # the refine never returns more than the scan's minimum, so a scan
+        # that holds a Q <= 0 decides the sign without it
+        q_of, us, qs = _scan(nbar, r, alpha_mag, SCAN_POINTS)
+        return bool(qs.min() > 0) and _min_q(q_of, us, qs)[0] > 0
+
     lo = 0.0
     m_lo, _ = min_of(lo)
     if m_lo < 0:
@@ -331,18 +337,15 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
             f"min Q at alpha = 0 is negative ({m_lo:.3e}); the assumed "
             "monotone bracket does not apply")
     hi = 0.25
-    m_hi, _ = min_of(hi)
-    while m_hi > 0:
+    while positive(hi):
         hi *= 2.0
         if hi > ALPHA_CAP:
             raise NoTransitionError(
                 f"min Q stays positive for all |alpha| <= {ALPHA_CAP}")
-        m_hi, _ = min_of(hi)
 
     while hi - lo > ALPHA_TOL:
         mid = 0.5 * (lo + hi)
-        m_mid, _ = min_of(mid)
-        if m_mid > 0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid

@@ -107,8 +107,8 @@ def snr_max(params: ModelParams, u: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def mean_photon(state: EvolvedState):
     """Mean photon number (nbar + 1/2) cosh[2(u+r)] + |A|^2 - 1/2."""
-    return ((state.nbar + 0.5) * _libm(math.cosh, 2.0 * state.eff_squeeze)
-            + _libm(pow, _libm(abs, state.displacement), 2) - 0.5)
+    ch2, abs2 = state._photon_terms
+    return (state.nbar + 0.5) * ch2 + abs2 - 0.5
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -123,12 +123,12 @@ def photon_variance(state: EvolvedState):
     2 Re(e^{-i theta} A^2), exactly real, rounded as Python's complex product.
     """
     nb_half, rho, amp = state.nbar + 0.5, state.eff_squeeze, state.displacement
+    ch2, abs2 = state._photon_terms
     c, s = math.cos(state.squeeze_phase), -math.sin(state.squeeze_phase)
     pair_term = 2.0 * ((c * amp.real - s * amp.imag) * amp.real
                        - (c * amp.imag + s * amp.real) * amp.imag)
     return (nb_half ** 2 * _libm(math.cosh, 4.0 * rho)
-            + nb_half * (2.0 * _libm(math.cosh, 2.0 * rho)
-                         * _libm(pow, _libm(abs, amp), 2)
+            + nb_half * (2.0 * ch2 * abs2
                          - _libm(math.sinh, 2.0 * rho) * pair_term) - 0.25)
 
 
@@ -146,8 +146,7 @@ def mandel_q(state: EvolvedState):
 @np.errstate(over="ignore", invalid="ignore")
 def _mandel_q(state: EvolvedState, n=None, var=None):
     """``mandel_q``, from mean_n and var_n where the caller has them."""
-    ch2 = _libm(math.cosh, 2.0 * state.eff_squeeze)
-    abs2 = _libm(pow, _libm(abs, state.displacement), 2)
+    ch2, abs2 = state._photon_terms
     if n is None:
         n, var = mean_photon(state), photon_variance(state)
     if isinstance(n, np.ndarray):  # nan passes the guard and gives Q = nan

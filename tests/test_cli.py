@@ -636,10 +636,12 @@ doubles = st.integers(0, 2 ** 64 - 1).map(
 def test_table_template_prints_what_fmt_prints(x):
     # sweep and wigner-grid format their tables with %.17g templates
     assert "%.17g" % x == cli._fmt(x)
+    assert (b"%.17g" % x).decode() == cli._fmt(x)
 
 
 def test_table_template_prints_flags_as_integers():
     assert ["%d" % f for f in (0.0, 1.0)] == [str(int(f)) for f in (0.0, 1.0)]
+    assert [(b"%d" % f).decode() for f in (0.0, 1.0)] == ["0", "1"]
 
 
 def test_one_process_prints_what_separate_processes_print(capsys):

@@ -788,8 +788,10 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
     calls = []
     original = fock._dlasq1
 
+    # the bindings take addresses: dlasq1(n, d, e, work, info) reads its
+    # bidiagonal's size at the first
     def recording(*args):
-        calls.append(len(args[1]))
+        calls.append(ctypes.c_int.from_address(args[0]).value)
         return original(*args)
 
     monkeypatch.setattr(fock, "_dlasq1", recording)
@@ -797,8 +799,8 @@ def test_windowed_squeeze_grows_a_too_small_window(full_spectrum_ladder,
     original_stein = fock._dstein
 
     def recording_stein(*args):
-        # dstein(n, d, e, m, w, ...): the eigenvalues are its fifth argument
-        stein.append(len(args[4]))
+        # dstein(n, d, e, m, w, ...): m counts the eigenvalues w
+        stein.append(ctypes.c_int.from_address(args[3]).value)
         return original_stein(*args)
 
     monkeypatch.setattr(fock, "_dstein", recording_stein)

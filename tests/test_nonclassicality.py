@@ -209,6 +209,36 @@ def test_no_transition_reported_when_curve_stays_positive(monkeypatch):
         find_critical_alpha(0.2, 0.1)
 
 
+def test_bracket_steps_refine_only_where_the_scan_minimum_is_positive(
+        monkeypatch):
+    # the refine never returns more than the scan's minimum, so a scan that
+    # holds a Q <= 0 decides a doubling or bisection step without it
+    events = []
+    scan, bounded_min = ncl._scan, ncl._bounded_min
+
+    def recorded_scan(*args):
+        q_of, us, qs = scan(*args)
+        events.append(("scan", float(qs.min())))
+        return q_of, us, qs
+
+    def recorded_min(*args):
+        events.append(("refine", None))
+        return bounded_min(*args)
+
+    monkeypatch.setattr(ncl, "_scan", recorded_scan)
+    monkeypatch.setattr(ncl, "_bounded_min", recorded_min)
+    find_critical_alpha(1.0, 1.0)
+    # the alpha = 0 check and the final min Q at alpha_c always refine
+    assert [kind for kind, _ in events[:2] + events[-2:]] == [
+        "scan", "refine", "scan", "refine"]
+    steps = events[2:-2]
+    scans = [i for i, (kind, _) in enumerate(steps) if kind == "scan"]
+    assert steps[0][0] == "scan" and any(steps[i][1] <= 0 for i in scans)
+    for i in scans:
+        refined = i + 1 < len(steps) and steps[i + 1][0] == "refine"
+        assert refined == (steps[i][1] > 0), (i, steps[i])
+
+
 def test_dip_narrower_than_the_grid_has_two_crossings(monkeypatch):
     # a Gaussian dip to Q = -1 between two points of the classification
     # grid, at which it is still 0.88: no grid sign change
