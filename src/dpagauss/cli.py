@@ -381,11 +381,12 @@ def cmd_wigner_grid(args: argparse.Namespace) -> int:
         bound = max(wigner.quadrature_rounding_bound(
             state, args.lam, x, ps).max() for x in xs)
         if bound > wigner.WIGNER_GATE:
+            excess = (f"{bound:.1e} exceeds {wigner.WIGNER_GATE:g}"
+                      if math.isfinite(bound) else "overflows double precision")
             raise UsageError(
                 f"W is ill-conditioned off the squeeze axes at u + r = "
-                f"{_fmt(state.eff_squeeze)}: its rounding bound {bound:.1e} "
-                f"exceeds {wigner.WIGNER_GATE:g}; align the grid "
-                "(lambda = theta/2) or lower u")
+                f"{_fmt(state.eff_squeeze)}: its rounding bound {excess}; "
+                "align the grid (lambda = theta/2) or lower u")
     # one bytes template per x row, \0 standing for the x text
     row = "".join(f"\0,{_fmt(p)},%.17g\n" for p in ps.tolist()).encode()
     _write(args, itertools.chain(lines, (

@@ -33,7 +33,7 @@ displaced, so no dense ladder or dense displaced block is ever held.
 Every thermal ensemble, the evolution cells' dense rho included, keeps the
 levels up to a discarded weight of at most 1e-14 (``thermal_weights``).
 
-The eigensolve is full (LAPACK stevd) on a chain of fewer than
+The eigensolve is full (numpy's dense eigh) on a chain of fewer than
 192 + 2 * height levels, for input supported on its first ``height`` rows.
 On a longer chain, as for the squeezed thermal ladder, it keeps only the
 eigenpairs in a window |lambda| <= L (``_eigh_window``).  A zero-diagonal
@@ -146,15 +146,15 @@ _log = logging.getLogger(__name__)
 
 def _bind(module, name: str, args: str):
     """LAPACK or BLAS ``name`` from the capsule table of scipy's Cython
-    ``module``, whose C arguments ``args`` spells (c char *, i int *,
-    d double *), taking bytes for c and an address for each other.
-    A capsule's name is its C signature: a missing capsule, or another
-    signature, raises ``ImportError`` before the pointer is cast.  The
-    callers pass the addresses of arrays whose dtype and layout they made
-    themselves, held in local names until the call returns."""
+    ``module``, whose C arguments ``args`` spells (i int *, d double *),
+    taking an address for each.  A capsule's name is its C signature: a
+    missing capsule, or another signature, raises ``ImportError`` before
+    the pointer is cast.  The callers pass the addresses of arrays whose
+    dtype and layout they made themselves, held in local names until the
+    call returns."""
     double = "__pyx_t_{}_d *".format("_".join(
         f"{len(part)}{part}" for part in module.__name__.split(".")))
-    spelled = {"c": "char *", "i": "int *", "d": double}
+    spelled = {"i": "int *", "d": double}
     signature = "void ({})".format(", ".join(spelled[arg] for arg in args))
     capsule = module.__pyx_capi__.get(name)
     if capsule is None:
@@ -168,14 +168,11 @@ def _bind(module, name: str, args: str):
     address = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))(capsule, found)
-    return ctypes.CFUNCTYPE(None, *(ctypes.c_char_p if arg == "c"
-                                    else ctypes.c_void_p
-                                    for arg in args))(address)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(args))(address)
 
 
 _dlasq1 = _bind(cython_lapack, "dlasq1", "idddi")
 _dstein = _bind(cython_lapack, "dstein", "iddidiididiii")
-_dstevd = _bind(cython_lapack, "dstevd", "cidddidiiii")
 _daxpy = _bind(cython_blas, "daxpy", "iddidi")
 
 
@@ -243,18 +240,8 @@ def _stein(off: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _eigh_full(off: np.ndarray):
-    """All eigenpairs (w, v) of the zero-diagonal chain ``off``, by stevd."""
-    dim = len(off) + 1
-    w, v = np.zeros(dim), np.empty((dim, dim))  # v column-major, as in _stein
-    ints = np.intc([dim, 1 + 4 * dim + dim * dim, 3 + 5 * dim, 0])
-    # ints holds n, lwork, liwork and info; dstevd(jobz, n, d, e, z, ldz,
-    # work, lwork, iwork, liwork, info) overwrites its copy of off
-    arrays = (ints, w, np.array(off, dtype=float), v, ints, np.empty(ints[1]),
-              ints[1:], np.empty(ints[2], np.intc), ints[2:], ints[3:])
-    _dstevd(b"V", *[x.ctypes.data for x in arrays])
-    if ints[3] != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info {ints[3]}")
-    return w, v.T
+    """All eigenpairs (w, v) of the zero-diagonal chain ``off``."""
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
 def _eigh_window(off: np.ndarray, positive: np.ndarray, span: float):

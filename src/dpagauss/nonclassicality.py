@@ -111,16 +111,12 @@ def crossover_time(nbar: float, r: float) -> Optional[float]:
     return 0.5 * math.log(factor)
 
 
-# _refine_zero and _bounded_min repeat scipy's brentq (its C brentq.c) and
-# _minimize_scalar_bounded operation for operation, so every root and
-# minimum keeps scipy's bits without importing it.  After SciPy,
-# BSD-3-Clause: Copyright (c) 2001-2002 Enthought, Inc.; 2003 SciPy
-# Developers.
-
-
 def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
-    """Brent's root of ``q_of`` in [lo, hi] (brentq, xtol 1e-15, rtol
-    8.9e-16, 200 iterations)."""
+    """A zero of ``q_of`` in [lo, hi] by false position with the Illinois
+    step (Dowell and Jarratt, BIT 11, 168 (1971)), which halves the value
+    at an end kept twice in a row.  Each step lands tol / 2 or more inside
+    the bracket, which must narrow below tol = 1e-15 + 8.9e-16 |x| within
+    200 steps.  A NaN value or ends of one sign raise brentq's errors."""
 
     def f(x: float) -> float:
         fx = q_of(x)
@@ -129,47 +125,32 @@ def _refine_zero(q_of: Callable[[float], float], lo: float, hi: float) -> float:
                              "solver cannot continue.")
         return fx
 
-    xpre, xcur = float(lo), float(hi)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
+    a, b = float(lo), float(hi)  # b: the latest point, with its own value
+    fa, fb = f(a), f(b)
+    if fa == 0 or fb == 0:
+        return a if fa == 0 else b
+    if (fa < 0) == (fb < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(200):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-15 + 8.9e-16 * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # no trial step: bisect
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den != 0:  # C's x / 0 gives a step it rejects
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+        tol = 1e-15 + 8.9e-16 * abs(b)
+        if abs(b - a) < tol:
+            return b
+        x = min(max(b - (b - a) * (fb / (fb - fa)), min(a, b) + tol / 2),
+                max(a, b) - tol / 2)
+        fx = f(x)
+        if fx == 0:
+            return x
+        if (fx < 0) == (fb < 0):
+            fa /= 2  # a is kept again
         else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+            a, fa = b, fb
+        b, fb = x, fx
     raise RuntimeError("Failed to converge after 200 iterations.")
+
+
+# _bounded_min repeats scipy's _minimize_scalar_bounded operation for
+# operation, so its minima keep scipy's bits.  After SciPy, BSD-3-Clause:
+# Copyright (c) 2001-2002 Enthought, Inc.; 2003 SciPy Developers.
 
 
 def _bounded_min(f: Callable[[float], float], a: float,

@@ -7,6 +7,7 @@ criterion.
 import math
 import os
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dpagauss import (
     classicality_factor,
     classify_behavior,
     critical_alpha_q0_root,
+    crossover_time,
     evolved_state,
     find_critical_alpha,
     field_nonclassical,
@@ -127,6 +129,43 @@ def test_criterion_5_oracle_equivalence():
     assert elapsed < 120.0
     _report(5, f"closed forms match the Fock oracle over the 81-cell grid "
                f"and the Hamiltonian mapping holds, {elapsed:.0f}s")
+
+
+def _oracle_cell(nbar, r, alpha, u):
+    """The oracle's moments of one cell, through the slab truncation loop:
+    N and N + 20 agree and the edge mass is gated, as in ``verify``."""
+    cells, _ = fock._self_checked(
+        lambda dim: verify._slab_moments(r, u, (nbar,), (alpha,), dim),
+        lambda cells: [x for cell in cells.values() for x in astuple(cell)],
+        1.0, verify._slab_dim(r, u, (nbar,), (alpha,)),
+        f"cell (nbar={nbar}, r={r}, alpha={alpha}, u={u})")
+    return cells[(nbar, alpha)]
+
+
+def test_oracle_attests_both_transitions():
+    # The Mandel parameter changes sign at alpha_c, at the solver's
+    # tangency u* (u = 0 for the boundary mechanism).  The oracle reaches
+    # only small u, where N grows like e^{2(u + r)}, so it attests Q near
+    # u* and not "classical for every u <= U_MAX": that half stays a claim
+    # of the closed-form scan.  Margins are about 7e-4 to 1.1e-3.
+    for nbar, r in ((0.2, 0.1), (0.1, 0.2), (1.0, 1.0)):
+        critical = find_critical_alpha(nbar, r)
+        u_star = critical.tangency_u or 0.0
+        for factor, sign in ((0.999, 1.0), (1.001, -1.0)):
+            cell = _oracle_cell(nbar, r, factor * critical.alpha_c, u_star)
+            q = (cell.var_n - cell.mean_n) / cell.mean_n
+            assert sign * q > 0.0, (nbar, r, factor, q)
+    # The squeezed quadrature (lambda = theta / 2 = 0) crosses the coherent
+    # width 1/2 at crossover_time, whatever |alpha|.  Margins are about
+    # 1.2e-4 to 7.7e-4.
+    for nbar, r, alpha in ((1.0, 0.1, 0.5), (0.2, 0.05, 2.0), (3.0, 0.2, 1.0)):
+        u_c = crossover_time(nbar, r)
+        for alpha_mag in (0.0, alpha):
+            for factor, sign in ((0.999, 1.0), (1.001, -1.0)):
+                cell = _oracle_cell(nbar, r, alpha_mag, factor * u_c)
+                excess = cell.quad_var(0.0) - 0.5
+                assert sign * excess > 0.0, (nbar, r, alpha_mag, factor,
+                                             excess)
 
 
 def test_criterion_6_wigner_integrity():

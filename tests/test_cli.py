@@ -1066,6 +1066,8 @@ def test_wigner_grid_refuses_an_ill_conditioned_grid(capsys):
                              capsys)
     assert_one_usage_error_line(code, out, err)
     assert "ill-conditioned" in err
+    # the bound overflows there: the message names the overflow
+    assert "inf" not in err and "overflows double precision" in err
 
 
 @pytest.mark.parametrize("theta, lam", [("0", "0"), ("0.6", "0.3")],
