@@ -309,14 +309,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                       f"u_steps={args.u_steps}"))]
     lines.append(f"{','.join(keys)},squeezing_criterion,"
                  "p_representation_exists,field_nonclassical\n")
-    columns = (us, mandels, quads, means, variances, squeezed, p_density,
-               ~p_density)
-    # one template per block: %.17g prints as _fmt does, %d prints 1.0 as 1;
-    # bytes % converts each float as str % does, without the unicode writer
+    # the three flags of a row as one of four byte tails, at 2 squeezed + P
+    tails = np.array([b"%d,%d,%d\n" % (s, p, 1 - p) for s in (0, 1)
+                      for p in (0, 1)], dtype=object)
+    columns = (us, mandels, quads, means, variances,
+               tails[2 * squeezed + p_density])
+    # one template per block: %.17g prints as _fmt does; bytes % converts
+    # each float as str % does, without the unicode writer
     blocks = (np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns])
               for i in range(0, args.u_steps, _BLOCK_ROWS))
     _write(args, itertools.chain(lines, (
-        ((b"%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n" * len(block))
+        ((b"%.17g,%.17g,%.17g,%.17g,%.17g,%b" * len(block))
          % tuple(block.ravel().tolist())).decode() for block in blocks)))
     return 0
 

@@ -169,9 +169,7 @@ def _amplitude_curve(params: ModelParams):
 
     # named for the CLI, whose overflow message names the innermost frame
     def displacement_amplitude(u: np.ndarray):
-        ch, sh = np.cosh(u), np.sinh(u)
-        x = ch + 0.5 * coth_half * sh - 0.5 * (ch - 1.0)
-        y = -0.5 * sh - 0.5 * coth_half * (ch - 1.0)
+        x, y = _amplitude_bracket(coth_half, np.cosh(u), np.sinh(u))
         # alpha (x + phase y); the + 0.0 is the real x's zero imaginary part
         bracket_re, bracket_im = x + phase.real * y, phase.imag * y + 0.0
         amp = np.empty(u.shape, dtype=complex)
@@ -180,6 +178,13 @@ def _amplitude_curve(params: ModelParams):
         return complex(amp) if amp.ndim == 0 else amp
 
     return displacement_amplitude
+
+
+def _amplitude_bracket(coth_half: float, ch, sh) -> tuple:
+    """The real x and y of A(tau) = alpha (x + exp(i(theta - 2 phi)) y),
+    from coth(r/2), cosh u and sinh u; arrays or floats."""
+    return (ch + 0.5 * coth_half * sh - 0.5 * (ch - 1.0),
+            -0.5 * sh - 0.5 * coth_half * (ch - 1.0))
 
 
 def limit_r_zero_displacement(params: ModelParams, s: float) -> complex:

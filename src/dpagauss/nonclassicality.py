@@ -17,15 +17,17 @@ at which the minimum over time of the Mandel parameter first touches zero.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .model import ModelParams, _amplitude_curve, _check_u, _libm
-from .statistics import _mandel_curve, mandel_q_curve, quad_variance
+from .model import ModelParams, _check_u, _libm
+from .statistics import (_guarded_q, _mandel_parts, _mandel_terms,
+                         mandel_q_curve, quad_variance)
 
 # the critical solve and the classification scan the same window [0, U_MAX]
 U_MAX = 10.0
@@ -212,17 +214,56 @@ def _bounded_min(f: Callable[[float], float], a: float,
     return fx, xf
 
 
-def _scan(nbar: float, r: float, alpha_mag: float, points: int
+class _Grid(NamedTuple):
+    """A solve's u on [0, U_MAX] and the terms of its Mandel curve there
+    that do not depend on |alpha|, built once and scanned at each |alpha|."""
+
+    r: float
+    us: np.ndarray
+    terms: tuple
+
+
+def _grid(nbar: float, r: float, points: int) -> _Grid:
+    """The ``_Grid`` of ``points`` u, after the checks of ``mandel_q_curve``.
+    Its terms are built without numpy's overflow errors: a scan that meets
+    a term that is not finite defers to ``mandel_q_curve``, which raises."""
+    ModelParams(alpha_mag=0.0, squeeze_mag=r, nbar=nbar)
+    us = np.linspace(0.0, U_MAX, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Grid(r, us, _mandel_terms(r, us))
+
+
+def _scan(nbar: float, r, alpha_mag: float, points: int
           ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
-    """Mandel curve u -> Q(u), and its values at ``points`` u in [0, U_MAX]."""
-    curve = _mandel_curve(nbar, r, _amplitude_curve(
-        ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)))
+    """Mandel curve u -> Q(u) at |alpha| = ``alpha_mag`` for a float u, and
+    its values at ``points`` u in [0, U_MAX]: from ``mandel_q_curve`` for a
+    squeeze ``r``, or assembled from the terms of a solve's ``_Grid`` passed
+    as ``r``.  Where an assembled value is not finite, or an error stops the
+    assembly, ``mandel_q_curve`` gives the value or raises its own error."""
+    if isinstance(r, _Grid):
+        r, us, terms = r
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                qs = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag, terms))
+            except (ArithmeticError, ValueError):
+                qs = math.nan
+        if not np.isfinite(qs).all():
+            qs = mandel_q_curve(nbar, r, alpha_mag, us)
+    else:
+        us = np.linspace(0.0, U_MAX, points)
+        qs = mandel_q_curve(nbar, r, alpha_mag, us)
 
     def q_of(u: float) -> float:
-        return float(curve(np.asarray(u, dtype=float)))
+        try:
+            q = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag,
+                                                _mandel_terms(r, u)))
+        except (ArithmeticError, ValueError):
+            q = math.nan
+        if math.isfinite(q):
+            return q
+        return float(mandel_q_curve(nbar, r, alpha_mag, u))
 
-    us = np.linspace(0.0, U_MAX, points)
-    return q_of, us, mandel_q_curve(nbar, r, alpha_mag, us)
+    return q_of, us, qs
 
 
 def _min_q(q_of: Callable[[float], float], us: np.ndarray,
@@ -296,20 +337,30 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
     (min Q at alpha_c above ``TANGENCY_ATOL``), raises ``ValueError``.  A
     minimizer within 1e-6 of u = 0 is reported as the boundary mechanism
     (the zero of the Mandel parameter at u = 0), otherwise as an interior
-    tangency.
+    tangency.  Each solve that bisects logs one ``DEBUG`` record on
+    ``dpagauss.nonclassicality``: its doubling and bisection steps, the
+    refines run, the final bracket and |min Q| at alpha_c.
     """
     if r <= 0:
         raise ValueError("find_critical_alpha requires r > 0; the r = 0 "
                          "combined-limit dynamics is not covered")
 
+    grid = _grid(nbar, r, SCAN_POINTS)
+    refines = 0
+
+    def refined(scan: tuple) -> tuple[float, float]:
+        nonlocal refines
+        refines += 1
+        return _min_q(*scan)
+
     def min_of(alpha_mag: float) -> tuple[float, float]:
-        return _min_q(*_scan(nbar, r, alpha_mag, SCAN_POINTS))
+        return refined(_scan(nbar, grid, alpha_mag, SCAN_POINTS))
 
     def positive(alpha_mag: float) -> bool:
         # the refine never returns more than the scan's minimum, so a scan
         # that holds a Q <= 0 decides the sign without it
-        q_of, us, qs = _scan(nbar, r, alpha_mag, SCAN_POINTS)
-        return bool(qs.min() > 0) and _min_q(q_of, us, qs)[0] > 0
+        scan = _scan(nbar, grid, alpha_mag, SCAN_POINTS)
+        return bool(scan[2].min() > 0) and refined(scan)[0] > 0
 
     lo = 0.0
     m_lo, _ = min_of(lo)
@@ -317,14 +368,17 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
         raise RuntimeError(
             f"min Q at alpha = 0 is negative ({m_lo:.3e}); the assumed "
             "monotone bracket does not apply")
-    hi = 0.25
+    hi, doublings = 0.25, 0
     while positive(hi):
         hi *= 2.0
+        doublings += 1
         if hi > ALPHA_CAP:
             raise NoTransitionError(
                 f"min Q stays positive for all |alpha| <= {ALPHA_CAP}")
 
+    bisections = 0
     while hi - lo > ALPHA_TOL:
+        bisections += 1
         mid = 0.5 * (lo + hi)
         if positive(mid):
             lo = mid
@@ -335,6 +389,10 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
                          f"resolved at ALPHA_TOL = {ALPHA_TOL:g}")
     alpha_c = 0.5 * (lo + hi)
     m_c, u_star = min_of(alpha_c)
+    logging.getLogger(__name__).debug(
+        "find_critical_alpha(nbar=%r, r=%r): %d doubling and %d bisection "
+        "steps, %d refines, bracket [%r, %r], |min Q| at alpha_c %.3e",
+        nbar, r, doublings, bisections, refines, lo, hi, abs(m_c))
     if m_c > TANGENCY_ATOL:
         # min Q jumped across the final bracket instead of reaching zero
         raise ValueError(f"critical displacement near {alpha_c:.3g} is not "

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .model import (EvolvedState, ModelParams, _check_u, _libm, _tanh_half,
-                    displacement_amplitude)
+from .model import (EvolvedState, ModelParams, _amplitude_bracket, _check_u,
+                    _libm, _tanh_half)
 
 _VACUUM = ("Mandel parameter undefined for the vacuum (mean photon number "
            "is zero)")
@@ -32,7 +32,8 @@ def _guarded_q(nbar: float, ch2, abs2, n, var):
     bound = math.ulp(1.0) / Q_ROUNDING_TOL * (nbar + 0.5) * ch2 * abs2
     # bound >= n max(1, |Q|) = max(n, |var - n|) and n = 0 need bound >= n
     lost = bound >= n
-    if np.count_nonzero(lost) \
+    # at floats, lost is a bool, and False needs no numpy call
+    if lost is not False and np.count_nonzero(lost) \
             and np.any(lost & (bound >= abs(var - n)) | (n <= 0)):
         raise VacuumError(_VACUUM) if np.any(n <= 0) else ValueError(
             "Mandel parameter lost to rounding past Q_ROUNDING_TOL")
@@ -162,26 +163,43 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     u + r of about 177.6), and the errors of ``mandel_q`` for the vacuum and
     where rounding leaves Q without ``Q_ROUNDING_TOL`` accuracy.
     """
-    params = ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)
-    curve = _mandel_curve(nbar, r, lambda u: displacement_amplitude(params, u))
-    return curve(np.asarray(us, dtype=float))
+    ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)  # its checks
+    us = np.asarray(us, dtype=float)
+    _check_u(us)
+    with np.errstate(over="raise", invalid="raise"):
+        return _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag,
+                                               _mandel_terms(r, us)))
 
 
-def _mandel_curve(nbar: float, r: float, amplitude):
-    """Q(u) of ``mandel_q_curve`` for an ndarray u, given u -> A(tau)."""
+def _mandel_terms(r: float, us) -> tuple:
+    """The terms of ``mandel_q_curve`` that do not depend on |alpha|:
+    b(u) = A(tau) / |alpha|, real at phi = theta/2 = 0, cosh 2(u + r),
+    cosh 4(u + r) and sinh 2(u + r), all from numpy's cosh and sinh.  Arrays
+    over an ndarray u; floats at a float u, whose arithmetic overflows to
+    inf without numpy's warnings, after ``math.cosh`` has raised
+    ``OverflowError`` where numpy's cosh 4(u + r), the largest term, would
+    overflow: both overflow from the same argument."""
+    rho = us + r
+    array = isinstance(us, np.ndarray)
+    if not array:
+        math.cosh(4.0 * rho)
+    values = (np.cosh(us), np.sinh(us), np.cosh(2.0 * rho), np.cosh(4.0 * rho),
+              np.sinh(2.0 * rho))
+    ch, sh, ch2, ch4, sh2 = values if array else map(float, values)
+    x, y = _amplitude_bracket(1.0 / _tanh_half(r), ch, sh)
+    return x + y, ch2, ch4, sh2
 
-    # named for the CLI, whose overflow message names the innermost frame
-    @np.errstate(over="raise", invalid="raise")
-    def mandel_q_curve(us: np.ndarray) -> np.ndarray:
-        amp = amplitude(us)
-        rho = us + r
-        abs2 = np.abs(amp) ** 2
-        ch2 = np.cosh(2.0 * rho)
-        n = (nbar + 0.5) * ch2 + abs2 - 0.5
-        pair_term = 2.0 * (amp * amp).real
-        var = ((nbar + 0.5) ** 2 * np.cosh(4.0 * rho)
-               + (nbar + 0.5) * (2.0 * ch2 * abs2
-                                 - np.sinh(2.0 * rho) * pair_term) - 0.25)
-        return _guarded_q(nbar, ch2, abs2, n, var)
 
-    return mandel_q_curve
+def _mandel_parts(nbar: float, alpha_mag: float, terms: tuple) -> tuple:
+    """cosh 2(u + r), |A|^2, <n> and Var n at |alpha| = ``alpha_mag`` from
+    the ``_mandel_terms``, for arrays or floats alike.  A = |alpha| b is
+    real, so |A|^2 is A ** 2, which squares an array by multiplication and
+    a float (or numpy scalar) by libm pow, and 2 Re(A^2) is 2 (A A)."""
+    b, ch2, ch4, sh2 = terms
+    amp = alpha_mag * b
+    abs2 = amp ** 2
+    n = (nbar + 0.5) * ch2 + abs2 - 0.5
+    var = ((nbar + 0.5) ** 2 * ch4
+           + (nbar + 0.5) * (2.0 * ch2 * abs2 - sh2 * (2.0 * (amp * amp)))
+           - 0.25)
+    return ch2, abs2, n, var

@@ -644,6 +644,40 @@ def test_table_template_prints_flags_as_integers():
     assert [(b"%d" % f).decode() for f in (0.0, 1.0)] == ["0", "1"]
 
 
+
+def sweep_flags(out):
+    """(u, the text of the three flag columns) of each sweep row."""
+    rows = [line.split(",", 5) for line in out.splitlines()[2:]]
+    return np.array([float(row[0]) for row in rows]), [row[5] for row in rows]
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["misaligned",
+                                                        "every-pair"])
+def test_sweep_flag_tails_print_what_the_integer_template_printed(
+        patched, capsys, monkeypatch):
+    # theta != 2 lambda: past u of about 0.2 the field is nonclassical while
+    # the lambda quadrature is not squeezed, before it squeezes near u = 1.2
+    nbar, r, theta, lam = 0.3, 0.05, 0.8, 0.1
+    if patched:  # the criteria cycle through all four (squeezing, P) pairs
+        monkeypatch.setattr(nonclassicality, "squeezing_criterion",
+                            lambda *args: np.arange(41) % 4 >= 2)
+        monkeypatch.setattr(nonclassicality, "p_representation_exists",
+                            lambda nbar, r, us: np.arange(41) % 2 == 1)
+    code, out, _ = run_cli(["sweep", "--nbar", str(nbar), "--r", str(r),
+                            "--theta", str(theta), "--lambda", str(lam),
+                            "--alpha", "0.5", "--u-stop", "2",
+                            "--u-steps", "41"], capsys)
+    assert code == 0
+    us, printed = sweep_flags(out)
+    squeezed = nonclassicality.squeezing_criterion(nbar, r, theta, lam, us)
+    p_density = nonclassicality.p_representation_exists(nbar, r, us)
+    # the template the flags were printed with, on the floats it printed
+    flags = np.column_stack([squeezed, p_density, ~p_density]).astype(
+        float).ravel()
+    expected = ((b"%d,%d,%d\n" * len(us)) % tuple(flags.tolist())).decode()
+    assert "\n".join(printed) + "\n" == expected
+    assert len(set(printed)) == (4 if patched else 3)
+
 def test_one_process_prints_what_separate_processes_print(capsys):
     # the parser is built once per process and serves every later call
     argvs = (["eval", "--r", "0.5", "--alpha", "1", "--u", "0.2"],

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import logging
 import math
 import struct
 from unittest import mock
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import dpagauss.nonclassicality as ncl
+from dpagauss import cli
 from dpagauss import (
     BehaviorKind,
     Mechanism,
@@ -239,6 +242,35 @@ def test_bracket_steps_refine_only_where_the_scan_minimum_is_positive(
         assert refined == (steps[i][1] > 0), (i, steps[i])
 
 
+
+@pytest.mark.parametrize("nbar, r, doublings", [(0.2, 0.1, 1), (1.0, 1.0, 6)])
+def test_solver_explains_itself_in_one_debug_record(nbar, r, doublings,
+                                                    caplog, capsys,
+                                                    monkeypatch):
+    refines, bounded_min = [], ncl._bounded_min
+    monkeypatch.setattr(ncl, "_bounded_min", lambda *args: (
+        refines.append(args) or bounded_min(*args)))
+    with caplog.at_level(logging.DEBUG, logger="dpagauss.nonclassicality"):
+        result = find_critical_alpha(nbar, r)
+        refined = len(refines)
+        assert cli.main(["critical", "--nbar", str(nbar), "--r", str(r)]) == 0
+    traced = capsys.readouterr().out
+    records = [record for record in caplog.records
+               if record.name == "dpagauss.nonclassicality"]
+    assert len(records) == 2  # one per solve, the CLI's included
+    record = records[0]
+    # formatted only where a handler takes it: the arguments stay apart
+    assert record.levelno == logging.DEBUG and "%d" in record.msg
+    bisections = math.ceil(math.log2(0.25 * 2 ** doublings / ncl.ALPHA_TOL))
+    assert record.args[:5] == (nbar, r, doublings, bisections, refined)
+    lo, hi, min_q = record.args[5:]
+    assert hi - lo <= ncl.ALPHA_TOL and 0.5 * (lo + hi) == result.alpha_c
+    assert 0.0 <= min_q <= ncl.TANGENCY_ATOL
+    assert f"{bisections} bisection steps" in record.getMessage()
+    # stdout is the same with the record off
+    assert cli.main(["critical", "--nbar", str(nbar), "--r", str(r)]) == 0
+    assert capsys.readouterr().out == traced
+
 def test_dip_narrower_than_the_grid_has_two_crossings(monkeypatch):
     # a Gaussian dip to Q = -1 between two points of the classification
     # grid, at which it is still 0.88: no grid sign change
@@ -295,6 +327,126 @@ def test_scan_objective_is_the_scalar_mandel_q_curve(nbar, r, alpha, u):
         q_of, _, _ = ncl._scan(nbar, r, alpha, 2)
     assert _outcome(lambda: q_of(u)) == _outcome(
         lambda: float(mandel_q_curve(nbar, r, alpha, u)))
+
+
+
+@given(nbar=st.floats(min_value=0.0, allow_infinity=False),
+       r=st.floats(min_value=1e-300, max_value=MAX_EFF_SQUEEZE),
+       alpha=st.floats(min_value=0.0, allow_infinity=False))
+@example(nbar=1.0, r=200.0, alpha=1.0)  # cosh 4(u + r) overflows
+@example(nbar=1.0, r=1e-300, alpha=1e10)  # |A|^2 overflows
+@example(nbar=0.0, r=4e-9, alpha=0.0)  # the vacuum at u = 0
+@settings(max_examples=200, deadline=None)
+def test_scan_of_a_solve_grid_is_the_mandel_q_curve(nbar, r, alpha):
+    # a solve builds its terms once and assembles each scan from them; the
+    # scan keeps the bits and the errors of the curve it replaces
+    def assembled():
+        return ncl._scan(nbar, ncl._grid(nbar, r, 16), alpha, 16)[2]
+
+    def public():
+        return mandel_q_curve(nbar, r, alpha, np.linspace(0.0, ncl.U_MAX, 16))
+
+    def outcome(f):
+        try:
+            return f().tobytes()
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(assembled) == outcome(public)
+
+# Recorded before the solver assembled its Mandel curve from per-u terms:
+# for each seeded (nbar, r), float.hex of alpha_c, tangency_u ("-" for
+# none), the mechanism and classify_behavior's zeros at alpha_c.
+FROZEN_SOLVES = """\
+0x1.8e03233c00000p-1 0x1.034f40a515dfep-1 interior 0x1.034f40760bf68p-1
+0x1.102ee32c40000p+3 0x1.a11160ecf9618p-2 interior 0x1.a1116094ed59cp-2
+0x1.3abde0b880000p+2 0x1.3d6a129bb1ef1p+0 interior 0x1.3d6a12d2e8778p+0
+0x1.76fa379bc0000p+3 0x1.9c0cf3bd47146p-1 interior 0x1.9c0cf34117360p-1
+0x1.6cb915b600000p+0 0x1.281489968f4e6p-2 interior 0x1.281489d8db773p-2
+0x1.5be8df9000000p-3 0x1.5a4800283b24ep-2 interior 0x1.5a48000636117p-2
+0x1.48ec1cf6c0000p+3 0x1.6e99965676e51p-2 interior 0x1.6e999695d3b31p-2
+0x1.6a73275600000p+0 0x1.ab5578149f9e8p-3 interior 0x1.ab557799526b4p-3
+0x1.eb4cf61400000p-1 0x1.502eddb012f13p-2 interior 0x1.502edd7b6758ep-2
+0x1.ecf83e3f00000p+1 - boundary 0x0.0p+0
+0x1.802aafa700000p+1 0x1.59b0515540f61p-3 interior 0x1.59b05283e0ecfp-3
+0x1.4551710600000p+0 0x1.67d88a0bce215p-1 interior 0x1.67d889bb78da2p-1
+0x1.dec3b34c00000p-1 - boundary 0x0.0p+0
+0x1.f1d9916900000p+1 0x1.95d47289d3b80p-5 interior 0x1.95d4727ec7ea7p-5
+0x1.15fbce0400000p-1 0x1.7d27f187671eap-2 interior 0x1.7d27f202f5e5fp-2
+0x1.eca9086b00000p+1 0x1.c3ccc95e15404p-1 interior 0x1.c3ccc9583f854p-1
+0x1.798a627800000p-2 0x1.005aff2abe6b4p-2 interior 0x1.005afe61957cdp-2
+0x1.97c3c31c00000p-1 0x1.26c411c4e38aap-6 interior 0x1.26c40943d3cc0p-6
+0x1.8db367d9d0000p+5 0x1.0541a791837ffp-2 interior 0x1.0541a87ef5611p-2
+0x1.74e4a9b7e0000p+4 - boundary 0x0.0p+0
+0x1.60372e8a00000p+0 0x1.fe72b4f0843bbp-2 interior 0x1.fe72b4cbe2753p-2
+0x1.4f93746340000p+3 - boundary 0x0.0p+0
+0x1.1c74e03400000p-1 0x1.fa732ca778300p-3 interior 0x1.fa732c1838972p-3
+0x1.e827741a00000p+0 - boundary 0x0.0p+0
+0x1.df3a3db000000p-3 0x1.1b2f4a72a08a5p-2 interior 0x1.1b2f4a8368d3ap-2
+0x1.1903a9e800000p-2 0x1.0df8fcb620fd0p-2 interior 0x1.0df8fc5323c64p-2
+0x1.37af356800000p-2 0x1.4168b92b2b42ep-2 interior 0x1.4168b88becda8p-2
+0x1.8111883940000p+3 0x1.23a923a5e54d1p-1 interior 0x1.23a923973e67ep-1
+0x1.bf18859000000p-3 0x1.a42a300b5fd7ap-2 interior 0x1.a42a3024b9f15p-2
+0x1.50bdc05800000p-2 0x1.1c5209a4905d4p-1 interior 0x1.1c520905946eep-1
+0x1.153f4c0298000p+6 - boundary 0x0.0p+0
+0x1.7e0f60f600000p+0 0x1.8aa47cc2e4f74p-4 interior 0x1.8aa4791a92834p-4
+0x1.4bee206500000p+1 - boundary 0x0.0p+0
+0x1.4251921400000p-1 0x1.7e709258b64f6p-5 interior 0x1.7e7091e7b5400p-5
+0x1.88dff06900000p+1 0x1.d6c1c8bc9c3f7p-2 interior 0x1.d6c1c8a1dbde6p-2
+0x1.27f60e6800000p-2 0x1.2082f350102b6p-2 interior 0x1.2082f3a59cfe2p-2
+0x1.9c7e7b6800000p-2 0x1.edd2adaaae48cp-3 interior 0x1.edd2acd156112p-3
+0x1.61f4e9cc00000p-1 0x1.88dd2767bd796p-2 interior 0x1.88dd26f69df77p-2
+0x1.6a5999a500000p+1 - boundary 0x0.0p+0
+0x1.c26ccdcc00000p-1 0x1.a6554b888a8b0p-3 interior 0x1.a6554a5db35adp-3
+"""
+# sha256 of the space-joined float.hex of _scan's 512-point Q and of its
+# objective at ten seeded u, on ten seeded curves
+FROZEN_GRID_Q = (
+    "261f930cced5ee3e02a86d745d57fee7a652dedb55c083beb18a6c1bb0a68b7e")
+FROZEN_SCALAR_Q = (
+    "610cf4196537465cbb36665ad29396dd2e826d8a83dc1266b7e80401ae9eae5b")
+
+
+def _frozen_cases():
+    """40 (nbar, r), log-uniform over [0.05, 5] x [0.05, 2]; ten curves
+    (nbar, r, |alpha|) among them and ten u in [0, U_MAX] for each."""
+    rng = np.random.default_rng(38)
+    cases = [(float(0.05 * 100.0 ** a), float(0.05 * 40.0 ** b))
+             for a, b in rng.random((40, 2))]
+    curves = [(nbar, r, float(8.0 * a)) for (nbar, r), a
+              in zip(cases[::4], rng.random(10))]
+    return cases, curves, (rng.random((10, 10)) * ncl.U_MAX).tolist()
+
+
+def _solve_record(nbar, r):
+    result = find_critical_alpha(nbar, r)
+    zeros = classify_behavior(nbar, r, result.alpha_c).zeros
+    return " ".join([result.alpha_c.hex(),
+                     "-" if result.tangency_u is None
+                     else result.tangency_u.hex(),
+                     result.mechanism.value.split("_")[0],
+                     *(zero.hex() for zero in zeros)])
+
+
+def test_solver_bits_are_frozen():
+    cases, curves, us = _frozen_cases()
+    expected = FROZEN_SOLVES.splitlines()
+    assert len(expected) == len(cases) == 40
+    # twice, the second pass interleaving both ends of the list, so that
+    # no solve can lean on state that an earlier one left behind
+    order = list(range(len(cases)))
+    order += [i for pair in zip(order[::-1], order) for i in pair][:40]
+    for i in order:
+        assert _solve_record(*cases[i]) == expected[i], cases[i]
+    grid, scalar = [], []
+    for (nbar, r, alpha), row in zip(curves, us):
+        q_of, _, qs = ncl._scan(nbar, r, alpha, ncl.SCAN_POINTS)
+        grid += [q.hex() for q in qs.tolist()]
+        scalar += [q_of(u).hex() for u in row]
+    assert hashlib.sha256(" ".join(grid).encode()).hexdigest() \
+        == FROZEN_GRID_Q
+    assert hashlib.sha256(" ".join(scalar).encode()).hexdigest() \
+        == FROZEN_SCALAR_Q
 
 
 # The critical solver's minimum refinement repeats scipy's bounded
