@@ -214,6 +214,34 @@ def _bounded_min(f: Callable[[float], float], a: float,
     return fx, xf
 
 
+def _objective(nbar: float, r: float,
+               alpha_mag: float) -> Callable[[float], float]:
+    """Mandel curve u -> Q(u) at |alpha| = ``alpha_mag`` for a float u,
+    assembled from float terms.  Where the value is not finite, or an error
+    stops the assembly, ``mandel_q_curve`` gives it or raises its error."""
+
+    def q_of(u: float) -> float:
+        try:
+            q = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag,
+                                                _mandel_terms(r, u)))
+        except (ArithmeticError, ValueError):
+            q = math.nan
+        if math.isfinite(q):
+            return q
+        return float(mandel_q_curve(nbar, r, alpha_mag, u))
+
+    return q_of
+
+
+def _scan(nbar: float, r: float, alpha_mag: float, points: int
+          ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
+    """Mandel curve u -> Q(u), and its values at ``points`` u in [0, U_MAX]
+    from ``mandel_q_curve``."""
+    us = np.linspace(0.0, U_MAX, points)
+    return (_objective(nbar, r, alpha_mag), us,
+            mandel_q_curve(nbar, r, alpha_mag, us))
+
+
 class _Grid(NamedTuple):
     """A solve's u on [0, U_MAX] and the terms of its Mandel curve there
     that do not depend on |alpha|, built once and scanned at each |alpha|."""
@@ -233,37 +261,20 @@ def _grid(nbar: float, r: float, points: int) -> _Grid:
         return _Grid(r, us, _mandel_terms(r, us))
 
 
-def _scan(nbar: float, r, alpha_mag: float, points: int
-          ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
-    """Mandel curve u -> Q(u) at |alpha| = ``alpha_mag`` for a float u, and
-    its values at ``points`` u in [0, U_MAX]: from ``mandel_q_curve`` for a
-    squeeze ``r``, or assembled from the terms of a solve's ``_Grid`` passed
-    as ``r``.  Where an assembled value is not finite, or an error stops the
-    assembly, ``mandel_q_curve`` gives the value or raises its own error."""
-    if isinstance(r, _Grid):
-        r, us, terms = r
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                qs = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag, terms))
-            except (ArithmeticError, ValueError):
-                qs = math.nan
-        if not np.isfinite(qs).all():
-            qs = mandel_q_curve(nbar, r, alpha_mag, us)
-    else:
-        us = np.linspace(0.0, U_MAX, points)
-        qs = mandel_q_curve(nbar, r, alpha_mag, us)
-
-    def q_of(u: float) -> float:
+def _grid_scan(nbar: float, grid: _Grid, alpha_mag: float
+               ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
+    """``_scan`` of a solve: its values assembled from the terms of its
+    ``_Grid``.  Where an assembled value is not finite, or an error stops
+    the assembly, ``mandel_q_curve`` gives the values or raises its error."""
+    r, us, terms = grid
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            q = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag,
-                                                _mandel_terms(r, u)))
+            qs = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag, terms))
         except (ArithmeticError, ValueError):
-            q = math.nan
-        if math.isfinite(q):
-            return q
-        return float(mandel_q_curve(nbar, r, alpha_mag, u))
-
-    return q_of, us, qs
+            qs = math.nan
+    if not np.isfinite(qs).all():
+        qs = mandel_q_curve(nbar, r, alpha_mag, us)
+    return _objective(nbar, r, alpha_mag), us, qs
 
 
 def _min_q(q_of: Callable[[float], float], us: np.ndarray,
@@ -354,12 +365,12 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
         return _min_q(*scan)
 
     def min_of(alpha_mag: float) -> tuple[float, float]:
-        return refined(_scan(nbar, grid, alpha_mag, SCAN_POINTS))
+        return refined(_grid_scan(nbar, grid, alpha_mag))
 
     def positive(alpha_mag: float) -> bool:
         # the refine never returns more than the scan's minimum, so a scan
         # that holds a Q <= 0 decides the sign without it
-        scan = _scan(nbar, grid, alpha_mag, SCAN_POINTS)
+        scan = _grid_scan(nbar, grid, alpha_mag)
         return bool(scan[2].min() > 0) and refined(scan)[0] > 0
 
     lo = 0.0

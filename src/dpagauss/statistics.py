@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .model import (EvolvedState, ModelParams, _amplitude_bracket, _check_u,
-                    _libm, _tanh_half)
+                    _libm, _tanh_half, displacement_amplitude)
 
 _VACUUM = ("Mandel parameter undefined for the vacuum (mean photon number "
            "is zero)")
@@ -165,29 +165,35 @@ def mandel_q_curve(nbar: float, r: float, alpha_mag: float, us) -> np.ndarray:
     """
     ModelParams(alpha_mag=alpha_mag, squeeze_mag=r, nbar=nbar)  # its checks
     us = np.asarray(us, dtype=float)
-    _check_u(us)
     with np.errstate(over="raise", invalid="raise"):
-        return _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag,
-                                               _mandel_terms(r, us)))
+        # b = A(tau) / |alpha|: A at |alpha| = 1, real at phi = theta/2 = 0
+        b = displacement_amplitude(
+            ModelParams(alpha_mag=1.0, squeeze_mag=r, nbar=nbar), us).real
+        return _guarded_q(nbar, *_mandel_parts(
+            nbar, alpha_mag, (b, *_squeeze_terms(us + r))))
 
 
 def _mandel_terms(r: float, us) -> tuple:
     """The terms of ``mandel_q_curve`` that do not depend on |alpha|:
-    b(u) = A(tau) / |alpha|, real at phi = theta/2 = 0, cosh 2(u + r),
-    cosh 4(u + r) and sinh 2(u + r), all from numpy's cosh and sinh.  Arrays
-    over an ndarray u; floats at a float u, whose arithmetic overflows to
-    inf without numpy's warnings, after ``math.cosh`` has raised
+    b(u) = A(tau) / |alpha| = x + y, real at phi = theta/2 = 0, and the
+    ``_squeeze_terms``, all from numpy's cosh and sinh.  Arrays over an
+    ndarray u; floats at a float u, whose arithmetic overflows to inf
+    without numpy's warnings, after ``math.cosh`` has raised
     ``OverflowError`` where numpy's cosh 4(u + r), the largest term, would
     overflow: both overflow from the same argument."""
     rho = us + r
     array = isinstance(us, np.ndarray)
     if not array:
         math.cosh(4.0 * rho)
-    values = (np.cosh(us), np.sinh(us), np.cosh(2.0 * rho), np.cosh(4.0 * rho),
-              np.sinh(2.0 * rho))
+    values = (np.cosh(us), np.sinh(us), *_squeeze_terms(rho))
     ch, sh, ch2, ch4, sh2 = values if array else map(float, values)
     x, y = _amplitude_bracket(1.0 / _tanh_half(r), ch, sh)
     return x + y, ch2, ch4, sh2
+
+
+def _squeeze_terms(rho) -> tuple:
+    """cosh 2 rho, cosh 4 rho and sinh 2 rho at rho = u + r, from numpy."""
+    return np.cosh(2.0 * rho), np.cosh(4.0 * rho), np.sinh(2.0 * rho)
 
 
 def _mandel_parts(nbar: float, alpha_mag: float, terms: tuple) -> tuple:

@@ -201,13 +201,14 @@ def test_no_transition_reported_when_curve_stays_positive(monkeypatch):
     def fake_curve(nbar, r, alpha_mag, us):
         return np.ones_like(np.asarray(us, dtype=float)) + alpha_mag
 
-    # _scan gives the solver both the curve's grid values and its objective
-    def fake_scan(nbar, r, alpha_mag, points):
-        us = np.linspace(0.0, ncl.U_MAX, points)
-        return (functools.partial(fake_curve, nbar, r, alpha_mag), us,
-                fake_curve(nbar, r, alpha_mag, us))
+    # _grid_scan gives the solver both the curve's grid values and its
+    # objective
+    def fake_scan(nbar, grid, alpha_mag):
+        us = grid.us
+        return (functools.partial(fake_curve, nbar, grid.r, alpha_mag), us,
+                fake_curve(nbar, grid.r, alpha_mag, us))
 
-    monkeypatch.setattr(ncl, "_scan", fake_scan)
+    monkeypatch.setattr(ncl, "_grid_scan", fake_scan)
     with pytest.raises(ncl.NoTransitionError):
         find_critical_alpha(0.2, 0.1)
 
@@ -217,7 +218,7 @@ def test_bracket_steps_refine_only_where_the_scan_minimum_is_positive(
     # the refine never returns more than the scan's minimum, so a scan that
     # holds a Q <= 0 decides a doubling or bisection step without it
     events = []
-    scan, bounded_min = ncl._scan, ncl._bounded_min
+    scan, bounded_min = ncl._grid_scan, ncl._bounded_min
 
     def recorded_scan(*args):
         q_of, us, qs = scan(*args)
@@ -228,7 +229,7 @@ def test_bracket_steps_refine_only_where_the_scan_minimum_is_positive(
         events.append(("refine", None))
         return bounded_min(*args)
 
-    monkeypatch.setattr(ncl, "_scan", recorded_scan)
+    monkeypatch.setattr(ncl, "_grid_scan", recorded_scan)
     monkeypatch.setattr(ncl, "_bounded_min", recorded_min)
     find_critical_alpha(1.0, 1.0)
     # the alpha = 0 check and the final min Q at alpha_c always refine
@@ -240,7 +241,6 @@ def test_bracket_steps_refine_only_where_the_scan_minimum_is_positive(
     for i in scans:
         refined = i + 1 < len(steps) and steps[i + 1][0] == "refine"
         assert refined == (steps[i][1] > 0), (i, steps[i])
-
 
 
 @pytest.mark.parametrize("nbar, r, doublings", [(0.2, 0.1, 1), (1.0, 1.0, 6)])
@@ -270,6 +270,7 @@ def test_solver_explains_itself_in_one_debug_record(nbar, r, doublings,
     # stdout is the same with the record off
     assert cli.main(["critical", "--nbar", str(nbar), "--r", str(r)]) == 0
     assert capsys.readouterr().out == traced
+
 
 def test_dip_narrower_than_the_grid_has_two_crossings(monkeypatch):
     # a Gaussian dip to Q = -1 between two points of the classification
@@ -329,7 +330,6 @@ def test_scan_objective_is_the_scalar_mandel_q_curve(nbar, r, alpha, u):
         lambda: float(mandel_q_curve(nbar, r, alpha, u)))
 
 
-
 @given(nbar=st.floats(min_value=0.0, allow_infinity=False),
        r=st.floats(min_value=1e-300, max_value=MAX_EFF_SQUEEZE),
        alpha=st.floats(min_value=0.0, allow_infinity=False))
@@ -341,7 +341,7 @@ def test_scan_of_a_solve_grid_is_the_mandel_q_curve(nbar, r, alpha):
     # a solve builds its terms once and assembles each scan from them; the
     # scan keeps the bits and the errors of the curve it replaces
     def assembled():
-        return ncl._scan(nbar, ncl._grid(nbar, r, 16), alpha, 16)[2]
+        return ncl._grid_scan(nbar, ncl._grid(nbar, r, 16), alpha)[2]
 
     def public():
         return mandel_q_curve(nbar, r, alpha, np.linspace(0.0, ncl.U_MAX, 16))
@@ -353,6 +353,7 @@ def test_scan_of_a_solve_grid_is_the_mandel_q_curve(nbar, r, alpha):
             return type(exc), str(exc)
 
     assert outcome(assembled) == outcome(public)
+
 
 # Recorded before the solver assembled its Mandel curve from per-u terms:
 # for each seeded (nbar, r), float.hex of alpha_c, tangency_u ("-" for
