@@ -153,12 +153,6 @@ def displacement_amplitude(params: ModelParams, u):
     complex128 array loop rounds differently.
     """
     _check_u(u)
-    return _amplitude_curve(params)(np.asarray(u, dtype=float))
-
-
-def _amplitude_curve(params: ModelParams):
-    """u -> ``displacement_amplitude(params, u)`` for an ndarray u >= 0, with
-    the factors that do not depend on u computed once."""
     r = params.squeeze_mag
     if r == 0:
         raise ValueError("displacement_amplitude requires squeeze_mag > 0; "
@@ -166,18 +160,14 @@ def _amplitude_curve(params: ModelParams):
     coth_half = 1.0 / _tanh_half(r)
     phase = np.exp(1j * (params.squeeze_phase - 2.0 * params.alpha_phase))
     alpha = params.alpha
-
-    # named for the CLI, whose overflow message names the innermost frame
-    def displacement_amplitude(u: np.ndarray):
-        x, y = _amplitude_bracket(coth_half, np.cosh(u), np.sinh(u))
-        # alpha (x + phase y); the + 0.0 is the real x's zero imaginary part
-        bracket_re, bracket_im = x + phase.real * y, phase.imag * y + 0.0
-        amp = np.empty(u.shape, dtype=complex)
-        amp.real = alpha.real * bracket_re - alpha.imag * bracket_im
-        amp.imag = alpha.real * bracket_im + alpha.imag * bracket_re
-        return complex(amp) if amp.ndim == 0 else amp
-
-    return displacement_amplitude
+    u = np.asarray(u, dtype=float)
+    x, y = _amplitude_bracket(coth_half, np.cosh(u), np.sinh(u))
+    # alpha (x + phase y); the + 0.0 is the real x's zero imaginary part
+    bracket_re, bracket_im = x + phase.real * y, phase.imag * y + 0.0
+    amp = np.empty(u.shape, dtype=complex)
+    amp.real = alpha.real * bracket_re - alpha.imag * bracket_im
+    amp.imag = alpha.real * bracket_im + alpha.imag * bracket_re
+    return complex(amp) if amp.ndim == 0 else amp
 
 
 def _amplitude_bracket(coth_half: float, ch, sh) -> tuple:

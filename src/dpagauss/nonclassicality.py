@@ -295,6 +295,9 @@ def classify_behavior(nbar: float, r: float,
     bracketing; a strictly interior dip narrower than the grid is caught by
     refining the curve minimum.  A minimum within ``TANGENCY_ATOL`` of zero
     (with no sign change) is reported as the tangent-critical behavior.
+    A shallow crossing's zero is fixed only to about 1e-13, not 1e-15 +
+    8.9e-16 |u|: Q's rounding outweighs its slope there, and Q changes sign
+    thrice near u = 2.905 at (nbar, r, |alpha|) = (0.0078125, 0.0078125, 1).
     """
     q_of, us, qs = _scan(nbar, r, alpha_mag, CLASSIFY_GRID)
     q0 = float(qs[0])

@@ -114,6 +114,17 @@ def test_displacement_rejects_r_zero_and_negative_u():
             snr_max(params, 0.5)
 
 
+def test_displacement_phase_fails_before_cosh():
+    # theta - 2 phi overflows and so does cosh u: the phase is formed first,
+    # so its error is the one raised
+    params = ModelParams(alpha_mag=1.0, alpha_phase=-1e308, squeeze_mag=0.5,
+                         squeeze_phase=1e308)
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(
+            FloatingPointError) as info:
+        displacement_amplitude(params, 800.0)
+    assert str(info.value) == "invalid value encountered in exp"
+
+
 def test_limit_r_zero_displacement():
     params = ModelParams(alpha_mag=1.0)
     assert limit_r_zero_displacement(params, 0.0) == 1.0

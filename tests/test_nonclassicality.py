@@ -29,6 +29,7 @@ from dpagauss import (
     squeezing_criterion,
 )
 from dpagauss.model import MAX_EFF_SQUEEZE
+from dpagauss.statistics import VacuumError
 
 nbars = st.floats(min_value=0.0, max_value=2.0)
 squeezes = st.floats(min_value=1e-3, max_value=1.5)
@@ -353,6 +354,39 @@ def test_scan_of_a_solve_grid_is_the_mandel_q_curve(nbar, r, alpha):
             return type(exc), str(exc)
 
     assert outcome(assembled) == outcome(public)
+
+
+# recorded before mandel_q_curve took its terms from _mandel_terms: each
+# check and each overflow keeps its type, its text and its place in line
+@pytest.mark.parametrize("nbar, r, alpha, us, error", [
+    (0.2, 0.0, 0.3, [0.0, 1.0], (ValueError, (
+        "displacement_amplitude requires squeeze_mag > 0; use "
+        "limit_r_zero_displacement for r = 0"))),
+    (0.2, 1e-309, 0.3, [0.0, 1.0], (ValueError, (
+        "squeeze_mag 1e-309 is too small: coth(r/2) overflows double "
+        "precision"))),
+    (0.2, 0.1, 0.3, [0.0, -1.0],
+     (ValueError, "dimensionless time u must be >= 0")),
+    (0.2, 0.0, 0.3, [0.0, -1.0],
+     (ValueError, "dimensionless time u must be >= 0")),
+    (-1.0, 0.1, 0.3, [0.0, 1.0], (ValueError, "nbar must be >= 0, got -1.0")),
+    (0.2, 0.1, -0.3, [0.0, 1.0],
+     (ValueError, "alpha_mag must be >= 0, got -0.3")),
+    (math.nan, 0.1, 0.3, [0.0, 1.0],
+     (ValueError, "nbar must be finite, got nan")),
+    (1.0, 200.0, 1.0, [0.0, 1.0],
+     (FloatingPointError, "overflow encountered in cosh")),
+    (0.0, 4e-9, 0.0, [0.0, 1.0], (VacuumError, (
+        "Mandel parameter undefined for the vacuum (mean photon number is "
+        "zero)"))),
+    (7.5e13, 1.3e-31, 0.25, [9.4],
+     (ValueError, "Mandel parameter lost to rounding past Q_ROUNDING_TOL")),
+], ids=["r-zero", "coth-overflow", "negative-u", "r-zero-negative-u",
+        "negative-nbar", "negative-alpha", "nan-nbar", "cosh-overflow",
+        "vacuum", "rounding-loss"])
+def test_mandel_q_curve_errors_keep_type_text_and_order(nbar, r, alpha, us,
+                                                        error):
+    assert _outcome(lambda: mandel_q_curve(nbar, r, alpha, us)) == error
 
 
 # Recorded before the solver assembled its Mandel curve from per-u terms:
