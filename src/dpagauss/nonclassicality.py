@@ -21,7 +21,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -233,48 +233,30 @@ def _objective(nbar: float, r: float,
     return q_of
 
 
-def _scan(nbar: float, r: float, alpha_mag: float, points: int
-          ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
-    """Mandel curve u -> Q(u), and its values at ``points`` u in [0, U_MAX]
-    from ``mandel_q_curve``."""
-    us = np.linspace(0.0, U_MAX, points)
-    return (_objective(nbar, r, alpha_mag), us,
-            mandel_q_curve(nbar, r, alpha_mag, us))
-
-
-class _Grid(NamedTuple):
-    """A solve's u on [0, U_MAX] and the terms of its Mandel curve there
-    that do not depend on |alpha|, built once and scanned at each |alpha|."""
-
-    r: float
-    us: np.ndarray
-    terms: tuple
-
-
-def _grid(nbar: float, r: float, points: int) -> _Grid:
-    """The ``_Grid`` of ``points`` u, after the checks of ``mandel_q_curve``.
-    Its terms are built without numpy's overflow errors: a scan that meets
-    a term that is not finite defers to ``mandel_q_curve``, which raises."""
+def _scan(nbar: float, r: float,
+          points: int) -> tuple[np.ndarray, Callable[[float], tuple]]:
+    """``points`` u on [0, U_MAX], after the checks of ``mandel_q_curve``,
+    and ``at``: |alpha| -> (its Mandel curve u -> Q(u), its Q at those u).
+    The terms that do not depend on |alpha| are built once, without numpy's
+    overflow errors, and each ``at`` assembles Q from them.  Where an
+    assembled value is not finite, or an error stops the assembly,
+    ``mandel_q_curve`` gives the values or raises its error."""
     ModelParams(alpha_mag=0.0, squeeze_mag=r, nbar=nbar)
     us = np.linspace(0.0, U_MAX, points)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _Grid(r, us, _mandel_terms(r, us))
+        terms = _mandel_terms(r, us)
 
+    def at(alpha_mag: float) -> tuple[Callable[[float], float], np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                qs = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag, terms))
+            except (ArithmeticError, ValueError):
+                qs = math.nan
+        if not np.isfinite(qs).all():
+            qs = mandel_q_curve(nbar, r, alpha_mag, us)
+        return _objective(nbar, r, alpha_mag), qs
 
-def _grid_scan(nbar: float, grid: _Grid, alpha_mag: float
-               ) -> tuple[Callable[[float], float], np.ndarray, np.ndarray]:
-    """``_scan`` of a solve: its values assembled from the terms of its
-    ``_Grid``.  Where an assembled value is not finite, or an error stops
-    the assembly, ``mandel_q_curve`` gives the values or raises its error."""
-    r, us, terms = grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            qs = _guarded_q(nbar, *_mandel_parts(nbar, alpha_mag, terms))
-        except (ArithmeticError, ValueError):
-            qs = math.nan
-    if not np.isfinite(qs).all():
-        qs = mandel_q_curve(nbar, r, alpha_mag, us)
-    return _objective(nbar, r, alpha_mag), us, qs
+    return us, at
 
 
 def _min_q(q_of: Callable[[float], float], us: np.ndarray,
@@ -299,7 +281,10 @@ def classify_behavior(nbar: float, r: float,
     8.9e-16 |u|: Q's rounding outweighs its slope there, and Q changes sign
     thrice near u = 2.905 at (nbar, r, |alpha|) = (0.0078125, 0.0078125, 1).
     """
-    q_of, us, qs = _scan(nbar, r, alpha_mag, CLASSIFY_GRID)
+    # one |alpha|: the public curve, with no u-terms kept for another
+    q_of = _objective(nbar, r, alpha_mag)
+    us = np.linspace(0.0, U_MAX, CLASSIFY_GRID)
+    qs = mandel_q_curve(nbar, r, alpha_mag, us)
     q0 = float(qs[0])
     if q0 >= -TANGENCY_ATOL:
         min_q, argmin_u = _min_q(q_of, us, qs)
@@ -359,22 +344,23 @@ def find_critical_alpha(nbar: float, r: float) -> CriticalPointResult:
         raise ValueError("find_critical_alpha requires r > 0; the r = 0 "
                          "combined-limit dynamics is not covered")
 
-    grid = _grid(nbar, r, SCAN_POINTS)
+    us, at = _scan(nbar, r, SCAN_POINTS)
     refines = 0
 
-    def refined(scan: tuple) -> tuple[float, float]:
+    def refined(q_of: Callable[[float], float],
+                qs: np.ndarray) -> tuple[float, float]:
         nonlocal refines
         refines += 1
-        return _min_q(*scan)
+        return _min_q(q_of, us, qs)
 
     def min_of(alpha_mag: float) -> tuple[float, float]:
-        return refined(_grid_scan(nbar, grid, alpha_mag))
+        return refined(*at(alpha_mag))
 
     def positive(alpha_mag: float) -> bool:
         # the refine never returns more than the scan's minimum, so a scan
         # that holds a Q <= 0 decides the sign without it
-        scan = _grid_scan(nbar, grid, alpha_mag)
-        return bool(scan[2].min() > 0) and refined(scan)[0] > 0
+        q_of, qs = at(alpha_mag)
+        return bool(qs.min() > 0) and refined(q_of, qs)[0] > 0
 
     lo = 0.0
     m_lo, _ = min_of(lo)

@@ -168,6 +168,28 @@ def test_oracle_attests_both_transitions():
                                              excess)
 
 
+def test_transition_window_opens_with_the_mechanism_exponent():
+    # Just above alpha_c, min over u of Q falls linearly in eps = |alpha| /
+    # alpha_c - 1.  At an interior tangency Q is quadratic about its
+    # minimum, so the negative window u2 - u1 opens like eps^(1/2); at the
+    # boundary Q(0) turns negative with a finite slope in u, so the single
+    # crossing u1 moves off u = 0 like eps.  Measured exponents are 0.4992,
+    # 0.4992 and 0.9899 between eps = 1e-2 and 1e-3.
+    for nbar, r in ((0.2, 0.1), (0.1, 0.2), (1.0, 1.0)):
+        critical = find_critical_alpha(nbar, r)
+        shapes = [classify_behavior(nbar, r, (1.0 + eps) * critical.alpha_c)
+                  for eps in (1e-2, 1e-3)]
+        if critical.mechanism is Mechanism.INTERIOR_TANGENCY:
+            kind, exponent = BehaviorKind.MIXED_TWO_CROSSINGS, 0.5
+            sizes = [shape.zeros[1] - shape.zeros[0] for shape in shapes]
+        else:
+            kind, exponent = BehaviorKind.NEGATIVE_START_ONE_CROSSING, 1.0
+            sizes = [shape.zeros[0] for shape in shapes]
+        assert all(shape.kind is kind for shape in shapes), (nbar, r)
+        assert math.log10(sizes[0] / sizes[1]) == pytest.approx(
+            exponent, abs=0.02), (nbar, r, sizes)
+
+
 def test_criterion_6_wigner_integrity():
     rng = np.random.default_rng(20250809)
 

@@ -202,14 +202,14 @@ def test_no_transition_reported_when_curve_stays_positive(monkeypatch):
     def fake_curve(nbar, r, alpha_mag, us):
         return np.ones_like(np.asarray(us, dtype=float)) + alpha_mag
 
-    # _grid_scan gives the solver both the curve's grid values and its
-    # objective
-    def fake_scan(nbar, grid, alpha_mag):
-        us = grid.us
-        return (functools.partial(fake_curve, nbar, grid.r, alpha_mag), us,
-                fake_curve(nbar, grid.r, alpha_mag, us))
+    # _scan gives the solver both the curve's grid values and its objective
+    def fake_scan(nbar, r, points):
+        us = np.linspace(0.0, ncl.U_MAX, points)
+        return us, lambda alpha_mag: (
+            functools.partial(fake_curve, nbar, r, alpha_mag),
+            fake_curve(nbar, r, alpha_mag, us))
 
-    monkeypatch.setattr(ncl, "_grid_scan", fake_scan)
+    monkeypatch.setattr(ncl, "_scan", fake_scan)
     with pytest.raises(ncl.NoTransitionError):
         find_critical_alpha(0.2, 0.1)
 
@@ -219,18 +219,23 @@ def test_bracket_steps_refine_only_where_the_scan_minimum_is_positive(
     # the refine never returns more than the scan's minimum, so a scan that
     # holds a Q <= 0 decides a doubling or bisection step without it
     events = []
-    scan, bounded_min = ncl._grid_scan, ncl._bounded_min
+    scan, bounded_min = ncl._scan, ncl._bounded_min
 
     def recorded_scan(*args):
-        q_of, us, qs = scan(*args)
-        events.append(("scan", float(qs.min())))
-        return q_of, us, qs
+        us, at = scan(*args)
+
+        def recorded_at(alpha_mag):
+            q_of, qs = at(alpha_mag)
+            events.append(("scan", float(qs.min())))
+            return q_of, qs
+
+        return us, recorded_at
 
     def recorded_min(*args):
         events.append(("refine", None))
         return bounded_min(*args)
 
-    monkeypatch.setattr(ncl, "_grid_scan", recorded_scan)
+    monkeypatch.setattr(ncl, "_scan", recorded_scan)
     monkeypatch.setattr(ncl, "_bounded_min", recorded_min)
     find_critical_alpha(1.0, 1.0)
     # the alpha = 0 check and the final min Q at alpha_c always refine
@@ -282,12 +287,12 @@ def test_dip_narrower_than_the_grid_has_two_crossings(monkeypatch):
     def fake_curve(us):
         return 1.0 - 2.0 * np.exp(-((np.asarray(us) - center) / width) ** 2)
 
-    def fake_scan(nbar, r, alpha_mag, points):
-        us = np.linspace(0.0, ncl.U_MAX, points)
-        return lambda u: float(fake_curve(u)), us, fake_curve(us)
-
-    monkeypatch.setattr(ncl, "_scan", fake_scan)
-    assert fake_scan(0, 0, 0, ncl.CLASSIFY_GRID)[2].min() > 0.8
+    monkeypatch.setattr(ncl, "_objective", lambda nbar, r, alpha_mag: (
+        lambda u: float(fake_curve(u))))
+    monkeypatch.setattr(ncl, "mandel_q_curve",
+                        lambda nbar, r, alpha_mag, us: fake_curve(us))
+    assert fake_curve(np.linspace(0.0, ncl.U_MAX,
+                                  ncl.CLASSIFY_GRID)).min() > 0.8
     result = classify_behavior(0.2, 0.1, 0.3)
     assert result.kind is BehaviorKind.MIXED_TWO_CROSSINGS
     left, right = result.zeros
@@ -326,26 +331,29 @@ def test_scan_objective_is_the_scalar_mandel_q_curve(nbar, r, alpha, u):
     # the bits and the errors of the scalar call it replaces
     assume(u + r <= MAX_EFF_SQUEEZE)
     with mock.patch.object(ncl, "mandel_q_curve", lambda *args: None):
-        q_of, _, _ = ncl._scan(nbar, r, alpha, 2)
+        q_of, _ = ncl._scan(nbar, r, 2)[1](alpha)
     assert _outcome(lambda: q_of(u)) == _outcome(
         lambda: float(mandel_q_curve(nbar, r, alpha, u)))
 
 
 @given(nbar=st.floats(min_value=0.0, allow_infinity=False),
        r=st.floats(min_value=1e-300, max_value=MAX_EFF_SQUEEZE),
-       alpha=st.floats(min_value=0.0, allow_infinity=False))
-@example(nbar=1.0, r=200.0, alpha=1.0)  # cosh 4(u + r) overflows
-@example(nbar=1.0, r=1e-300, alpha=1e10)  # |A|^2 overflows
-@example(nbar=0.0, r=4e-9, alpha=0.0)  # the vacuum at u = 0
+       alpha=st.floats(min_value=0.0, allow_infinity=False),
+       points=st.sampled_from([16, ncl.SCAN_POINTS, ncl.CLASSIFY_GRID]))
+@example(nbar=1.0, r=200.0, alpha=1.0, points=16)  # cosh 4(u + r) overflows
+@example(nbar=1.0, r=1e-300, alpha=1e10, points=16)  # |A|^2 overflows
+@example(nbar=0.0, r=4e-9, alpha=0.0, points=16)  # the vacuum at u = 0
 @settings(max_examples=200, deadline=None)
-def test_scan_of_a_solve_grid_is_the_mandel_q_curve(nbar, r, alpha):
+def test_scan_of_a_solve_grid_is_the_mandel_q_curve(nbar, r, alpha, points):
     # a solve builds its terms once and assembles each scan from them; the
-    # scan keeps the bits and the errors of the curve it replaces
+    # scan keeps the bits and the errors of the curve it replaces, also at
+    # the classifier's size, where the mandel-scan properties read it
     def assembled():
-        return ncl._grid_scan(nbar, ncl._grid(nbar, r, 16), alpha)[2]
+        return ncl._scan(nbar, r, points)[1](alpha)[1]
 
     def public():
-        return mandel_q_curve(nbar, r, alpha, np.linspace(0.0, ncl.U_MAX, 16))
+        return mandel_q_curve(nbar, r, alpha,
+                              np.linspace(0.0, ncl.U_MAX, points))
 
     def outcome(f):
         try:
@@ -387,6 +395,47 @@ def test_scan_of_a_solve_grid_is_the_mandel_q_curve(nbar, r, alpha):
 def test_mandel_q_curve_errors_keep_type_text_and_order(nbar, r, alpha, us,
                                                         error):
     assert _outcome(lambda: mandel_q_curve(nbar, r, alpha, us)) == error
+
+
+# What the classifier and the solver raise or return on bad or extreme
+# inputs, recorded before the solver's scan helpers were merged: the
+# classifier's curve checks |alpha| first, which the solver never reads
+@pytest.mark.parametrize("nbar, r, alpha, classified, solved", [
+    (0.2, 0.0, 0.3, (ValueError, (
+        "displacement_amplitude requires squeeze_mag > 0; use "
+        "limit_r_zero_displacement for r = 0")), (ValueError, (
+            "find_critical_alpha requires r > 0; the r = 0 combined-limit "
+            "dynamics is not covered"))),
+    (0.2, 1e-309, 0.3, *[(ValueError, (
+        "squeeze_mag 1e-309 is too small: coth(r/2) overflows double "
+        "precision"))] * 2),
+    (-1.0, 0.1, 0.3, *[(ValueError, "nbar must be >= 0, got -1.0")] * 2),
+    (0.2, 0.1, -0.3, (ValueError, "alpha_mag must be >= 0, got -0.3"),
+     struct.pack("<d", 0.3493660087697208)),
+    (math.nan, 0.1, 0.3, *[(ValueError, "nbar must be finite, got nan")] * 2),
+    (1.0, 200.0, 1.0,
+     *[(FloatingPointError, "overflow encountered in cosh")] * 2),
+    (1.0, 400.0, 1.0,
+     *[(FloatingPointError, "overflow encountered in cosh")] * 2),
+    (0.0, 4e-9, 0.0, *[(VacuumError, (
+        "Mandel parameter undefined for the vacuum (mean photon number is "
+        "zero)"))] * 2),
+    (7.5e13, 1.3e-31, 0.25, *[(ValueError, (
+        "Mandel parameter lost to rounding past Q_ROUNDING_TOL"))] * 2),
+    (-1.0, 0.1, -0.3, (ValueError, "alpha_mag must be >= 0, got -0.3"),
+     (ValueError, "nbar must be >= 0, got -1.0")),
+    (0.2, 0.0, -0.3, (ValueError, "alpha_mag must be >= 0, got -0.3"),
+     (ValueError, "find_critical_alpha requires r > 0; the r = 0 "
+      "combined-limit dynamics is not covered")),
+], ids=["r-zero", "coth-overflow", "negative-nbar", "negative-alpha",
+        "nan-nbar", "cosh-overflow", "cosh-overflow-r400", "vacuum",
+        "rounding-loss", "negative-nbar-and-alpha", "r-zero-negative-alpha"])
+def test_classifier_and_solver_errors_keep_type_text_and_order(
+        nbar, r, alpha, classified, solved):
+    # a classification that returns shows as the bits of its zero count
+    assert _outcome(lambda: len(classify_behavior(nbar, r, alpha).zeros)) \
+        == classified
+    assert _outcome(lambda: find_critical_alpha(nbar, r).alpha_c) == solved
 
 
 # Recorded before the solver assembled its Mandel curve from per-u terms:
@@ -475,7 +524,7 @@ def test_solver_bits_are_frozen():
         assert _solve_record(*cases[i]) == expected[i], cases[i]
     grid, scalar = [], []
     for (nbar, r, alpha), row in zip(curves, us):
-        q_of, _, qs = ncl._scan(nbar, r, alpha, ncl.SCAN_POINTS)
+        q_of, qs = ncl._scan(nbar, r, ncl.SCAN_POINTS)[1](alpha)
         grid += [q.hex() for q in qs.tolist()]
         scalar += [q_of(u).hex() for u in row]
     assert hashlib.sha256(" ".join(grid).encode()).hexdigest() \
@@ -576,7 +625,8 @@ mandel_scans = (nbars, squeezes, st.floats(0.0, 6.0),
 @settings(max_examples=60, deadline=None)
 def test_refine_zero_lands_on_a_sign_change_of_the_mandel_scan(nbar, r,
                                                                alpha, points):
-    q_of, us, qs = ncl._scan(nbar, r, alpha, points)
+    us, at = ncl._scan(nbar, r, points)
+    q_of, qs = at(alpha)
     for i in np.flatnonzero(np.signbit(qs[:-1]) != np.signbit(qs[1:])):
         assert _zero_on_a_sign_change(q_of, us[i], us[i + 1])
 
@@ -585,7 +635,8 @@ def test_refine_zero_lands_on_a_sign_change_of_the_mandel_scan(nbar, r,
 @settings(max_examples=60, deadline=None)
 def test_bounded_min_is_minimize_scalar_on_the_mandel_scan(nbar, r, alpha,
                                                           points):
-    q_of, us, qs = ncl._scan(nbar, r, alpha, points)
+    us, at = ncl._scan(nbar, r, points)
+    q_of, qs = at(alpha)
     i = int(np.argmin(qs))  # the bracket _min_q refines
     assert _same_min(q_of, us[max(i - 1, 0)], us[min(i + 1, len(us) - 1)])
 
