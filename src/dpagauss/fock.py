@@ -131,9 +131,8 @@ MAX_DIM = 40000
 # 64 (one BLAS thread); the rule keeps a margin above that crossover
 _WINDOW_MIN_LEVELS = 192
 _WINDOW_LEVELS_PER_ROW = 2
-# first window: twice the off-diagonal at twice the support height, plus
-# this many first off-diagonals; a window too small grows by _WINDOW_GROWTH
-_WINDOW_MARGIN = 60.0
+# first window: twice the off-diagonal at twice the support height; a window
+# too small grows by _WINDOW_GROWTH
 _WINDOW_GROWTH = 1.5
 _WINDOW_EDGE_TOL = 1e-16
 # eigenvalues per inverse-iteration call: stein's reorthogonalization costs
@@ -239,11 +238,6 @@ def _stein(off: np.ndarray, w: np.ndarray) -> np.ndarray:
     return v.T
 
 
-def _eigh_full(off: np.ndarray):
-    """All eigenpairs (w, v) of the zero-diagonal chain ``off``."""
-    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-
-
 def _eigh_window(off: np.ndarray, positive: np.ndarray, span: float):
     """The eigenpairs of the zero-diagonal chain ``off`` with
     |lambda| <= span, as blocks (w, v, mirrored), each solved when the
@@ -281,11 +275,11 @@ def _eigh_reaching(off: np.ndarray, height: int):
     """
     dim = len(off) + 1
     if dim < _WINDOW_MIN_LEVELS + _WINDOW_LEVELS_PER_ROW * height:
-        yield (*_eigh_full(off), False)
+        yield (*np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1)), False)
         return
     mag = np.abs(off)
     radius = float(np.max(mag[:-1] + mag[1:]))
-    span = 2.0 * mag[min(2 * height, dim - 2)] + _WINDOW_MARGIN * mag[0]
+    span = 2.0 * mag[min(2 * height, dim - 2)]
     positive = _positive_eigenvalues(mag)
     growths = 0
     while span < radius:
@@ -474,9 +468,8 @@ def _displaced_parts(alpha: complex, parts):
         for k in range(2, steps + 1):
             _csr_matvecs(*ops[(parity + k) % 2], cur, prev)
             prev, cur = cur, prev
-            if abs(weights[k]) > 1e-18:
-                _daxpy(size, weight + 8 * k, buffers[k % 2], one,
-                       sums[(parity + k) % 2], one)
+            _daxpy(size, weight + 8 * k, buffers[k % 2], one,
+                   sums[(parity + k) % 2], one)
         del prev, cur  # before the next part's
         totals = [total.reshape(half, width)[:len(rows)]
                   for total, rows in zip(totals, parts)]

@@ -147,8 +147,10 @@ def evolution_cell_report(nbar: float, r: float, alpha: float,
     """Trace distance between Hamiltonian evolution and the displaced-squeezed
     construction at matching truncations."""
     params = ModelParams(alpha, squeeze_mag=r, nbar=nbar)
-    dim = max(fock.suggest_dim(evolved_state(params, u)), 96)
-    rho_h = fock.evolve_via_hamiltonian(params, 1.0 + u / r, dim)
+    dim = fock.suggest_dim(evolved_state(params, u))
+    # at r = 0 only u = 0 is admitted, and the preparation alone runs
+    rho_h = fock.evolve_via_hamiltonian(params, 1.0 + u / r if u else 1.0,
+                                        dim)
     rho_g = fock.build_rho_evolved(params, u, dim)
     dist = fock.trace_distance(rho_h, rho_g)
     return _entry("evolution_trace_distance",

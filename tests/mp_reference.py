@@ -1,5 +1,6 @@
 """60-digit reference values of closed forms (the displacement amplitude,
-the photon statistics and the two Wigner densities), for tests and scripts.
+the photon statistics, the derivatives of Q at the transition and the two
+Wigner densities), for tests and scripts.
 
 Nothing in ``dpagauss`` imports this module.  Each function takes the same
 double-precision inputs as the closed form it checks and evaluates the
@@ -33,8 +34,8 @@ import sys
 
 import mpmath as mp
 
-from dpagauss import (evolved_state, mean_photon, photon_variance,
-                      quad_variance_state)
+from dpagauss import (ModelParams, evolved_state, mean_photon,
+                      photon_variance, quad_variance_state)
 
 DIGITS = 60
 
@@ -105,6 +106,32 @@ def photon_statistics(params, u: float) -> tuple:
                   + turned.imag ** 2 * (2 * nbar * mp.exp(two_rho)
                                         + mp.expm1(two_rho)))
         return amp, mean, mean + excess, excess / mean
+
+
+def transition_derivatives(nbar: float, r: float, alpha_c: float,
+                           u_star: float) -> tuple:
+    """(Q_alpha, d^2Q/du^2 at u*, dQ/du at u = 0) of the Mandel curve at
+    phi = theta/2 = 0 and |alpha| = alpha_c, with Q_alpha = |dQ/d|alpha||
+    at (alpha_c, u*).
+
+    Just above alpha_c, at |alpha| = (1 + eps) alpha_c, these give the
+    width 2 sqrt(2 Q_alpha eps alpha_c / Q_uu) of an interior tangency's
+    negative window and the crossing Q_alpha eps alpha_c / Q_u of the
+    boundary mechanism.  Q comes from ``photon_statistics``, which works
+    at DIGITS digits whatever the caller's precision, so the central
+    differences take fixed steps, 1e-12 and 1e-10: their truncation errors
+    of about h^2 leave some 20 digits.
+    """
+    def q(alpha, u):
+        params = ModelParams(alpha, squeeze_mag=r, nbar=nbar)
+        return photon_statistics(params, u)[3]
+
+    with mp.workdps(DIGITS):
+        alpha_c, u_star = mp.mpf(alpha_c), mp.mpf(u_star)
+        q_alpha = abs(mp.diff(lambda a: q(a, u_star), alpha_c, h=1e-12))
+        q_uu = mp.diff(lambda u: q(alpha_c, u), u_star, 2, h=1e-10)
+        q_u = mp.diff(lambda u: q(alpha_c, u), 0, h=1e-12)
+        return q_alpha, q_uu, q_u
 
 
 def photon_errors(params, u: float) -> list:

@@ -9,6 +9,7 @@ import os
 import time
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,8 @@ from dpagauss import (
     wigner_beta,
 )
 from dpagauss.statistics import quad_variance
+
+import mp_reference
 
 
 def _report(number: int, text: str) -> None:
@@ -175,19 +178,32 @@ def test_transition_window_opens_with_the_mechanism_exponent():
     # boundary Q(0) turns negative with a finite slope in u, so the single
     # crossing u1 moves off u = 0 like eps.  Measured exponents are 0.4992,
     # 0.4992 and 0.9899 between eps = 1e-2 and 1e-3.
+    # With Q_alpha = |dQ/d|alpha|| at (alpha_c, u*), the prefactors at
+    # eps = 1e-3 follow too: the window is 2 sqrt(2 Q_alpha eps alpha_c /
+    # Q_uu) wide, and the crossing sits at Q_alpha eps alpha_c / Q_u(0).
+    # Measured ratios are 0.99980, 0.99979 and 0.99731; zeros one
+    # CLASSIFY_GRID step off would miss by 14% of the window.
     for nbar, r in ((0.2, 0.1), (0.1, 0.2), (1.0, 1.0)):
         critical = find_critical_alpha(nbar, r)
-        shapes = [classify_behavior(nbar, r, (1.0 + eps) * critical.alpha_c)
-                  for eps in (1e-2, 1e-3)]
+        eps = (1e-2, 1e-3)
+        shapes = [classify_behavior(nbar, r, (1.0 + e) * critical.alpha_c)
+                  for e in eps]
+        q_alpha, q_uu, q_u = mp_reference.transition_derivatives(
+            nbar, r, critical.alpha_c, critical.tangency_u or 0.0)
+        opening = q_alpha * eps[1] * critical.alpha_c
         if critical.mechanism is Mechanism.INTERIOR_TANGENCY:
             kind, exponent = BehaviorKind.MIXED_TWO_CROSSINGS, 0.5
             sizes = [shape.zeros[1] - shape.zeros[0] for shape in shapes]
+            predicted = float(2 * mpmath.sqrt(2 * opening / q_uu))
         else:
             kind, exponent = BehaviorKind.NEGATIVE_START_ONE_CROSSING, 1.0
             sizes = [shape.zeros[0] for shape in shapes]
+            predicted = float(opening / q_u)
         assert all(shape.kind is kind for shape in shapes), (nbar, r)
         assert math.log10(sizes[0] / sizes[1]) == pytest.approx(
             exponent, abs=0.02), (nbar, r, sizes)
+        assert sizes[1] == pytest.approx(predicted, rel=0.01), (
+            nbar, r, sizes[1], predicted)
 
 
 def test_criterion_6_wigner_integrity():

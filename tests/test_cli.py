@@ -921,6 +921,33 @@ def test_verify_small_grid_exit_codes(tmp_path, capsys, monkeypatch):
     assert any(e["pass"] is False for e in payload["entries"])
 
 
+@pytest.mark.parametrize("cell, code, message", [
+    ([0, 0, 0, 0], 0, None),
+    ([1, 0, 0, 0], 0, None),
+    ([0, 0, 1, 0], 1, "hamiltonian_coeffs undefined for r = 0 with "
+                      "alpha != 0"),
+    ([0, 0, 0, 1], 1, "only u = 0 is supported"),
+], ids=["vacuum", "thermal", "coherent", "r0-u1"])
+def test_verify_evolution_cell_at_r_zero(cell, code, message, tmp_path,
+                                         capsys):
+    # at r = 0 only u = 0 is admitted: the preparation alone runs, for T = 1
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({
+        "nbars": [0.0], "rs": [0.1], "alphas": [0.0], "us": [0.0],
+        "evolution_grid": [cell], "wigner_points": []}))
+    got, out, err = run_cli(["verify", "--config", str(config),
+                             "--workers", "1"], capsys)
+    assert got == code
+    if message is None:
+        (entry,) = [e for e in strict_json(out)["entries"]
+                    if e["quantity"] == "evolution_trace_distance"]
+        assert entry["pass"] is True and entry["oracle"] == 0.0
+        assert err == ""
+    else:
+        assert_one_usage_error_line(got, out, err)
+        assert message in err
+
+
 def test_verify_empty_grid_is_usage_error(tmp_path, capsys):
     config = tmp_path / "verify.json"
     config.write_text(json.dumps({"nbars": [], "rs": [0.1],
